@@ -98,19 +98,15 @@ def _check_weights(spec: ConvSpec, weight: np.ndarray, bias):
 def _conv3d_core(
     xp: np.ndarray, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec
 ) -> np.ndarray:
-    """Window engine shared by direct and streamed paths.
+    """Window engine for every convolution path.
 
-    ``xp`` is already temporally padded / cache-extended; no temporal padding
-    happens here. Emits every window that fits, i.e. (Tp - k_t) // s_t + 1
-    output frames.
+    ``xp`` is already padded in time (causal lead or cached frames) and in
+    space; no padding happens here. Emits every window that fits, i.e.
+    (Tp - k_t) // s_t + 1 output frames.
     """
-    cin, tp, h, w = xp.shape
+    cin, tp, hp, wp = xp.shape
     kt, kh, kw = spec.kernel
     st, sh, sw = spec.stride
-    ph, pw = spec.spatial_pad
-    if ph or pw:
-        xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    hp, wp = h + 2 * ph, w + 2 * pw
     if hp < kh or wp < kw:
         raise ShapeError(
             f"spatial extent ({hp}, {wp}) smaller than kernel ({kh}, {kw})"
@@ -138,29 +134,16 @@ def _conv3d_core(
     return out
 
 
-def _temporal_pad(frames: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    pad = spec.temporal_pad
-    if pad == 0:
-        return frames
-    if spec.pad_mode == PAD_REPLICATE:
-        lead = np.repeat(frames[:, :1], pad, axis=1)
-    else:
-        lead = np.zeros(
-            (frames.shape[0], pad) + frames.shape[2:], dtype=frames.dtype
-        )
-    return np.concatenate([lead, frames], axis=1)
-
-
 def causal_conv3d(
     x: VideoTensor, spec: ConvSpec, weight, bias=None
 ) -> VideoTensor:
-    """Whole-clip causal convolution."""
+    """Whole-clip causal convolution: a stream of one chunk."""
     if x.channels != spec.in_channels:
         raise ShapeError(
             f"input has {x.channels} channels, spec expects {spec.in_channels}"
         )
     weight, bias = _check_weights(spec, weight, bias)
-    out = _conv3d_core(_temporal_pad(x.data, spec), weight, bias, spec)
+    out, _ = _stream_conv_core(CacheState(), x.data, spec, weight, bias, final=True)
     return VideoTensor(out)
 
 
@@ -213,8 +196,9 @@ class CacheState:
 
     Tracks absolute frame indices in post-padding coordinates, so irregular
     chunk sizes work; the canonical-chunking formula is then a checkable
-    special case of this bookkeeping, not its implementation. Treat instances
-    as immutable; :func:`stream_conv3d` returns updated copies.
+    special case of this bookkeeping, not its implementation. ``cache`` holds
+    the retained frames without the spatial border. Treat instances as
+    immutable; :func:`stream_conv3d` returns updated copies.
     """
 
     chunk_index: int = 0
@@ -234,54 +218,74 @@ class CacheState:
 
 
 def _stream_conv_core(
-    state: CacheState, frames: np.ndarray, spec: ConvSpec, weight, bias
+    state: CacheState,
+    frames: np.ndarray,
+    spec: ConvSpec,
+    weight,
+    bias,
+    final: bool = False,
 ) -> tuple[np.ndarray, CacheState]:
+    """Convolve one chunk against the cache; ``final`` ends the stream.
+
+    The conv input is assembled once, in a single zero-filled buffer that
+    already carries the spatial border: cached frames, then the causal lead
+    (first chunk only), then the chunk. The cache keeps unpadded frames; the
+    final chunk keeps none and returns a finalized state.
+    """
     if state.finalized:
         raise StateError("chunk fed after the stream was finalized")
     kt, st = spec.kernel[0], spec.stride[0]
-    if frames.shape[1] == 0:
-        if state.frames_seen == 0:
-            # Stream not started yet; nothing to pad against.
-            empty = np.zeros(
-                (spec.out_channels, 0) + _spatial_out(frames.shape[2:], spec),
-                dtype=np.float32,
-            )
-            return empty, replace(state, chunk_index=state.chunk_index + 1)
-        incoming = frames
-    elif state.frames_seen == 0:
-        incoming = _temporal_pad(frames, spec)
-    else:
-        incoming = frames
-    new_seen = state.frames_seen + incoming.shape[1]
-    if state.occupancy:
-        slab = np.concatenate([state.cache, incoming], axis=1)
-    else:
-        slab = incoming
-    slab_start = new_seen - slab.shape[1]
+    n = frames.shape[1]
+    lead = spec.temporal_pad if n and state.frames_seen == 0 else 0
+    cached = state.occupancy
+    head = cached + lead
+    new_seen = state.frames_seen + lead + n
+    slab_start = new_seen - head - n
+    # A non-empty cache starts exactly at the next window, so frames are
+    # skipped (offset > 0) only from a chunk that follows an empty cache.
     offset = state.next_window_start - slab_start
     if offset < 0:
         raise StateError("cache lost frames still needed by the next window")
-    avail = slab.shape[1] - offset
-    if avail >= kt:
-        emitted = (avail - kt) // st + 1
-        out = _conv3d_core(slab[:, offset:], weight, bias, spec)
+    avail = head + n - offset
+    emitted = (avail - kt) // st + 1 if avail >= kt else 0
+    if emitted:
+        ph, pw = spec.spatial_pad
+        h, w = frames.shape[2:]
+        if head or offset or ph or pw:
+            xp = np.zeros(
+                (frames.shape[0], avail, h + 2 * ph, w + 2 * pw), dtype=np.float32
+            )
+            inner = xp[:, :, ph : ph + h, pw : pw + w]
+            if cached:
+                inner[:, :cached] = state.cache
+            if lead and spec.pad_mode == PAD_REPLICATE:
+                inner[:, cached:head] = frames[:, :1]
+            inner[:, head:] = frames[:, offset:]
+        else:
+            # Nothing to prepend or border (kernel-1 layers): no copy.
+            xp = inner = frames
+        out = _conv3d_core(xp, weight, bias, spec)
     else:
-        emitted = 0
+        if cached:
+            inner = np.concatenate([state.cache, frames], axis=1)
+        else:
+            inner = frames[:, offset:]
         out = np.zeros(
-            (spec.out_channels, 0) + _spatial_out(slab.shape[2:], spec),
+            (spec.out_channels, 0) + _spatial_out(frames.shape[2:], spec),
             dtype=np.float32,
         )
     new_next = state.next_window_start + emitted * st
-    keep_from = new_next - slab_start
-    if keep_from < slab.shape[1]:
-        cache = np.ascontiguousarray(slab[:, keep_from:])
-    else:
+    keep_from = new_next - slab_start - offset
+    if final or keep_from >= inner.shape[1]:
         cache = _EMPTY
+    else:
+        cache = np.ascontiguousarray(inner[:, keep_from:])
     new_state = CacheState(
         chunk_index=state.chunk_index + 1,
         frames_seen=new_seen,
         next_window_start=new_next,
         cache=cache,
+        finalized=final,
     )
     return out, new_state
 
@@ -438,20 +442,9 @@ def nearest_upsample(x: VideoTensor, factors: tuple[int, int, int]) -> VideoTens
     return VideoTensor(_upsample_core(x.data, factors, first_chunk=True))
 
 
-class _UpsampleStream:
-    def __init__(self, factors):
-        self.factors = factors
-        self._started = False
-
-    def feed(self, frames: np.ndarray) -> np.ndarray:
-        out = _upsample_core(frames, self.factors, first_chunk=not self._started)
-        if frames.shape[1]:
-            self._started = True
-        return out
-
-
 # ---------------------------------------------------------------------------
-# Layer stacks: a tiny composition harness for the streaming guarantee.
+# Layer stacks and the streaming executor. Every path, the model included,
+# runs layers through _LayerStream; direct mode is a stream of one chunk.
 # ---------------------------------------------------------------------------
 
 KIND_CONV = "causal_conv3d"
@@ -517,44 +510,49 @@ class LayerDef:
         return self.kind in STREAM_SAFE_KINDS
 
 
-def _apply_layer(layer: LayerDef, frames: np.ndarray) -> np.ndarray:
-    if layer.kind == KIND_CONV:
-        return _conv3d_core(
-            _temporal_pad(frames, layer.spec), layer.weight, layer.bias, layer.spec
-        )
-    if layer.kind == KIND_LAYERNORM:
-        return _frame_layernorm_core(frames, layer.gain, layer.bias, layer.eps)
-    if layer.kind == KIND_GROUPNORM:
-        return _groupnorm_core(frames, layer.groups, layer.gain, layer.bias, layer.eps)
-    if layer.kind == KIND_NONLINEARITY:
-        return silu(frames)
-    if layer.kind == KIND_RESAMPLE:
-        return _upsample_core(frames, layer.factors, first_chunk=True)
-    raise ParameterError(f"unknown layer kind {layer.kind!r}")
-
-
 class _LayerStream:
-    """Streaming evaluator for one LayerDef."""
+    """Streaming evaluator for one LayerDef; every execution path runs here."""
 
     def __init__(self, layer: LayerDef):
         self.layer = layer
-        self.conv_state = CacheState() if layer.kind == KIND_CONV else None
-        self.upsample = (
-            _UpsampleStream(layer.factors) if layer.kind == KIND_RESAMPLE else None
-        )
+        self.conv_state = CacheState()
+        self.started = False
 
-    def feed(self, frames: np.ndarray) -> np.ndarray:
+    def feed(self, frames: np.ndarray, final: bool) -> np.ndarray:
         layer = self.layer
         if layer.kind == KIND_CONV:
             out, self.conv_state = _stream_conv_core(
-                self.conv_state, frames, layer.spec, layer.weight, layer.bias
+                self.conv_state, frames, layer.spec, layer.weight, layer.bias, final
             )
             return out
         if layer.kind == KIND_RESAMPLE:
-            return self.upsample.feed(frames)
-        # Per-frame (layernorm, nonlinearity) or per-chunk (groupnorm, the
-        # negative control: its statistics shrink to the chunk).
-        return _apply_layer(layer, frames)
+            out = _upsample_core(frames, layer.factors, first_chunk=not self.started)
+            self.started = self.started or frames.shape[1] > 0
+            return out
+        if layer.kind == KIND_LAYERNORM:
+            return _frame_layernorm_core(frames, layer.gain, layer.bias, layer.eps)
+        if layer.kind == KIND_GROUPNORM:
+            # The negative control: its statistics shrink to the chunk.
+            return _groupnorm_core(
+                frames, layer.groups, layer.gain, layer.bias, layer.eps
+            )
+        return silu(frames)
+
+
+def _feed_streams(streams, frames: np.ndarray, final: bool) -> np.ndarray:
+    """Feed one chunk through a chain of streams, in order."""
+    for stream in streams:
+        frames = stream.feed(frames, final)
+    return frames
+
+
+def _iter_chunks(frames: np.ndarray, plan: ChunkPlan):
+    """Yield (chunk, is_last) over the time axis of (c, t, h, w) frames."""
+    sizes = plan.split(frames.shape[1])
+    start = 0
+    for i, size in enumerate(sizes):
+        yield frames[:, start : start + size], i == len(sizes) - 1
+        start += size
 
 
 @dataclass(frozen=True)
@@ -586,12 +584,16 @@ class ChunkPlan:
     def parse(cls, text: str) -> "ChunkPlan":
         """Parse "direct", "canonical:N", or "explicit:a,b,c"."""
         text = text.strip()
-        if text == "direct":
-            return cls.direct()
-        if text.startswith("canonical:"):
-            return cls.canonical(int(text.split(":", 1)[1]))
-        if text.startswith("explicit:"):
-            return cls.explicit(int(s) for s in text.split(":", 1)[1].split(","))
+        kind, _, args = text.partition(":")
+        try:
+            if text == "direct":
+                return cls.direct()
+            if kind == "canonical":
+                return cls.canonical(int(args))
+            if kind == "explicit":
+                return cls.explicit([int(s) for s in args.split(",")])
+        except ValueError:
+            pass
         raise ParameterError(f"cannot parse chunk plan {text!r}")
 
     @property
@@ -629,27 +631,17 @@ class ChunkPlan:
 def run_layer_stack(
     layers: list[LayerDef], x: VideoTensor, plan: ChunkPlan | None = None
 ) -> VideoTensor:
-    """Execute a stack directly or in streaming mode per the plan.
+    """Execute a stack chunk by chunk per the plan (direct = one chunk).
 
-    For stacks containing only stream-safe kinds, both modes agree exactly;
+    For stacks containing only stream-safe kinds, every plan agrees exactly;
     an empty stack is the identity.
     """
-    plan = plan or ChunkPlan.direct()
-    if not plan.is_streaming:
-        frames = x.data
-        for layer in layers:
-            frames = _apply_layer(layer, frames)
-        return VideoTensor(frames)
-    states = [_LayerStream(layer) for layer in layers]
+    streams = [_LayerStream(layer) for layer in layers]
     pieces = []
-    start = 0
-    for size in plan.split(x.time):
-        frames = x.data[:, start : start + size]
-        start += size
-        for state in states:
-            frames = state.feed(frames)
-        if frames.shape[1]:
-            pieces.append(frames)
+    for chunk, final in _iter_chunks(x.data, plan or ChunkPlan.direct()):
+        out = _feed_streams(streams, chunk, final)
+        if out.shape[1]:
+            pieces.append(out)
     if not pieces:
         raise ShapeError("streaming produced no output frames")
     return VideoTensor(np.concatenate(pieces, axis=1))

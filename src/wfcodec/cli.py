@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import analyze_pyramid
 from .causal import ChunkPlan, cache_len, cache_len_by_simulation
-from .errors import ParameterError, WfcodecError
+from .errors import FormatError, ParameterError, WfcodecError
 from .losses import LossComponents, LossWeights, kl_divergence, l1_recon, total_loss, wl_loss
 from .model import (
     GaussianLatent,
@@ -33,9 +33,7 @@ from .model import (
     PRESET_BASE_CHANNELS,
     WeightStore,
     decode,
-    decode_streamed_sizes,
     encode,
-    encode_streamed_chunks,
     init_weights,
     preset_config,
 )
@@ -230,20 +228,23 @@ def cmd_verify_stream(args) -> Report:
     for plan in plans:
         if not plan.is_streaming:
             raise ParameterError("verify-stream plans must be streaming plans")
-        enc_s, latent_sizes = encode_streamed_chunks(video, config, weights, plan)
+        enc_s = encode(video, config, weights, plan)
         enc_dev = max(
             _max_abs(enc_s.latent.mean.data, direct_enc.latent.mean.data),
             _max_abs(enc_s.latent.logvar.data, direct_enc.latent.logvar.data),
         )
-        dec_s = decode_streamed_sizes(
-            direct_enc.latent.mean, config, weights, video.time, latent_sizes
+        # Decode with the encoder's chunk boundaries. A chunk that emitted no
+        # latent frame is a no-op in every stream layer, so dropping it is exact.
+        latent_plan = ChunkPlan.explicit([n for n in enc_s.latent_chunks if n])
+        dec_s = decode(
+            direct_enc.latent.mean, config, weights, video.time, latent_plan
         )
         dec_dev = _max_abs(dec_s.video.data, direct_dec.video.data)
         worst = max(worst, enc_dev, dec_dev)
         plan_reports.append(
             {
                 "plan": plan.describe(),
-                "latent_chunks": latent_sizes,
+                "latent_chunks": list(enc_s.latent_chunks),
                 "encode_max_abs_dev": enc_dev,
                 "decode_max_abs_dev": dec_dev,
             }
@@ -305,9 +306,17 @@ def cmd_decode(args) -> Report:
     mean_path, logvar_path, manifest_path = _latent_paths(args.latent)
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    config = ModelConfig(**manifest["config"])
+    try:
+        # The manifest records every config field; a missing one must not
+        # silently fall back to a default.
+        fields = sorted(manifest["config"])
+        if fields != sorted(_config_dict(ModelConfig())):
+            raise FormatError(f"{manifest_path}: unexpected config fields {fields}")
+        config = ModelConfig(**manifest["config"])
+        original_t = args.frames or int(manifest["original_shape"][1])
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise FormatError(f"{manifest_path}: bad latent manifest ({exc!r})") from exc
     mean = load_tensor(mean_path)
-    original_t = args.frames or int(manifest["original_shape"][1])
     weights, weight_info = _load_or_init_weights(args, config)
     if args.sample_seed is not None:
         logvar = load_tensor(logvar_path)

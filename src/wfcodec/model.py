@@ -14,9 +14,10 @@ so low-frequency content travels to and from the latent along a short linear
 path. The final video is the inverse 3D transform of the predicted level-1
 set.
 
-Every temporal operation in the graph is causal, so both encode and decode
-run either directly or in temporal chunks with identical results; see
-:mod:`wfcodec.causal` for the caching machinery.
+Every temporal operation in the graph is causal, so encode and decode run
+through one chunk executor for any chunk plan with identical results; direct
+mode is the plan of a single chunk. See :mod:`wfcodec.causal` for the
+caching machinery.
 
 Inputs require time = 4k + 1 (a first frame plus groups of four), height and
 width divisible by 8. The latent then has shape
@@ -29,22 +30,17 @@ import hashlib
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .causal import (
-    CacheState,
     ChunkPlan,
     ConvSpec,
-    _conv3d_core,
-    _frame_layernorm_core,
-    _groupnorm_core,
-    _stream_conv_core,
-    _temporal_pad,
-    _upsample_core,
-    _UpsampleStream,
-    silu,
+    LayerDef,
+    _feed_streams,
+    _iter_chunks,
+    _LayerStream,
 )
 from .errors import FormatError, ParameterError, ShapeError, WeightError
 from .tensor import Rng, VideoTensor
@@ -55,10 +51,8 @@ from .wavelet import (
     Idwt3dStream,
     SubbandSet2D,
     SubbandSet3D,
-    _analyze_axis,
-    _synthesize_axis,
-    build_pyramid,
-    idwt3d,
+    _analyze_2d,
+    _synthesize_2d,
 )
 
 PRESET_BASE_CHANNELS = {"wfvae-s": 128, "wfvae-m": 160, "wfvae-l": 192}
@@ -243,6 +237,8 @@ class WeightStore:
                 offset = end
             except struct.error as exc:
                 raise FormatError(f"{path}: truncated entry table") from exc
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: parameter name is not UTF-8") from exc
             store.put(name, arr.reshape(dims))
         if offset != len(raw):
             raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
@@ -265,153 +261,116 @@ class WeightStore:
 
 
 # ---------------------------------------------------------------------------
-# Graph definition shared by the manifest, direct execution, and streaming.
+# The graph, defined once: the encoder and the decoder as ordered node lists.
+# parameter_manifest and the executor both walk them, in the same order.
 # ---------------------------------------------------------------------------
 
 
-def _conv_spec(cin: int, cout: int, kernel=(3, 3, 3), stride=(1, 1, 1)) -> ConvSpec:
-    ph, pw = (kernel[1] - 1) // 2, (kernel[2] - 1) // 2
-    return ConvSpec(cin, cout, tuple(kernel), tuple(stride), (ph, pw))
-
-
 @dataclass(frozen=True)
-class _BlockDef:
-    prefix: str
-    cin: int
-    cout: int
+class _Node:
+    """One graph node: a layer, a residual block, or an energy-flow branch.
 
-    @property
-    def has_skip(self) -> bool:
-        return self.cin != self.cout
+    ``kind`` is conv, norm, act, upsample, block, inflow or outflow. ``spec``
+    is the conv geometry of conv and branch nodes, ``width`` the channels of
+    a norm, ``keys`` the subbands a branch carries; a block runs ``body`` and
+    adds its input, through the ``skip`` conv when the width changes.
+    """
 
-    @property
-    def conv1(self) -> ConvSpec:
-        return _conv_spec(self.cin, self.cout)
-
-    @property
-    def conv2(self) -> ConvSpec:
-        return _conv_spec(self.cout, self.cout)
-
-    @property
-    def skip(self) -> ConvSpec:
-        return _conv_spec(self.cin, self.cout, kernel=(1, 1, 1))
+    kind: str
+    name: str = ""
+    spec: ConvSpec | None = None
+    width: int = 0
+    factors: tuple[int, int, int] = (1, 1, 1)
+    keys: tuple[str, ...] = ()
+    body: tuple[_Node, ...] = ()
+    skip: _Node | None = None
 
 
-def _stage(prefix: str, cin: int, cout: int, blocks: int) -> tuple[_BlockDef, ...]:
-    defs = [_BlockDef(f"{prefix}.block0", cin, cout)]
-    defs += [_BlockDef(f"{prefix}.block{i}", cout, cout) for i in range(1, blocks)]
-    return tuple(defs)
+_ACT = _Node("act")
 
 
-@dataclass(frozen=True)
-class _GraphDef:
-    stem: ConvSpec
-    stage1: tuple[_BlockDef, ...]
-    down1: ConvSpec
-    inflow2: ConvSpec
-    stage2: tuple[_BlockDef, ...]
-    down2: ConvSpec
-    inflow3: ConvSpec
-    stage3: tuple[_BlockDef, ...]
-    head_norm: int
-    head_conv: ConvSpec
-    dec_stem: ConvSpec
-    dstage3: tuple[_BlockDef, ...]
-    outflow3: ConvSpec
-    up2: ConvSpec
-    dstage2: tuple[_BlockDef, ...]
-    outflow2: ConvSpec
-    up1: ConvSpec
-    dstage1: tuple[_BlockDef, ...]
-    out_norm: int
-    out_conv: ConvSpec
+def _conv(name: str, cin: int, cout: int, kernel=(3, 3, 3), stride=(1, 1, 1)) -> _Node:
+    pad = ((kernel[1] - 1) // 2, (kernel[2] - 1) // 2)
+    return _Node("conv", name, ConvSpec(cin, cout, tuple(kernel), tuple(stride), pad))
 
 
-def _build_graph(config: ModelConfig) -> _GraphDef:
+def _norm(name: str, width: int) -> _Node:
+    return _Node("norm", name, width=width)
+
+
+def _branch(kind: str, name: str, cin: int, cout: int, keys) -> _Node:
+    """A 1x1x1 conv between the backbone and a wavelet subband stack."""
+    return replace(_conv(name, cin, cout, kernel=(1, 1, 1)), kind=kind, keys=keys)
+
+
+def _stage(prefix: str, cin: int, cout: int, blocks: int) -> list[_Node]:
+    nodes = []
+    for i in range(blocks):
+        p, c = f"{prefix}.block{i}", cin if i == 0 else cout
+        body = (
+            _norm(f"{p}.norm1", c),
+            _ACT,
+            _conv(f"{p}.conv1", c, cout),
+            _norm(f"{p}.norm2", cout),
+            _ACT,
+            _conv(f"{p}.conv2", cout, cout),
+        )
+        skip = _conv(f"{p}.skip", c, cout, kernel=(1, 1, 1)) if c != cout else None
+        nodes.append(_Node("block", p, body=body, skip=skip))
+    return nodes
+
+
+def _graph(config: ModelConfig) -> tuple[list[_Node], list[_Node]]:
+    """The encoder and the decoder, each in execution order."""
     w0, w1, w2 = config.stage_widths
-    blocks = config.blocks_per_stage
-    l1_stack = 8 * config.input_channels
-    l2_stack = 8 * config.input_channels
-    l3_stack = 4 * config.input_channels
-    cf = config.c_flow
-    return _GraphDef(
-        stem=_conv_spec(l1_stack, w0),
-        stage1=_stage("enc.stage1", w0, w0, blocks),
-        down1=_conv_spec(w0, w1, stride=(2, 2, 2)),
-        inflow2=_conv_spec(l2_stack, cf, kernel=(1, 1, 1)),
-        stage2=_stage("enc.stage2", w1 + cf, w1, blocks),
-        down2=_conv_spec(w1, w2, stride=(1, 2, 2)),
-        inflow3=_conv_spec(l3_stack, cf, kernel=(1, 1, 1)),
-        stage3=_stage("enc.stage3", w2 + cf, w2, blocks),
-        head_norm=w2,
-        head_conv=_conv_spec(w2, 2 * config.latent_channels),
-        dec_stem=_conv_spec(config.latent_channels, w2),
-        dstage3=_stage("dec.stage3", w2, w2, blocks),
-        outflow3=_conv_spec(cf, l3_stack, kernel=(1, 1, 1)),
-        up2=_conv_spec(w2, w1),
-        dstage2=_stage("dec.stage2", w1, w1, blocks),
-        outflow2=_conv_spec(cf, l2_stack, kernel=(1, 1, 1)),
-        up1=_conv_spec(w1, w0),
-        dstage1=_stage("dec.stage1", w0, w0, blocks),
-        out_norm=w0,
-        out_conv=_conv_spec(w0, l1_stack),
-    )
+    cf, blocks, chn = config.c_flow, config.blocks_per_stage, config.latent_channels
+    stack3d, stack2d = 8 * config.input_channels, 4 * config.input_channels
+    encoder = [
+        _conv("enc.stem", stack3d, w0),
+        *_stage("enc.stage1", w0, w0, blocks),
+        _conv("enc.down1", w0, w1, stride=(2, 2, 2)),
+        _branch("inflow", "enc.inflow2", stack3d, cf, KEYS_3D),
+        *_stage("enc.stage2", w1 + cf, w1, blocks),
+        _conv("enc.down2", w1, w2, stride=(1, 2, 2)),
+        _branch("inflow", "enc.inflow3", stack2d, cf, KEYS_2D),
+        *_stage("enc.stage3", w2 + cf, w2, blocks),
+        _norm("enc.head.norm", w2),
+        _ACT,
+        _conv("enc.head.conv", w2, 2 * chn),
+    ]
+    decoder = [
+        _conv("dec.stem", chn, w2),
+        *_stage("dec.stage3", w2, w2, blocks),
+        _branch("outflow", "dec.outflow3", cf, stack2d, KEYS_2D),
+        _Node("upsample", factors=(1, 2, 2)),
+        _conv("dec.up2", w2, w1),
+        *_stage("dec.stage2", w1, w1, blocks),
+        _branch("outflow", "dec.outflow2", cf, stack3d, KEYS_3D),
+        _Node("upsample", factors=(2, 2, 2)),
+        _conv("dec.up1", w1, w0),
+        *_stage("dec.stage1", w0, w0, blocks),
+        _norm("dec.out.norm", w0),
+        _ACT,
+        _conv("dec.out.conv", w0, stack3d),
+    ]
+    return encoder, decoder
 
 
-def _block_params(block: _BlockDef):
-    yield f"{block.prefix}.norm1.gain", (block.cin,)
-    yield f"{block.prefix}.norm1.bias", (block.cin,)
-    yield f"{block.prefix}.conv1.weight", block.conv1.weight_shape()
-    yield f"{block.prefix}.conv1.bias", (block.cout,)
-    yield f"{block.prefix}.norm2.gain", (block.cout,)
-    yield f"{block.prefix}.norm2.bias", (block.cout,)
-    yield f"{block.prefix}.conv2.weight", block.conv2.weight_shape()
-    yield f"{block.prefix}.conv2.bias", (block.cout,)
-    if block.has_skip:
-        yield f"{block.prefix}.skip.weight", block.skip.weight_shape()
-        yield f"{block.prefix}.skip.bias", (block.cout,)
+def _node_params(node: _Node):
+    if node.spec is not None:
+        yield f"{node.name}.weight", node.spec.weight_shape()
+        yield f"{node.name}.bias", (node.spec.out_channels,)
+    elif node.kind == "norm":
+        yield f"{node.name}.gain", (node.width,)
+        yield f"{node.name}.bias", (node.width,)
+    for child in (*node.body, *filter(None, [node.skip])):
+        yield from _node_params(child)
 
 
 def parameter_manifest(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Every graph parameter with its shape, in deterministic graph order."""
-    graph = _build_graph(config)
-    entries: list[tuple[str, tuple[int, ...]]] = []
-
-    def conv(name: str, spec: ConvSpec):
-        entries.append((f"{name}.weight", spec.weight_shape()))
-        entries.append((f"{name}.bias", (spec.out_channels,)))
-
-    def norm(name: str, channels: int):
-        entries.append((f"{name}.gain", (channels,)))
-        entries.append((f"{name}.bias", (channels,)))
-
-    conv("enc.stem", graph.stem)
-    for block in graph.stage1:
-        entries.extend(_block_params(block))
-    conv("enc.down1", graph.down1)
-    conv("enc.inflow2", graph.inflow2)
-    for block in graph.stage2:
-        entries.extend(_block_params(block))
-    conv("enc.down2", graph.down2)
-    conv("enc.inflow3", graph.inflow3)
-    for block in graph.stage3:
-        entries.extend(_block_params(block))
-    norm("enc.head.norm", graph.head_norm)
-    conv("enc.head.conv", graph.head_conv)
-    conv("dec.stem", graph.dec_stem)
-    for block in graph.dstage3:
-        entries.extend(_block_params(block))
-    conv("dec.outflow3", graph.outflow3)
-    conv("dec.up2", graph.up2)
-    for block in graph.dstage2:
-        entries.extend(_block_params(block))
-    conv("dec.outflow2", graph.outflow2)
-    conv("dec.up1", graph.up1)
-    for block in graph.dstage1:
-        entries.extend(_block_params(block))
-    norm("dec.out.norm", graph.out_norm)
-    conv("dec.out.conv", graph.out_conv)
-    return entries
+    encoder, decoder = _graph(config)
+    return [entry for node in encoder + decoder for entry in _node_params(node)]
 
 
 def init_weights(config: ModelConfig, rng: Rng) -> WeightStore:
@@ -468,6 +427,7 @@ class EncodeResult:
     latent: GaussianLatent
     w2: SubbandSet3D
     w3: SubbandSet2D
+    latent_chunks: tuple[int, ...]  # latent frames emitted per input chunk
 
 
 @dataclass(frozen=True)
@@ -488,74 +448,158 @@ class ForwardResult:
 
 
 # ---------------------------------------------------------------------------
-# Execution helpers shared by direct and streaming paths.
+# Execution: one chunk executor for every plan; direct mode is the plan with
+# a single chunk. The encoder and the decoder are each one ordered node list
+# of causal._LayerStream layers, residual blocks and energy-flow taps, fed by
+# causal._feed_streams. Keeping the whole backbone in one list means only the
+# executor holds an activation, so each is freed as soon as the next node has
+# consumed it; that keeps peak memory at that of a hand-written whole-clip pass.
 # ---------------------------------------------------------------------------
 
 
-class _Params:
-    def __init__(self, config: ModelConfig, weights: WeightStore):
-        self.config = config
-        self.weights = weights
+def _stream(node: _Node, config: ModelConfig, weights: WeightStore):
+    """The executor form of one node: an object with feed(frames, final)."""
+    def param(suffix: str) -> np.ndarray:
+        return weights.get(f"{node.name}.{suffix}")
 
-    def conv(self, name: str):
-        return self.weights.get(f"{name}.weight"), self.weights.get(f"{name}.bias")
-
-    def norm(self, name: str):
-        return self.weights.get(f"{name}.gain"), self.weights.get(f"{name}.bias")
-
-    def normalize(self, frames: np.ndarray, name: str) -> np.ndarray:
-        gain, bias = self.norm(name)
-        if self.config.norm == NORM_FRAME_LAYERNORM:
-            return _frame_layernorm_core(frames, gain, bias, self.config.eps)
-        return _groupnorm_core(
-            frames, self.config.groupnorm_groups, gain, bias, self.config.eps
-        )
-
-
-def _conv_direct(frames: np.ndarray, spec: ConvSpec, weight, bias) -> np.ndarray:
-    return _conv3d_core(_temporal_pad(frames, spec), weight, bias, spec)
-
-
-def _conv_frames(frames: np.ndarray, spec: ConvSpec, weight, bias) -> np.ndarray:
-    """kernel-1 temporal convs are per-frame; no padding, no state."""
-    return _conv3d_core(frames, weight, bias, spec)
-
-
-def _block_direct(frames: np.ndarray, block: _BlockDef, params: _Params) -> np.ndarray:
-    h = params.normalize(frames, f"{block.prefix}.norm1")
-    h = silu(h)
-    h = _conv_direct(h, block.conv1, *params.conv(f"{block.prefix}.conv1"))
-    h = params.normalize(h, f"{block.prefix}.norm2")
-    h = silu(h)
-    h = _conv_direct(h, block.conv2, *params.conv(f"{block.prefix}.conv2"))
-    if block.has_skip:
-        skip = _conv_frames(frames, block.skip, *params.conv(f"{block.prefix}.skip"))
-    else:
-        skip = frames
-    return skip + h
+    if node.kind == "conv":
+        layer = LayerDef.conv(node.spec, param("weight"), param("bias"), node.name)
+        return _LayerStream(layer)
+    if node.kind == "norm":
+        gain, bias = param("gain"), param("bias")
+        if config.norm == NORM_FRAME_LAYERNORM:
+            layer = LayerDef.layernorm(gain, bias, config.eps, node.name)
+        else:
+            layer = LayerDef.groupnorm(
+                config.groupnorm_groups, gain, bias, config.eps, node.name
+            )
+        return _LayerStream(layer)
+    if node.kind == "act":
+        return _LayerStream(LayerDef.nonlinearity())
+    if node.kind == "upsample":
+        return _LayerStream(LayerDef.upsample(node.factors))
+    if node.kind == "block":
+        body = [_stream(child, config, weights) for child in node.body]
+        skip = _stream(node.skip, config, weights) if node.skip else None
+        return _Block(body, skip)
+    conv = _stream(replace(node, kind="conv"), config, weights)
+    act = _stream(_ACT, config, weights)
+    if node.kind == "inflow":
+        return _Inflow(node, [conv, act])
+    return _Outflow(node, [act, conv])
 
 
-def _dwt2d_bands(frames: np.ndarray) -> dict[str, np.ndarray]:
-    a_h, d_h = _analyze_axis(frames, axis=2)
-    bands = {}
-    for hkey, harr in (("h", a_h), ("g", d_h)):
-        a_w, d_w = _analyze_axis(harr, axis=3)
-        bands[hkey + "h"] = a_w
-        bands[hkey + "g"] = d_w
-    return bands
+class _Block:
+    """Residual block: skip(x) + body(x), skip being the identity or a conv."""
 
+    def __init__(self, body: list[_LayerStream], skip: _LayerStream | None):
+        self.body = body
+        self.skip = skip
 
-def _idwt2d_bands(bands: dict[str, np.ndarray]) -> np.ndarray:
-    rows = {
-        hkey: _synthesize_axis(bands[hkey + "h"], bands[hkey + "g"], axis=3)
-        for hkey in "hg"
-    }
-    return _synthesize_axis(rows["h"], rows["g"], axis=2)
+    def feed(self, frames: np.ndarray, final: bool) -> np.ndarray:
+        h = _feed_streams(self.body, frames, final)
+        skip = self.skip.feed(frames, final) if self.skip else frames
+        return skip + h
 
 
 def _split_bands(stack: np.ndarray, keys) -> dict[str, np.ndarray]:
     c = stack.shape[0] // len(keys)
     return {key: stack[i * c : (i + 1) * c] for i, key in enumerate(keys)}
+
+
+class _Branch:
+    """Energy-flow branch: a 1x1x1 conv between the backbone and the subband
+    stack ``node.keys``; ``bands`` holds the current chunk's subbands."""
+
+    def __init__(self, node: _Node, streams: list[_LayerStream]):
+        self.node = node
+        self.streams = streams
+        self.bands: dict[str, np.ndarray] = {}
+
+
+class _Inflow(_Branch):
+    """concat(x, act(conv(bands))); the encoder sets ``bands`` per chunk."""
+
+    def feed(self, x: np.ndarray, final: bool) -> np.ndarray:
+        stack = np.concatenate([self.bands[k] for k in self.node.keys], axis=0)
+        flow = _feed_streams(self.streams, stack, final)
+        if x.shape[1] != flow.shape[1]:
+            raise ShapeError(
+                f"backbone/wavelet rate mismatch at {self.node.name}: "
+                f"{x.shape[1]} vs {flow.shape[1]} frames"
+            )
+        return np.concatenate([x, flow], axis=0)
+
+
+class _Outflow(_Branch):
+    """Passes x through; predicts ``bands`` as conv(act(x[:c_flow]))."""
+
+    def feed(self, x: np.ndarray, final: bool) -> np.ndarray:
+        out = _feed_streams(self.streams, x[: self.node.spec.in_channels], final)
+        self.bands = _split_bands(out, self.node.keys)
+        return x
+
+
+class _EncoderStream:
+    """Chunk-by-chunk encoder; emissions align across branches at every rate."""
+
+    def __init__(self, config: ModelConfig, weights: WeightStore):
+        encoder, _ = _graph(config)
+        self.chain = [_stream(node, config, weights) for node in encoder]
+        self.inflow2, self.inflow3 = (s for s in self.chain if isinstance(s, _Inflow))
+        self.latent_channels = config.latent_channels
+        # Inputs are 4k+1 frames, and so is level 1's hhh band: both pad.
+        self.wave1 = Dwt3dStream(pad_first=True)
+        self.wave2 = Dwt3dStream(pad_first=True)
+
+    def feed(self, frames: np.ndarray, final: bool):
+        w1 = self.wave1.feed(frames)
+        w2 = self.wave2.feed(w1["hhh"])
+        w3 = _analyze_2d(w2["hhh"])
+        self.inflow2.bands, self.inflow3.bands = w2, w3
+        x = _feed_streams(
+            self.chain, np.concatenate([w1[k] for k in KEYS_3D], axis=0), final
+        )
+        chn = self.latent_channels
+        return x[:chn], x[chn:], w2, w3
+
+
+class _DecoderStream:
+    def __init__(self, config: ModelConfig, weights: WeightStore):
+        _, decoder = _graph(config)
+        self.chain = [_stream(node, config, weights) for node in decoder]
+        self.outflow3, self.outflow2 = (
+            s for s in self.chain if isinstance(s, _Outflow)
+        )
+        # Videos are 4k+1 frames and level 1 has 2k+1: both drop the pad.
+        self.idwt_w2 = Idwt3dStream(drop_first=True)
+        self.idwt_final = Idwt3dStream(drop_first=True)
+
+    def feed(self, z_frames: np.ndarray, final: bool):
+        w1_bands = _split_bands(_feed_streams(self.chain, z_frames, final), KEYS_3D)
+        w3_bands, w2_bands = self.outflow3.bands, self.outflow2.bands
+        w2_bands["hhh"] = w2_bands["hhh"] + _synthesize_2d(w3_bands)
+        contrib = self.idwt_w2.feed(w2_bands)
+        if w1_bands["hhh"].shape[1] != contrib.shape[1]:
+            raise ShapeError(
+                f"backbone/wavelet rate mismatch at level 1: "
+                f"{w1_bands['hhh'].shape[1]} vs {contrib.shape[1]} frames"
+            )
+        w1_bands["hhh"] = w1_bands["hhh"] + contrib
+        return self.idwt_final.feed(w1_bands), w2_bands, w3_bands
+
+
+def _concat(chunks: list[np.ndarray]) -> VideoTensor:
+    return VideoTensor(np.concatenate(chunks, axis=1))
+
+
+def _concat_bands(chunks: list[dict[str, np.ndarray]], keys) -> dict[str, VideoTensor]:
+    return {key: _concat([chunk[key] for chunk in chunks]) for key in keys}
+
+
+# ---------------------------------------------------------------------------
+# Public entry points.
+# ---------------------------------------------------------------------------
 
 
 def _validate_encode_input(v: VideoTensor, config: ModelConfig):
@@ -573,330 +617,37 @@ def _validate_encode_input(v: VideoTensor, config: ModelConfig):
         raise ShapeError(f"time must be 4k+1, got {v.time}")
 
 
-# ---------------------------------------------------------------------------
-# Direct paths.
-# ---------------------------------------------------------------------------
-
-
-def _encode_direct(v: VideoTensor, config: ModelConfig, params: _Params):
-    graph = _build_graph(config)
-    pyramid = build_pyramid(v)
-    x = pyramid.level1.stack()
-    x = _conv_direct(x, graph.stem, *params.conv("enc.stem"))
-    for block in graph.stage1:
-        x = _block_direct(x, block, params)
-    x = _conv_direct(x, graph.down1, *params.conv("enc.down1"))
-    f2 = silu(
-        _conv_frames(pyramid.level2.stack(), graph.inflow2, *params.conv("enc.inflow2"))
-    )
-    x = np.concatenate([x, f2], axis=0)
-    for block in graph.stage2:
-        x = _block_direct(x, block, params)
-    x = _conv_direct(x, graph.down2, *params.conv("enc.down2"))
-    f3 = silu(
-        _conv_frames(pyramid.level3.stack(), graph.inflow3, *params.conv("enc.inflow3"))
-    )
-    x = np.concatenate([x, f3], axis=0)
-    for block in graph.stage3:
-        x = _block_direct(x, block, params)
-    x = params.normalize(x, "enc.head.norm")
-    x = silu(x)
-    x = _conv_direct(x, graph.head_conv, *params.conv("enc.head.conv"))
-    chn = config.latent_channels
-    latent = GaussianLatent(VideoTensor(x[:chn]), VideoTensor(x[chn:]))
-    return EncodeResult(latent, pyramid.level2, pyramid.level3)
-
-
-def _decode_direct(
-    z: VideoTensor, config: ModelConfig, params: _Params, original_t: int
-):
-    graph = _build_graph(config)
-    cf = config.c_flow
-    x = _conv_direct(z.data, graph.dec_stem, *params.conv("dec.stem"))
-    for block in graph.dstage3:
-        x = _block_direct(x, block, params)
-    w3_stack = _conv_frames(
-        silu(x[:cf]), graph.outflow3, *params.conv("dec.outflow3")
-    )
-    w3_bands = _split_bands(w3_stack, KEYS_2D)
-    x = _upsample_core(x, (1, 2, 2), first_chunk=True)
-    x = _conv_direct(x, graph.up2, *params.conv("dec.up2"))
-    for block in graph.dstage2:
-        x = _block_direct(x, block, params)
-    w2_stack = _conv_frames(
-        silu(x[:cf]), graph.outflow2, *params.conv("dec.outflow2")
-    )
-    w2_bands = _split_bands(w2_stack, KEYS_3D)
-    w2_bands["hhh"] = w2_bands["hhh"] + _idwt2d_bands(w3_bands)
-    x = _upsample_core(x, (2, 2, 2), first_chunk=True)
-    x = _conv_direct(x, graph.up1, *params.conv("dec.up1"))
-    for block in graph.dstage1:
-        x = _block_direct(x, block, params)
-    x = params.normalize(x, "dec.out.norm")
-    x = silu(x)
-    x = _conv_direct(x, graph.out_conv, *params.conv("dec.out.conv"))
-    w1_bands = _split_bands(x, KEYS_3D)
-    t1 = x.shape[1]
-    w2_hat = SubbandSet3D({k: VideoTensor(w2_bands[k]) for k in KEYS_3D})
-    w3_hat = SubbandSet2D({k: VideoTensor(w3_bands[k]) for k in KEYS_2D})
-    contrib = idwt3d(w2_hat, original_t=t1)
-    w1_bands["hhh"] = w1_bands["hhh"] + contrib.data
-    w1_set = SubbandSet3D({k: VideoTensor(w1_bands[k]) for k in KEYS_3D})
-    video = idwt3d(w1_set, original_t=original_t)
-    return DecodeResult(video, w2_hat, w3_hat)
-
-
-# ---------------------------------------------------------------------------
-# Streaming paths.
-# ---------------------------------------------------------------------------
-
-
-class _StreamConv:
-    def __init__(self, spec: ConvSpec, weight, bias):
-        self.spec = spec
-        self.weight = weight
-        self.bias = bias
-        self.state = CacheState()
-
-    def feed(self, frames: np.ndarray) -> np.ndarray:
-        out, self.state = _stream_conv_core(
-            self.state, frames, self.spec, self.weight, self.bias
-        )
-        return out
-
-
-class _StreamBlock:
-    def __init__(self, block: _BlockDef, params: _Params):
-        self.block = block
-        self.params = params
-        self.conv1 = _StreamConv(block.conv1, *params.conv(f"{block.prefix}.conv1"))
-        self.conv2 = _StreamConv(block.conv2, *params.conv(f"{block.prefix}.conv2"))
-        self.skip_params = (
-            params.conv(f"{block.prefix}.skip") if block.has_skip else None
-        )
-
-    def feed(self, frames: np.ndarray) -> np.ndarray:
-        block, params = self.block, self.params
-        h = params.normalize(frames, f"{block.prefix}.norm1")
-        h = silu(h)
-        h = self.conv1.feed(h)
-        h = params.normalize(h, f"{block.prefix}.norm2")
-        h = silu(h)
-        h = self.conv2.feed(h)
-        if self.skip_params is not None:
-            skip = _conv_frames(frames, block.skip, *self.skip_params)
-        else:
-            skip = frames
-        return skip + h
-
-
-class _EncoderStream:
-    """Chunk-by-chunk encoder; emissions align across branches at every rate."""
-
-    def __init__(self, config: ModelConfig, params: _Params):
-        graph = _build_graph(config)
-        self.config = config
-        self.params = params
-        self.graph = graph
-        self.wave1 = Dwt3dStream(pad_first=True)
-        self.wave2 = Dwt3dStream(pad_first=True)
-        self.stem = _StreamConv(graph.stem, *params.conv("enc.stem"))
-        self.stage1 = [_StreamBlock(b, params) for b in graph.stage1]
-        self.down1 = _StreamConv(graph.down1, *params.conv("enc.down1"))
-        self.stage2 = [_StreamBlock(b, params) for b in graph.stage2]
-        self.down2 = _StreamConv(graph.down2, *params.conv("enc.down2"))
-        self.stage3 = [_StreamBlock(b, params) for b in graph.stage3]
-        self.head = _StreamConv(graph.head_conv, *params.conv("enc.head.conv"))
-
-    def feed(self, frames: np.ndarray):
-        params, graph = self.params, self.graph
-        w1 = self.wave1.feed(frames)
-        w2 = self.wave2.feed(w1["hhh"])
-        w3 = _dwt2d_bands(w2["hhh"])
-        x = np.concatenate([w1[k] for k in KEYS_3D], axis=0)
-        x = self.stem.feed(x)
-        for block in self.stage1:
-            x = block.feed(x)
-        x = self.down1.feed(x)
-        f2 = silu(
-            _conv_frames(
-                np.concatenate([w2[k] for k in KEYS_3D], axis=0),
-                graph.inflow2,
-                *params.conv("enc.inflow2"),
-            )
-        )
-        if x.shape[1] != f2.shape[1]:
-            raise ShapeError(
-                f"backbone/wavelet rate mismatch at level 2: "
-                f"{x.shape[1]} vs {f2.shape[1]} frames"
-            )
-        x = np.concatenate([x, f2], axis=0)
-        for block in self.stage2:
-            x = block.feed(x)
-        x = self.down2.feed(x)
-        f3 = silu(
-            _conv_frames(
-                np.concatenate([w3[k] for k in KEYS_2D], axis=0),
-                graph.inflow3,
-                *params.conv("enc.inflow3"),
-            )
-        )
-        if x.shape[1] != f3.shape[1]:
-            raise ShapeError(
-                f"backbone/wavelet rate mismatch at level 3: "
-                f"{x.shape[1]} vs {f3.shape[1]} frames"
-            )
-        x = np.concatenate([x, f3], axis=0)
-        for block in self.stage3:
-            x = block.feed(x)
-        x = params.normalize(x, "enc.head.norm")
-        x = silu(x)
-        x = self.head.feed(x)
-        chn = self.config.latent_channels
-        return x[:chn], x[chn:], w2, w3
-
-
-class _DecoderStream:
-    def __init__(self, config: ModelConfig, params: _Params):
-        graph = _build_graph(config)
-        self.config = config
-        self.params = params
-        self.graph = graph
-        self.stem = _StreamConv(graph.dec_stem, *params.conv("dec.stem"))
-        self.dstage3 = [_StreamBlock(b, params) for b in graph.dstage3]
-        self.up2_resample = _UpsampleStream((1, 2, 2))
-        self.up2 = _StreamConv(graph.up2, *params.conv("dec.up2"))
-        self.dstage2 = [_StreamBlock(b, params) for b in graph.dstage2]
-        self.up1_resample = _UpsampleStream((2, 2, 2))
-        self.up1 = _StreamConv(graph.up1, *params.conv("dec.up1"))
-        self.dstage1 = [_StreamBlock(b, params) for b in graph.dstage1]
-        self.out = _StreamConv(graph.out_conv, *params.conv("dec.out.conv"))
-        self.idwt_w2 = Idwt3dStream(drop_first=True)
-        self.idwt_final = Idwt3dStream(drop_first=True)
-
-    def feed(self, z_frames: np.ndarray):
-        params, graph = self.params, self.graph
-        cf = self.config.c_flow
-        x = self.stem.feed(z_frames)
-        for block in self.dstage3:
-            x = block.feed(x)
-        w3_stack = _conv_frames(
-            silu(x[:cf]), graph.outflow3, *params.conv("dec.outflow3")
-        )
-        w3_bands = _split_bands(w3_stack, KEYS_2D)
-        x = self.up2_resample.feed(x)
-        x = self.up2.feed(x)
-        for block in self.dstage2:
-            x = block.feed(x)
-        w2_stack = _conv_frames(
-            silu(x[:cf]), graph.outflow2, *params.conv("dec.outflow2")
-        )
-        w2_bands = _split_bands(w2_stack, KEYS_3D)
-        w2_bands["hhh"] = w2_bands["hhh"] + _idwt2d_bands(w3_bands)
-        contrib = self.idwt_w2.feed(w2_bands)
-        x = self.up1_resample.feed(x)
-        x = self.up1.feed(x)
-        for block in self.dstage1:
-            x = block.feed(x)
-        x = params.normalize(x, "dec.out.norm")
-        x = silu(x)
-        x = self.out.feed(x)
-        w1_bands = _split_bands(x, KEYS_3D)
-        if w1_bands["hhh"].shape[1] != contrib.shape[1]:
-            raise ShapeError(
-                f"backbone/wavelet rate mismatch at level 1: "
-                f"{w1_bands['hhh'].shape[1]} vs {contrib.shape[1]} frames"
-            )
-        w1_bands["hhh"] = w1_bands["hhh"] + contrib
-        video = self.idwt_final.feed(w1_bands)
-        return video, w2_bands, w3_bands
-
-
-def _concat_bands(chunks: list[dict[str, np.ndarray]], keys) -> dict[str, np.ndarray]:
-    return {
-        key: np.concatenate([chunk[key] for chunk in chunks], axis=1) for key in keys
-    }
-
-
-# ---------------------------------------------------------------------------
-# Public entry points.
-# ---------------------------------------------------------------------------
-
-
 def encode(
     v: VideoTensor,
     config: ModelConfig,
     weights: WeightStore,
     mode: ChunkPlan | None = None,
 ) -> EncodeResult:
-    """Encode a video into a Gaussian latent plus its level-2/3 subband echo."""
-    mode = mode or ChunkPlan.direct()
+    """Encode a video into a Gaussian latent plus its level-2/3 subband echo.
+
+    Every plan runs the same chunk executor; ``latent_chunks`` lists the
+    latent frames each chunk emitted (direct mode: one chunk).
+    """
     _validate_encode_input(v, config)
     weights.validate(config)
-    params = _Params(config, weights)
-    if not mode.is_streaming:
-        result = _encode_direct(v, config, params)
-    else:
-        stream = _EncoderStream(config, params)
-        mean_parts, logvar_parts, w2_parts, w3_parts = [], [], [], []
-        start = 0
-        for size in mode.split(v.time):
-            mean_c, logvar_c, w2_c, w3_c = stream.feed(
-                v.data[:, start : start + size]
-            )
-            start += size
-            mean_parts.append(mean_c)
-            logvar_parts.append(logvar_c)
-            w2_parts.append(w2_c)
-            w3_parts.append(w3_c)
-        latent = GaussianLatent(
-            VideoTensor(np.concatenate(mean_parts, axis=1)),
-            VideoTensor(np.concatenate(logvar_parts, axis=1)),
-        )
-        w2 = SubbandSet3D(_concat_bands(w2_parts, KEYS_3D))
-        w3 = SubbandSet2D(_concat_bands(w3_parts, KEYS_2D))
-        result = EncodeResult(latent, w2, w3)
+    stream = _EncoderStream(config, weights)
+    parts = [
+        stream.feed(chunk, final)
+        for chunk, final in _iter_chunks(v.data, mode or ChunkPlan.direct())
+    ]
+    mean, logvar, w2, w3 = zip(*parts)
+    result = EncodeResult(
+        GaussianLatent(_concat(mean), _concat(logvar)),
+        SubbandSet3D(_concat_bands(w2, KEYS_3D)),
+        SubbandSet2D(_concat_bands(w3, KEYS_2D)),
+        tuple(part.shape[1] for part in mean),
+    )
     expected_t = config.latent_time(v.time)
     if result.latent.shape[1] != expected_t:
         raise ShapeError(
             f"latent has {result.latent.shape[1]} frames, expected {expected_t}"
         )
     return result
-
-
-def encode_streamed_chunks(
-    v: VideoTensor, config: ModelConfig, weights: WeightStore, mode: ChunkPlan
-) -> tuple[EncodeResult, list[int]]:
-    """Streamed encode that also reports the latent chunk sizes it emitted.
-
-    Useful for chaining a streamed decode with matching chunk boundaries.
-    """
-    if not mode.is_streaming:
-        raise ParameterError("encode_streamed_chunks requires a streaming plan")
-    _validate_encode_input(v, config)
-    weights.validate(config)
-    params = _Params(config, weights)
-    stream = _EncoderStream(config, params)
-    mean_parts, logvar_parts, w2_parts, w3_parts, sizes = [], [], [], [], []
-    start = 0
-    for size in mode.split(v.time):
-        mean_c, logvar_c, w2_c, w3_c = stream.feed(v.data[:, start : start + size])
-        start += size
-        sizes.append(mean_c.shape[1])
-        mean_parts.append(mean_c)
-        logvar_parts.append(logvar_c)
-        w2_parts.append(w2_c)
-        w3_parts.append(w3_c)
-    latent = GaussianLatent(
-        VideoTensor(np.concatenate(mean_parts, axis=1)),
-        VideoTensor(np.concatenate(logvar_parts, axis=1)),
-    )
-    result = EncodeResult(
-        latent,
-        SubbandSet3D(_concat_bands(w2_parts, KEYS_3D)),
-        SubbandSet2D(_concat_bands(w3_parts, KEYS_2D)),
-    )
-    return result, sizes
 
 
 def decode(
@@ -907,7 +658,6 @@ def decode(
     mode: ChunkPlan | None = None,
 ) -> DecodeResult:
     """Decode a latent back to video; also returns the predicted subband sets."""
-    mode = mode or ChunkPlan.direct()
     if original_t < 1 or original_t % 4 != 1:
         raise ShapeError(f"original_t must be 4k+1, got {original_t}")
     if z.channels != config.latent_channels:
@@ -922,63 +672,22 @@ def decode(
             f"{expected_t}"
         )
     weights.validate(config)
-    params = _Params(config, weights)
-    if not mode.is_streaming:
-        return _decode_direct(z, config, params, original_t)
-    stream = _DecoderStream(config, params)
-    video_parts, w2_parts, w3_parts = [], [], []
-    start = 0
-    for size in mode.split(z.time):
-        video_c, w2_c, w3_c = stream.feed(z.data[:, start : start + size])
-        start += size
-        video_parts.append(video_c)
-        w2_parts.append(w2_c)
-        w3_parts.append(w3_c)
-    video = VideoTensor(np.concatenate(video_parts, axis=1))
-    if video.time != original_t:
-        raise ShapeError(
-            f"streamed decode produced {video.time} frames, expected {original_t}"
-        )
-    return DecodeResult(
-        video,
-        SubbandSet3D(_concat_bands(w2_parts, KEYS_3D)),
-        SubbandSet2D(_concat_bands(w3_parts, KEYS_2D)),
+    stream = _DecoderStream(config, weights)
+    parts = [
+        stream.feed(chunk, final)
+        for chunk, final in _iter_chunks(z.data, mode or ChunkPlan.direct())
+    ]
+    video, w2, w3 = zip(*parts)
+    result = DecodeResult(
+        _concat(video),
+        SubbandSet3D(_concat_bands(w2, KEYS_3D)),
+        SubbandSet2D(_concat_bands(w3, KEYS_2D)),
     )
-
-
-def decode_streamed_sizes(
-    z: VideoTensor,
-    config: ModelConfig,
-    weights: WeightStore,
-    original_t: int,
-    sizes: list[int],
-) -> DecodeResult:
-    """Streamed decode over explicit latent chunk sizes (zeros allowed)."""
-    if sum(sizes) != z.time or any(s < 0 for s in sizes):
-        raise ParameterError(
-            f"chunk sizes {sizes} do not partition {z.time} latent frames"
-        )
-    weights.validate(config)
-    params = _Params(config, weights)
-    stream = _DecoderStream(config, params)
-    video_parts, w2_parts, w3_parts = [], [], []
-    start = 0
-    for size in sizes:
-        video_c, w2_c, w3_c = stream.feed(z.data[:, start : start + size])
-        start += size
-        video_parts.append(video_c)
-        w2_parts.append(w2_c)
-        w3_parts.append(w3_c)
-    video = VideoTensor(np.concatenate(video_parts, axis=1))
-    if video.time != original_t:
+    if result.video.time != original_t:
         raise ShapeError(
-            f"streamed decode produced {video.time} frames, expected {original_t}"
+            f"decode produced {result.video.time} frames, expected {original_t}"
         )
-    return DecodeResult(
-        video,
-        SubbandSet3D(_concat_bands(w2_parts, KEYS_3D)),
-        SubbandSet2D(_concat_bands(w3_parts, KEYS_2D)),
-    )
+    return result
 
 
 def forward(

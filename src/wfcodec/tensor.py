@@ -92,9 +92,6 @@ class VideoTensor:
             np.array_equal(self._data, other._data)
         )
 
-    def __hash__(self):
-        return hash((self.shape, self._data.tobytes()))
-
     def __repr__(self) -> str:
         c, t, h, w = self.shape
         return f"VideoTensor(c={c}, t={t}, h={h}, w={w})"

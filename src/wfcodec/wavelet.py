@@ -17,7 +17,6 @@ spatial padding.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -102,11 +101,26 @@ def _synthesize_axis(approx: np.ndarray, detail: np.ndarray, axis: int) -> np.nd
     return out
 
 
-def _pad_time_causal(arr: np.ndarray) -> np.ndarray:
-    """Replicate frame 0 once at the front when the frame count is odd."""
-    if arr.shape[1] % 2:
-        return np.concatenate([arr[:, :1], arr], axis=1)
-    return arr
+def _analyze_2d(arr: np.ndarray, prefix: str = "") -> dict[str, np.ndarray]:
+    """Spatial analysis of (c, t, h, w) frames into bands keyed prefix+hh..gg."""
+    a_h, d_h = _analyze_axis(arr, axis=2)
+    bands = {}
+    for hkey, harr in (("h", a_h), ("g", d_h)):
+        bands[prefix + hkey + "h"], bands[prefix + hkey + "g"] = _analyze_axis(
+            harr, axis=3
+        )
+    return bands
+
+
+def _synthesize_2d(bands, prefix: str = "") -> np.ndarray:
+    """Exact inverse of :func:`_analyze_2d` for the bands keyed prefix+hh..gg."""
+    rows = {
+        hkey: _synthesize_axis(
+            bands[prefix + hkey + "h"], bands[prefix + hkey + "g"], axis=3
+        )
+        for hkey in "hg"
+    }
+    return _synthesize_axis(rows["h"], rows["g"], axis=2)
 
 
 class _SubbandSet:
@@ -197,65 +211,33 @@ def dwt3d(v: VideoTensor) -> SubbandSet3D:
 
     Applies the causal odd-length rule on time, then separable 1D analysis
     along time, height, and width (in that order). Preserves the squared L2
-    norm of the padded input.
+    norm of the padded input. Runs as a one-chunk :class:`Dwt3dStream`.
     """
-    c, t, h, w = v.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"height and width must be even, got ({h}, {w})")
-    xp = _pad_time_causal(v.data)
-    a_t, d_t = _analyze_axis(xp, axis=1)
-    bands: dict[str, np.ndarray] = {}
-    for tkey, tarr in (("h", a_t), ("g", d_t)):
-        a_h, d_h = _analyze_axis(tarr, axis=2)
-        for hkey, harr in (("h", a_h), ("g", d_h)):
-            a_w, d_w = _analyze_axis(harr, axis=3)
-            bands[tkey + hkey + "h"] = a_w
-            bands[tkey + hkey + "g"] = d_w
-    return SubbandSet3D({k: VideoTensor(bands[k]) for k in KEYS_3D})
+    return SubbandSet3D(Dwt3dStream(pad_first=v.time % 2 == 1).feed(v.data))
 
 
 def idwt3d(s: SubbandSet3D, original_t: int) -> VideoTensor:
     """Exact inverse of :func:`dwt3d`, trimming the causal pad to original_t frames."""
-    t_sub = s.time
-    pad = 2 * t_sub - original_t
+    pad = 2 * s.time - original_t
     if pad not in (0, 1):
         raise ShapeError(
-            f"cannot restore {original_t} frames from {t_sub} temporal coefficients"
+            f"cannot restore {original_t} frames from {s.time} temporal coefficients"
         )
-    mid = {}
-    for tkey in "hg":
-        rows = {
-            hkey: _synthesize_axis(
-                s[tkey + hkey + "h"].data, s[tkey + hkey + "g"].data, axis=3
-            )
-            for hkey in "hg"
-        }
-        mid[tkey] = _synthesize_axis(rows["h"], rows["g"], axis=2)
-    xp = _synthesize_axis(mid["h"], mid["g"], axis=1)
-    return VideoTensor(xp[:, pad:])
+    bands = {key: band.data for key, band in s.items()}
+    return VideoTensor(Idwt3dStream(drop_first=pad == 1).feed(bands))
 
 
 def dwt2d(v: VideoTensor) -> SubbandSet2D:
-    """Spatial-only analysis; the time axis passes through untouched."""
-    c, t, h, w = v.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"height and width must be even, got ({h}, {w})")
-    a_h, d_h = _analyze_axis(v.data, axis=2)
-    bands = {}
-    for hkey, harr in (("h", a_h), ("g", d_h)):
-        a_w, d_w = _analyze_axis(harr, axis=3)
-        bands[hkey + "h"] = a_w
-        bands[hkey + "g"] = d_w
-    return SubbandSet2D({k: VideoTensor(bands[k]) for k in KEYS_2D})
+    """Spatial-only analysis; the time axis passes through untouched.
+
+    Height and width must be even (ShapeError otherwise).
+    """
+    return SubbandSet2D(_analyze_2d(v.data))
 
 
 def idwt2d(s: SubbandSet2D) -> VideoTensor:
     """Exact inverse of :func:`dwt2d`."""
-    rows = {
-        hkey: _synthesize_axis(s[hkey + "h"].data, s[hkey + "g"].data, axis=3)
-        for hkey in "hg"
-    }
-    return VideoTensor(_synthesize_axis(rows["h"], rows["g"], axis=2))
+    return VideoTensor(_synthesize_2d({key: band.data for key, band in s.items()}))
 
 
 def _half_time(t: int) -> int:
@@ -380,16 +362,6 @@ def load_pyramid(dirpath) -> WaveletPyramid:
     )
 
 
-def pyramid_digest(p: WaveletPyramid) -> str:
-    """Content hash over all subbands in canonical order (diagnostics only)."""
-    hasher = hashlib.sha256()
-    for subbands in (p.level1, p.level2, p.level3):
-        for key, band in subbands.items():
-            hasher.update(key.encode())
-            hasher.update(band.data.tobytes())
-    return hasher.hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # Streaming forms of the temporal transform. Spatial transforms are per-frame
 # and need no state; only the temporal pairing buffers anything (at most one
@@ -414,10 +386,11 @@ class Dwt3dStream:
     def feed(self, frames: np.ndarray) -> dict[str, np.ndarray]:
         if frames.ndim != 4:
             raise ShapeError("expected (c, n, h, w) frames")
-        if frames.shape[2] % 2 or frames.shape[3] % 2:
-            raise ShapeError("height and width must be even")
-        if frames.shape[1] == 0:
-            empty = frames[:, :0, : frames.shape[2] // 2, : frames.shape[3] // 2]
+        c, n, h, w = frames.shape
+        if h % 2 or w % 2:
+            raise ShapeError(f"height and width must be even, got ({h}, {w})")
+        empty = frames[:, :0, : h // 2, : w // 2]
+        if n == 0:
             return {k: empty for k in KEYS_3D}
         if not self._started:
             if self.pad_first:
@@ -426,21 +399,11 @@ class Dwt3dStream:
         if self._buffer is not None:
             frames = np.concatenate([self._buffer, frames], axis=1)
         pairs = frames.shape[1] // 2
-        head = frames[:, : 2 * pairs]
         self._buffer = frames[:, 2 * pairs :].copy() if frames.shape[1] % 2 else None
         if pairs == 0:
-            empty = frames[:, :0, : frames.shape[2] // 2, : frames.shape[3] // 2]
             return {k: empty for k in KEYS_3D}
-        a_t = (head[:, 0::2] + head[:, 1::2]) * INV_SQRT2
-        d_t = (head[:, 0::2] - head[:, 1::2]) * INV_SQRT2
-        out: dict[str, np.ndarray] = {}
-        for tkey, tarr in (("h", a_t), ("g", d_t)):
-            a_h, d_h = _analyze_axis(tarr, axis=2)
-            for hkey, harr in (("h", a_h), ("g", d_h)):
-                a_w, d_w = _analyze_axis(harr, axis=3)
-                out[tkey + hkey + "h"] = a_w
-                out[tkey + hkey + "g"] = d_w
-        return out
+        a_t, d_t = _analyze_axis(frames[:, : 2 * pairs], axis=1)
+        return {**_analyze_2d(a_t, "h"), **_analyze_2d(d_t, "g")}
 
 
 class Idwt3dStream:
@@ -458,16 +421,9 @@ class Idwt3dStream:
         ref = bands["hhh"]
         if ref.shape[1] == 0:
             return ref[:, :0].repeat(2, axis=2).repeat(2, axis=3)
-        mid = {}
-        for tkey in "hg":
-            rows = {
-                hkey: _synthesize_axis(
-                    bands[tkey + hkey + "h"], bands[tkey + hkey + "g"], axis=3
-                )
-                for hkey in "hg"
-            }
-            mid[tkey] = _synthesize_axis(rows["h"], rows["g"], axis=2)
-        frames = _synthesize_axis(mid["h"], mid["g"], axis=1)
+        frames = _synthesize_axis(
+            _synthesize_2d(bands, "h"), _synthesize_2d(bands, "g"), axis=1
+        )
         if not self._started:
             if self.drop_first:
                 frames = frames[:, 1:]

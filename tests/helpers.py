@@ -7,7 +7,20 @@ check.
 
 import numpy as np
 
-from wfcodec import Rng, VideoTensor
+from wfcodec import (
+    ConvSpec,
+    Rng,
+    SubbandSet2D,
+    SubbandSet3D,
+    VideoTensor,
+    build_pyramid,
+    causal_conv3d,
+    frame_layernorm,
+    idwt2d,
+    idwt3d,
+    nearest_upsample,
+    silu,
+)
 
 
 def make_random(seed: int, shape) -> VideoTensor:
@@ -68,3 +81,89 @@ def conv3d_loop_oracle(x, weight, bias, stride, spatial_pad, pad_mode="replicate
 def squared_l2(arr) -> float:
     flat = np.asarray(arr, dtype=np.float64).ravel()
     return float(np.dot(flat, flat))
+
+
+# ---------------------------------------------------------------------------
+# Whole-clip model oracle: the energy-flow graph wired by hand from public
+# whole-clip primitives, independent of the model's chunk executor. Conv
+# geometry comes from the weight shapes; only the two strided downsamplers
+# are named. Supports the per-frame layer norm.
+# ---------------------------------------------------------------------------
+
+_ORACLE_STRIDES = {"enc.down1": (2, 2, 2), "enc.down2": (1, 2, 2)}
+
+
+def _oracle_conv(x, weights, name):
+    weight = weights.get(f"{name}.weight")
+    cout, cin, kt, kh, kw = weight.shape
+    spec = ConvSpec(
+        cin, cout, (kt, kh, kw), _ORACLE_STRIDES.get(name, (1, 1, 1)),
+        ((kh - 1) // 2, (kw - 1) // 2),
+    )
+    return causal_conv3d(x, spec, weight, weights.get(f"{name}.bias"))
+
+
+def _oracle_norm_act(x, weights, name, eps):
+    normed = frame_layernorm(
+        x, weights.get(f"{name}.gain"), weights.get(f"{name}.bias"), eps
+    )
+    return VideoTensor(silu(normed.data))
+
+
+def _oracle_stage(x, weights, prefix, config):
+    for i in range(config.blocks_per_stage):
+        p = f"{prefix}.block{i}"
+        h = _oracle_norm_act(x, weights, f"{p}.norm1", config.eps)
+        h = _oracle_conv(h, weights, f"{p}.conv1")
+        h = _oracle_norm_act(h, weights, f"{p}.norm2", config.eps)
+        h = _oracle_conv(h, weights, f"{p}.conv2")
+        skip = x
+        if f"{p}.skip.weight" in weights:
+            skip = _oracle_conv(x, weights, f"{p}.skip")
+        x = VideoTensor(skip.data + h.data)
+    return x
+
+
+def _oracle_inflow(x, weights, name, stack):
+    flow = silu(_oracle_conv(VideoTensor(stack), weights, name).data)
+    return VideoTensor(np.concatenate([x.data, flow], axis=0))
+
+
+def _oracle_outflow(x, weights, name, c_flow):
+    return _oracle_conv(VideoTensor(silu(x.data[:c_flow])), weights, name)
+
+
+def oracle_encode(video, config, weights):
+    """Whole-clip encode: (mean, logvar, level-2 stack, level-3 stack) arrays."""
+    pyramid = build_pyramid(video)
+    x = _oracle_conv(VideoTensor(pyramid.level1.stack()), weights, "enc.stem")
+    x = _oracle_stage(x, weights, "enc.stage1", config)
+    x = _oracle_conv(x, weights, "enc.down1")
+    x = _oracle_inflow(x, weights, "enc.inflow2", pyramid.level2.stack())
+    x = _oracle_stage(x, weights, "enc.stage2", config)
+    x = _oracle_conv(x, weights, "enc.down2")
+    x = _oracle_inflow(x, weights, "enc.inflow3", pyramid.level3.stack())
+    x = _oracle_stage(x, weights, "enc.stage3", config)
+    x = _oracle_norm_act(x, weights, "enc.head.norm", config.eps)
+    x = _oracle_conv(x, weights, "enc.head.conv").data
+    chn = config.latent_channels
+    return x[:chn], x[chn:], pyramid.level2.stack(), pyramid.level3.stack()
+
+
+def oracle_decode(z, config, weights, original_t):
+    """Whole-clip decode: (video, w2_hat stack, w3_hat stack) arrays."""
+    cf = config.c_flow
+    x = _oracle_conv(z, weights, "dec.stem")
+    x = _oracle_stage(x, weights, "dec.stage3", config)
+    w3 = SubbandSet2D.from_stack(_oracle_outflow(x, weights, "dec.outflow3", cf))
+    x = _oracle_conv(nearest_upsample(x, (1, 2, 2)), weights, "dec.up2")
+    x = _oracle_stage(x, weights, "dec.stage2", config)
+    w2 = SubbandSet3D.from_stack(_oracle_outflow(x, weights, "dec.outflow2", cf))
+    w2 = w2.replace("hhh", VideoTensor(w2["hhh"].data + idwt2d(w3).data))
+    x = _oracle_conv(nearest_upsample(x, (2, 2, 2)), weights, "dec.up1")
+    x = _oracle_stage(x, weights, "dec.stage1", config)
+    x = _oracle_norm_act(x, weights, "dec.out.norm", config.eps)
+    w1 = SubbandSet3D.from_stack(_oracle_conv(x, weights, "dec.out.conv"))
+    contrib = idwt3d(w2, original_t=w1.time)
+    w1 = w1.replace("hhh", VideoTensor(w1["hhh"].data + contrib.data))
+    return idwt3d(w1, original_t=original_t).data, w2.stack(), w3.stack()

@@ -7,6 +7,8 @@ vectorized convolution against a plain nested-loop reference.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfcodec import (
     CacheState,
@@ -413,6 +415,64 @@ class TestSiluAndUpsample:
             nearest_upsample(new_tensor(1, 1, 2, 2, 0.0), (3, 1, 1))
 
 
+@st.composite
+def _conv_specs(draw):
+    kernel = (draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    return ConvSpec(
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 3)),
+        kernel,
+        (draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 2))),
+        (draw(st.integers(0, 1)), draw(st.integers(0, 1))),
+        draw(st.sampled_from(["replicate", "zeros"])),
+    )
+
+
+@st.composite
+def _explicit_sizes(draw, max_frames=16):
+    total = draw(st.integers(1, max_frames))
+    cuts = draw(st.sets(st.integers(1, max(total - 1, 1)), max_size=total - 1))
+    bounds = [0, *sorted(cuts), total]
+    return [b - a for a, b in zip(bounds, bounds[1:])]
+
+
+class TestStreamProperties:
+    """Random geometry and random chunkings: streaming equals the whole clip."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(spec=_conv_specs(), sizes=_explicit_sizes(), seed=st.integers(0, 2**16))
+    def test_stream_equals_whole_clip(self, spec, sizes, seed):
+        """Equal up to float32 rounding: BLAS may pick a different kernel
+        (e.g. one output channel, few columns) for a chunk than for the whole
+        clip, which moves the last bit. Scaled to the output's magnitude."""
+        rng = Rng(seed)
+        x = VideoTensor(rng.normal((spec.in_channels, sum(sizes), 4, 5)))
+        weight = rng.normal(spec.weight_shape(), std=0.5)
+        bias = rng.normal((spec.out_channels,), std=0.1)
+        direct = causal_conv3d(x, spec, weight, bias)
+        streamed, _ = stream_all(x, spec, weight, bias, sizes)
+        scale = max(1.0, float(np.abs(direct.data).max()))
+        assert max_abs_diff(streamed, direct.data) <= 1e-6 * scale
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        kernel_t=st.integers(1, 6),
+        stride_t=st.integers(1, 4),
+        t_chunk=st.integers(1, 8),
+        chunks=st.integers(1, 6),
+    )
+    def test_occupancy_is_cache_len_at_canonical_boundaries(
+        self, kernel_t, stride_t, t_chunk, chunks
+    ):
+        spec = ConvSpec(1, 1, (kernel_t, 1, 1), (stride_t, 1, 1))
+        weight = np.ones(spec.weight_shape(), dtype=np.float32)
+        state = CacheState()
+        for m in range(chunks + 1):
+            chunk = new_tensor(1, 1 if m == 0 else t_chunk, 1, 1, float(m))
+            _, state = stream_conv3d(state, chunk, spec, weight)
+            assert state.occupancy == max(cache_len(kernel_t, stride_t, t_chunk, m), 0)
+
+
 def _random_stack(seed: int, use_groupnorm: bool = False):
     """conv(k3,s1) -> nonlinearity -> [norm] -> conv(k3,s2) on 4 channels."""
     rng = Rng(seed)
@@ -517,6 +577,13 @@ class TestChunkPlan:
         assert ChunkPlan.parse("explicit:1,3,5").sizes == (1, 3, 5)
         with pytest.raises(ParameterError):
             ChunkPlan.parse("bogus")
+
+    @pytest.mark.parametrize(
+        "text", ["canonical:x", "canonical:", "explicit:1,a", "explicit:", "canonical"]
+    )
+    def test_unparsable_numbers_raise_parameter_error(self, text):
+        with pytest.raises(ParameterError):
+            ChunkPlan.parse(text)
 
     def test_invalid_plans_rejected(self):
         with pytest.raises(ParameterError):

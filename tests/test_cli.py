@@ -278,6 +278,76 @@ class TestEncodeDecode:
             assert _config_from_args(args).base_channels == bc
 
 
+def _non_utf8_weights(path):
+    """A .wfwt whose single parameter name is not valid UTF-8."""
+    import struct
+
+    name = b"\xff\xfe"
+    entry = struct.pack("<H", len(name)) + name + struct.pack("<II", 1, 1)
+    path.write_bytes(
+        b"WFWT" + struct.pack("<II", 1, 1) + entry + struct.pack("<f", 0.0)
+    )
+    return str(path)
+
+
+class TestInputErrors:
+    """Bad input text or files exit 2 with a JSON error, never a traceback."""
+
+    @pytest.mark.parametrize("plan", ["canonical:x", "explicit:1,a", "canonical:"])
+    def test_unparsable_plan_exits_2(self, capsys, tmp_path, video_file, plan):
+        code, report, err = run_cli(
+            capsys,
+            ["encode", "--input", video_file, "--plan", plan,
+             "--output", str(tmp_path / "latent"), *TINY_FLAGS],
+        )
+        assert code == 2
+        assert report is None
+        assert json.loads(err)["error"] == "ParameterError"
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m["config"].update(bogus=1),
+            lambda m: m["config"].pop("base_channels"),
+            lambda m: m.pop("config"),
+            lambda m: m.pop("original_shape"),
+        ],
+        ids=["unknown-key", "missing-config-key", "no-config", "no-shape"],
+    )
+    def test_bad_latent_manifest_exits_2(self, capsys, tmp_path, video_file, edit):
+        prefix = str(tmp_path / "latent")
+        code, _, _ = run_cli(
+            capsys,
+            ["encode", "--input", video_file, "--init-seed", "3",
+             "--output", prefix, *TINY_FLAGS],
+        )
+        assert code == 0
+        with open(prefix + ".json") as fh:
+            manifest = json.load(fh)
+        edit(manifest)
+        with open(prefix + ".json", "w") as fh:
+            json.dump(manifest, fh)
+        code, report, err = run_cli(
+            capsys,
+            ["decode", "--latent", prefix, "--init-seed", "3",
+             "--output", str(tmp_path / "out.wfvt")],
+        )
+        assert code == 2
+        assert report is None
+        assert json.loads(err)["error"] == "FormatError"
+
+    def test_non_utf8_weight_name_exits_2(self, capsys, tmp_path, video_file):
+        weights = _non_utf8_weights(tmp_path / "bad.wfwt")
+        code, report, err = run_cli(
+            capsys,
+            ["encode", "--input", video_file, "--weights", weights,
+             "--output", str(tmp_path / "latent"), *TINY_FLAGS],
+        )
+        assert code == 2
+        assert report is None
+        assert json.loads(err)["error"] == "FormatError"
+
+
 class TestLossReport:
     def test_identical_pair(self, capsys, tmp_path, video_file):
         code, report, _ = run_cli(

@@ -27,7 +27,7 @@ from wfcodec import (
 from wfcodec.model import PRESET_BASE_CHANNELS
 from wfcodec.wavelet import KEYS_3D, SubbandSet3D
 
-from helpers import make_random, max_abs_diff
+from helpers import make_random, max_abs_diff, oracle_decode, oracle_encode
 
 TINY = ModelConfig(base_channels=8, c_flow=8, latent_channels=4, blocks_per_stage=1)
 TINY2 = ModelConfig(base_channels=8, c_flow=12, latent_channels=4, blocks_per_stage=2)
@@ -162,6 +162,20 @@ class TestWeightStore:
         with pytest.raises(FormatError, match="rank"):
             WeightStore.load(path)
 
+    def test_non_utf8_name_rejected(self, tmp_path):
+        import struct
+
+        from wfcodec import FormatError
+
+        path = tmp_path / "bad.wfwt"
+        name = b"\xff\xfe"
+        entry = struct.pack("<H", len(name)) + name + struct.pack("<II", 1, 1)
+        path.write_bytes(
+            b"WFWT" + struct.pack("<II", 1, 1) + entry + struct.pack("<f", 0.0)
+        )
+        with pytest.raises(FormatError, match="UTF-8"):
+            WeightStore.load(path)
+
     def test_validate_missing_parameter(self, tiny_weights):
         partial = WeightStore(
             {n: tiny_weights.get(n) for n in tiny_weights.names()[:-1]}
@@ -201,6 +215,38 @@ class TestEncodeShapes:
             encode(
                 tiny_video, TINY, tiny_weights, mode=ChunkPlan.explicit([4, 4])
             )
+
+
+class TestWholeClipOracle:
+    def test_direct_matches_independent_wiring(self, tiny_video):
+        """Direct encode/decode equal the hand-wired whole-clip oracle within
+        1e-6. Gains and biases are random so a swapped parameter shows."""
+        rng = Rng(91)
+        weights = init_weights(TINY, Rng(92))
+        for name, shape in parameter_manifest(TINY):
+            if name.endswith(".gain"):
+                weights.put(name, 1.0 + rng.normal(shape, std=0.1))
+            elif name.endswith(".bias"):
+                weights.put(name, rng.normal(shape, std=0.1))
+        enc = encode(tiny_video, TINY, weights)
+        mean, logvar, w2, w3 = oracle_encode(tiny_video, TINY, weights)
+        assert max_abs_diff(enc.latent.mean, mean) <= 1e-6
+        assert max_abs_diff(enc.latent.logvar, logvar) <= 1e-6
+        assert max_abs_diff(enc.w2.stack(), w2) <= 1e-6
+        assert max_abs_diff(enc.w3.stack(), w3) <= 1e-6
+        assert enc.latent_chunks == (5,)
+        dec = decode(enc.latent.mean, TINY, weights, original_t=17)
+        video, w2_hat, w3_hat = oracle_decode(enc.latent.mean, TINY, weights, 17)
+        assert max_abs_diff(dec.video, video) <= 1e-6
+        assert max_abs_diff(dec.w2_hat.stack(), w2_hat) <= 1e-6
+        assert max_abs_diff(dec.w3_hat.stack(), w3_hat) <= 1e-6
+
+    def test_streamed_encode_reports_latent_chunks(self, tiny_weights, tiny_video):
+        enc = encode(tiny_video, TINY, tiny_weights, mode=ChunkPlan.canonical(4))
+        assert enc.latent_chunks == (1,) * 5
+        plan = ChunkPlan.explicit([1, 2, 14])
+        enc = encode(tiny_video, TINY, tiny_weights, mode=plan)
+        assert enc.latent_chunks == (1, 0, 4)
 
 
 class TestStreamingIdentity:
