@@ -74,9 +74,10 @@ def kl_divergence(latent) -> float:
     """
     mu = latent.mean.data.astype(np.float64)
     logvar = latent.logvar.data.astype(np.float64)
-    value = 0.5 * float(np.mean(np.square(mu) + np.exp(logvar) - 1.0 - logvar))
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        value = 0.5 * float(np.mean(np.square(mu) + np.exp(logvar) - 1.0 - logvar))
     if not math.isfinite(value):
-        raise ValueError("KL divergence is not finite")
+        raise ParameterError("KL divergence is not finite")
     return value
 
 
@@ -109,7 +110,7 @@ def total_loss(components: LossComponents, weights: LossWeights) -> float:
         components.perceptual,
     )
     if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"loss components must be finite, got {components}")
+        raise ParameterError(f"loss components must be finite, got {components}")
     return (
         components.recon
         + components.perceptual

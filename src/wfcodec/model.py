@@ -207,41 +207,40 @@ class WeightStore:
 
     @classmethod
     def load(cls, path) -> "WeightStore":
+        """Read a ``.wfwt`` file; every tensor is its own aligned array."""
         with open(path, "rb") as fh:
-            raw = fh.read()
-        view = memoryview(raw)
-        if len(raw) < 12 or view[:4] != _WEIGHT_MAGIC:
-            raise FormatError(f"{path}: not a weight file")
-        version, count = struct.unpack_from("<II", raw, 4)
-        if version != _WEIGHT_VERSION:
-            raise FormatError(f"{path}: unsupported weight version {version}")
-        offset = 12
-        store = cls()
-        for _ in range(count):
-            try:
-                (name_len,) = struct.unpack_from("<H", raw, offset)
-                offset += 2
-                name = bytes(view[offset : offset + name_len]).decode("utf-8")
-                offset += name_len
-                (ndim,) = struct.unpack_from("<I", raw, offset)
-                offset += 4
-                if not 1 <= ndim <= 5:
-                    raise FormatError(f"{path}: bad rank {ndim} for {name!r}")
-                dims = struct.unpack_from(f"<{ndim}I", raw, offset)
-                offset += 4 * ndim
-                size = int(np.prod(dims, dtype=np.int64))
-                end = offset + 4 * size
-                if end > len(raw):
+            total = os.fstat(fh.fileno()).st_size
+            head = fh.read(12)
+            if len(head) < 12 or head[:4] != _WEIGHT_MAGIC:
+                raise FormatError(f"{path}: not a weight file")
+            version, count = struct.unpack_from("<II", head, 4)
+            if version != _WEIGHT_VERSION:
+                raise FormatError(f"{path}: unsupported weight version {version}")
+            store = cls()
+            for _ in range(count):
+                try:
+                    (name_len,) = struct.unpack("<H", fh.read(2))
+                    name = fh.read(name_len).decode("utf-8")
+                    (ndim,) = struct.unpack("<I", fh.read(4))
+                    if not 1 <= ndim <= 5:
+                        raise FormatError(f"{path}: bad rank {ndim} for {name!r}")
+                    dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+                except struct.error as exc:
+                    raise FormatError(f"{path}: truncated entry table") from exc
+                except UnicodeDecodeError as exc:
+                    raise FormatError(f"{path}: parameter name is not UTF-8") from exc
+                # Checked before allocating: a corrupt dims field must not
+                # turn into a huge allocation.
+                nbytes = 4 * math.prod(dims)
+                if nbytes > total - fh.tell():
                     raise FormatError(f"{path}: truncated payload for {name!r}")
-                arr = np.frombuffer(raw, dtype="<f4", count=size, offset=offset)
-                offset = end
-            except struct.error as exc:
-                raise FormatError(f"{path}: truncated entry table") from exc
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{path}: parameter name is not UTF-8") from exc
-            store.put(name, arr.reshape(dims))
-        if offset != len(raw):
-            raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
+                arr = np.empty(dims, dtype="<f4")
+                if fh.readinto(arr) != nbytes:
+                    raise FormatError(f"{path}: truncated payload for {name!r}")
+                store.put(name, arr)
+            trailing = total - fh.tell()
+        if trailing:
+            raise FormatError(f"{path}: {trailing} trailing bytes")
         return store
 
     def validate(self, config: ModelConfig) -> None:

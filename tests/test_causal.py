@@ -32,6 +32,8 @@ from wfcodec import (
     stream_conv3d,
 )
 
+from wfcodec import causal
+
 from helpers import conv3d_loop_oracle, make_random, max_abs_diff
 
 
@@ -150,6 +152,54 @@ class TestCausalConv3d:
                 spec,
                 np.ones((1, 2, 3, 3), dtype=np.float32),
             )
+
+
+class TestRowTiles:
+    """Frames split into several row tiles: the kernel's tile seams."""
+
+    CASES = [
+        # (spec, input shape); every case has a short last tile.
+        (ConvSpec(2, 3, (3, 3, 3), (1, 1, 1), (1, 1)), (2, 5, 7, 9)),
+        (ConvSpec(3, 2, (3, 3, 3), (1, 2, 2), (1, 1), "zeros"), (3, 6, 13, 10)),
+        (ConvSpec(2, 2, (1, 3, 3), (1, 1, 1), (1, 1)), (2, 4, 9, 6)),
+        (ConvSpec(2, 3, (3, 1, 3), (2, 1, 1), (0, 1)), (2, 7, 7, 5)),
+    ]
+
+    @staticmethod
+    def _two_row_tiles(monkeypatch, spec, shape):
+        """Shrink the tile budget to two output rows, leaving a short last tile."""
+        ho, wo = causal._spatial_out(shape[2:], spec)
+        k = spec.in_channels * int(np.prod(spec.kernel))
+        monkeypatch.setattr(causal, "_COL_TILE_BYTES", 4 * k * wo * 2)
+        assert ho > 2 and ho % 2
+
+    @pytest.mark.parametrize("spec,shape", CASES)
+    def test_matches_loop_oracle(self, monkeypatch, spec, shape):
+        self._two_row_tiles(monkeypatch, spec, shape)
+        rng = Rng(17)
+        x = VideoTensor(rng.normal(shape))
+        weight = rng.normal(spec.weight_shape(), std=0.5)
+        bias = rng.normal((spec.out_channels,), std=0.2)
+        out = causal_conv3d(x, spec, weight, bias)
+        expected = conv3d_loop_oracle(
+            x.data, weight, bias, spec.stride, spec.spatial_pad, spec.pad_mode
+        )
+        assert out.shape == expected.shape
+        assert max_abs_diff(out.data, expected) <= 1e-5
+
+    @pytest.mark.parametrize("spec,shape", CASES)
+    def test_stream_equals_whole_clip(self, monkeypatch, spec, shape):
+        # Tiles depend on geometry only, so every plan runs the same GEMMs.
+        self._two_row_tiles(monkeypatch, spec, shape)
+        rng = Rng(18)
+        x = VideoTensor(rng.normal(shape))
+        weight = rng.normal(spec.weight_shape(), std=0.5)
+        bias = rng.normal((spec.out_channels,), std=0.2)
+        direct = causal_conv3d(x, spec, weight, bias)
+        t = shape[1]
+        sizes = ChunkPlan.explicit([1, t - 2, 1]).split(t)
+        streamed, _ = stream_all(x, spec, weight, bias, sizes)
+        assert np.array_equal(streamed, direct.data)
 
 
 class TestCacheLen:

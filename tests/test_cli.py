@@ -382,6 +382,34 @@ class TestLossReport:
         assert components["total"] == pytest.approx(expected_total, rel=1e-12)
 
 
+    def test_nonfinite_adv_exits_2(self, capsys, video_file):
+        code, report, err = run_cli(
+            capsys,
+            ["loss-report", "--input", video_file, "--recon", video_file,
+             "--adv", "inf"],
+        )
+        assert code == 2
+        assert report is None
+        assert json.loads(err)["error"] == "ParameterError"
+        assert "Traceback" not in err
+
+    def test_nonfinite_kl_exits_2(self, capsys, tmp_path, video_file):
+        mean_path = tmp_path / "m.wfvt"
+        logvar_path = tmp_path / "lv.wfvt"
+        save_tensor(new_tensor(4, 5, 2, 2, 0.0), mean_path)
+        save_tensor(new_tensor(4, 5, 2, 2, 1000.0), logvar_path)
+        code, report, err = run_cli(
+            capsys,
+            ["loss-report", "--input", video_file, "--recon", video_file,
+             "--latent-mean", str(mean_path), "--latent-logvar", str(logvar_path)],
+        )
+        assert code == 2
+        assert report is None
+        assert json.loads(err)["error"] == "ParameterError"
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+
 class TestProcessEntry:
     def test_console_script_cache_table(self):
         proc = subprocess.run(

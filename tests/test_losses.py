@@ -204,9 +204,9 @@ class TestTotalLoss:
         assert value == pytest.approx(1.25, abs=1e-12)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             total_loss(LossComponents(recon=float("nan")), LossWeights())
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             total_loss(LossComponents(adv=float("inf")), LossWeights())
 
     def test_invalid_weights(self):

@@ -3,9 +3,12 @@ recombination linearity, and weight-store round trips."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfcodec import (
     ChunkPlan,
+    FormatError,
     GaussianLatent,
     ModelConfig,
     ParameterError,
@@ -112,6 +115,21 @@ class TestInitWeights:
                 assert std == pytest.approx(1.0 / np.sqrt(fan_in), rel=0.35)
 
 
+@pytest.fixture(scope="module")
+def weight_file(tmp_path_factory):
+    """A small valid .wfwt: its path (rewritten by tests) and its bytes."""
+    store = WeightStore(
+        {
+            "a": np.arange(6, dtype=np.float32).reshape(2, 3),
+            "bias.odd": np.ones(3, dtype=np.float32),
+            "w5": np.full((1, 2, 1, 1, 2), 0.5, dtype=np.float32),
+        }
+    )
+    path = tmp_path_factory.mktemp("wfwt") / "w.wfwt"
+    store.save(path)
+    return path, path.read_bytes()
+
+
 class TestWeightStore:
     def test_save_load_bit_exact(self, tmp_path, tiny_weights):
         path = tmp_path / "w.wfwt"
@@ -175,6 +193,31 @@ class TestWeightStore:
         )
         with pytest.raises(FormatError, match="UTF-8"):
             WeightStore.load(path)
+
+    def test_loaded_tensors_are_aligned(self, tmp_path, tiny_weights):
+        # Names of uneven length put many payloads at odd file offsets; an
+        # unaligned operand makes numpy copy it on every matmul.
+        path = tmp_path / "w.wfwt"
+        tiny_weights.save(path)
+        for name, arr in WeightStore.load(path).items():
+            assert arr.flags.aligned, name
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_prefix_or_byte_flip_is_format_error(self, weight_file, data):
+        path, raw = weight_file
+        cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+        path.write_bytes(raw[:cut])
+        with pytest.raises(FormatError):
+            WeightStore.load(path)
+        pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
+        flipped = bytearray(raw)
+        flipped[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]))
+        path.write_bytes(bytes(flipped))
+        try:
+            WeightStore.load(path)
+        except FormatError:
+            pass
 
     def test_validate_missing_parameter(self, tiny_weights):
         partial = WeightStore(
