@@ -61,8 +61,6 @@ from .model import (
 )
 from .tensor import Rng, VideoTensor, load_tensor, new_tensor, random_normal, save_tensor
 from .wavelet import (
-    HAAR,
-    HaarFilters,
     SubbandSet2D,
     SubbandSet3D,
     WaveletPyramid,

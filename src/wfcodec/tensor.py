@@ -197,7 +197,9 @@ def load_tensor(path) -> VideoTensor:
     if len(raw) > expected:
         raise FormatError(f"{path}: {len(raw) - expected} trailing bytes")
     values = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size, count=count)
-    arr = values.reshape(dims)
-    if not np.isfinite(arr).all():
-        raise FormatError(f"{path}: payload contains non-finite values")
-    return VideoTensor(arr)
+    try:
+        return VideoTensor(values.reshape(dims))
+    except ShapeError as exc:
+        # The dims passed the checks above, so VideoTensor's one remaining
+        # check failed: the payload is not finite.
+        raise FormatError(f"{path}: payload contains non-finite values") from exc

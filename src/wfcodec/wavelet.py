@@ -34,15 +34,31 @@ KEYS_2D = ("hh", "hg", "gh", "gg")
 PADDING_RULE = "replicate-first-frame"
 
 
-@dataclass(frozen=True)
-class HaarFilters:
-    """Orthonormal Haar pair: <h,h> = <g,g> = 1 and <h,g> = 0."""
+# Budget of one block of the 3D kernels: the temporal butterflies of a block
+# write two (c, pairs, h, w) scratch arrays of at most this size each (at
+# least one pair), which the spatial passes read back while they are still
+# warm. Writing into fresh clip-sized temporaries costs more in page faults
+# than the arithmetic itself, so the kernels allocate only their outputs and
+# these small reused buffers. On a (3,129,256,256) pyramid round trip any
+# budget from 128 KiB to 4 MiB ran equally fast and 16 MiB was slower. The
+# block depends on the frame geometry alone, never on a chunk's length, and
+# every element sees the same float32 operations in any block.
+_BLOCK_BYTES = 1 << 20
 
-    scaling: tuple[float, float] = (INV_SQRT2, INV_SQRT2)
-    wavelet: tuple[float, float] = (INV_SQRT2, -INV_SQRT2)
+
+def _block_pairs(c: int, h: int, w: int) -> int:
+    """Temporal pairs per block for (c, h, w) full-resolution frames."""
+    return max(1, _BLOCK_BYTES // (4 * c * h * w))
 
 
-HAAR = HaarFilters()
+def _butterfly(x, y, low, high) -> None:
+    """low = (x + y) / sqrt(2), high = (x - y) / sqrt(2), in place; None skips."""
+    if low is not None:
+        np.add(x, y, out=low)
+        low *= INV_SQRT2
+    if high is not None:
+        np.subtract(x, y, out=high)
+        high *= INV_SQRT2
 
 
 def haar_1d_analysis(signal) -> tuple[np.ndarray, np.ndarray]:
@@ -55,8 +71,10 @@ def haar_1d_analysis(signal) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError(f"expected a 1D signal, got {x.ndim} dims")
     if x.size < 2 or x.size % 2:
         raise ShapeError(f"signal length must be even and >= 2, got {x.size}")
-    even, odd = x[0::2], x[1::2]
-    return (even + odd) * INV_SQRT2, (even - odd) * INV_SQRT2
+    approx = np.empty(x.size // 2, dtype=np.float32)
+    detail = np.empty_like(approx)
+    _butterfly(x[0::2], x[1::2], approx, detail)
+    return approx, detail
 
 
 def haar_1d_synthesis(approx, detail) -> np.ndarray:
@@ -66,61 +84,82 @@ def haar_1d_synthesis(approx, detail) -> np.ndarray:
     if a.shape != d.shape or a.ndim != 1:
         raise ShapeError(f"approx/detail shapes differ: {a.shape} vs {d.shape}")
     out = np.empty(2 * a.size, dtype=np.float32)
-    out[0::2] = (a + d) * INV_SQRT2
-    out[1::2] = (a - d) * INV_SQRT2
+    _butterfly(a, d, out[0::2], out[1::2])
     return out
 
 
-def _analyze_axis(arr: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    n = arr.shape[axis]
-    if n < 2 or n % 2:
-        raise ShapeError(f"axis {axis} length must be even and >= 2, got {n}")
-    even = [slice(None)] * arr.ndim
-    odd = [slice(None)] * arr.ndim
-    even[axis] = slice(0, None, 2)
-    odd[axis] = slice(1, None, 2)
-    e, o = arr[tuple(even)], arr[tuple(odd)]
-    return (e + o) * INV_SQRT2, (e - o) * INV_SQRT2
+def _analyze_2d_into(frames, bands, prefix: str, where: slice, rows) -> None:
+    """Spatial analysis of (c, t, h, w) frames into bands[prefix+hh..gg][:, where].
 
-
-def _synthesize_axis(approx: np.ndarray, detail: np.ndarray, axis: int) -> np.ndarray:
-    if approx.shape != detail.shape:
-        raise ShapeError(
-            f"approx/detail shapes differ on axis {axis}: "
-            f"{approx.shape} vs {detail.shape}"
+    Height first, then width; ``rows`` is two (c, t, h/2, w) scratch arrays.
+    """
+    low, high = rows
+    _butterfly(frames[:, :, 0::2], frames[:, :, 1::2], low, high)
+    for hkey, harr in (("h", low), ("g", high)):
+        _butterfly(
+            harr[..., 0::2],
+            harr[..., 1::2],
+            bands[prefix + hkey + "h"][:, where],
+            bands[prefix + hkey + "g"][:, where],
         )
-    shape = list(approx.shape)
-    shape[axis] *= 2
-    out = np.empty(shape, dtype=np.float32)
-    even = [slice(None)] * approx.ndim
-    odd = [slice(None)] * approx.ndim
-    even[axis] = slice(0, None, 2)
-    odd[axis] = slice(1, None, 2)
-    out[tuple(even)] = (approx + detail) * INV_SQRT2
-    out[tuple(odd)] = (approx - detail) * INV_SQRT2
-    return out
+
+
+def _synthesize_2d_into(bands, prefix: str, where: slice, out, rows) -> None:
+    """Exact inverse of :func:`_analyze_2d_into`: bands[...][:, where] -> out.
+
+    ``out`` is (c, t, 2h, 2w); ``rows`` is two (c, t, h, 2w) scratch arrays.
+    """
+    for hkey, row in zip("hg", rows):
+        _butterfly(
+            bands[prefix + hkey + "h"][:, where],
+            bands[prefix + hkey + "g"][:, where],
+            row[..., 0::2],
+            row[..., 1::2],
+        )
+    _butterfly(rows[0], rows[1], out[:, :, 0::2], out[:, :, 1::2])
+
+
+def _empty_bands(keys, c: int, t: int, h: int, w: int) -> dict[str, np.ndarray]:
+    return {k: np.empty((c, t, h, w), dtype=np.float32) for k in keys}
+
+
+def _scratch(c: int, t: int, *frame_shapes) -> list[np.ndarray]:
+    """Uninitialized (c, t, *frame_shape) float32 work arrays.
+
+    The 3D kernels take four per chunk and reuse them for every block: the
+    temporal butterfly's low and high outputs, then the two height-pass
+    outputs of the spatial transform. A block of ``n`` pairs uses the first
+    ``n`` frames of each.
+    """
+    return [np.empty((c, t, *shape), dtype=np.float32) for shape in frame_shapes]
+
+
+def _common_shape(bands, keys) -> tuple[int, ...]:
+    shapes = {np.shape(bands[k]) for k in keys}
+    if len(shapes) != 1:
+        raise ShapeError(f"subband shapes differ: {sorted(shapes)}")
+    return shapes.pop()
 
 
 def _analyze_2d(arr: np.ndarray, prefix: str = "") -> dict[str, np.ndarray]:
     """Spatial analysis of (c, t, h, w) frames into bands keyed prefix+hh..gg."""
-    a_h, d_h = _analyze_axis(arr, axis=2)
-    bands = {}
-    for hkey, harr in (("h", a_h), ("g", d_h)):
-        bands[prefix + hkey + "h"], bands[prefix + hkey + "g"] = _analyze_axis(
-            harr, axis=3
-        )
+    arr = np.asarray(arr, dtype=np.float32)
+    c, t, h, w = arr.shape
+    if h % 2 or w % 2:
+        raise ShapeError(f"height and width must be even, got ({h}, {w})")
+    bands = _empty_bands([prefix + k for k in KEYS_2D], c, t, h // 2, w // 2)
+    rows = _scratch(c, t, (h // 2, w), (h // 2, w))
+    _analyze_2d_into(arr, bands, prefix, slice(None), rows)
     return bands
 
 
 def _synthesize_2d(bands, prefix: str = "") -> np.ndarray:
     """Exact inverse of :func:`_analyze_2d` for the bands keyed prefix+hh..gg."""
-    rows = {
-        hkey: _synthesize_axis(
-            bands[prefix + hkey + "h"], bands[prefix + hkey + "g"], axis=3
-        )
-        for hkey in "hg"
-    }
-    return _synthesize_axis(rows["h"], rows["g"], axis=2)
+    c, t, h, w = _common_shape(bands, [prefix + k for k in KEYS_2D])
+    out = np.empty((c, t, 2 * h, 2 * w), dtype=np.float32)
+    rows = _scratch(c, t, (h, 2 * w), (h, 2 * w))
+    _synthesize_2d_into(bands, prefix, slice(None), out, rows)
+    return out
 
 
 class _SubbandSet:
@@ -332,17 +371,38 @@ def save_pyramid(p: WaveletPyramid, dirpath) -> None:
 
 
 def load_pyramid(dirpath) -> WaveletPyramid:
+    """Read a pyramid directory written by :func:`save_pyramid`.
+
+    Raises FormatError for any defect of the manifest or the subband files,
+    including subband shapes that disagree with each other or with the
+    manifest's ``original_shape``.
+    """
     manifest_path = os.path.join(dirpath, _MANIFEST_NAME)
     try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(manifest_path, "rb") as fh:
+            manifest = json.loads(fh.read())
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise FormatError(f"{manifest_path}: unreadable manifest ({exc})") from exc
-    if manifest.get("format") != "wfcodec-pyramid" or manifest.get("version") != 1:
-        raise FormatError(f"{manifest_path}: not a v1 pyramid manifest")
+    if (
+        not isinstance(manifest, dict)
+        or manifest.get("format") != "wfcodec-pyramid"
+        or manifest.get("version") != 1
+        or manifest.get("levels") != 3
+    ):
+        raise FormatError(f"{manifest_path}: not a v1 3-level pyramid manifest")
     if manifest.get("padding_rule") != PADDING_RULE:
         raise FormatError(
             f"{manifest_path}: unknown padding rule {manifest.get('padding_rule')!r}"
+        )
+    shape = manifest.get("original_shape")
+    if not (
+        isinstance(shape, list)
+        and len(shape) == 4
+        and all(type(d) is int and d >= 1 for d in shape)
+    ):
+        raise FormatError(
+            f"{manifest_path}: original_shape must be 4 positive integers, "
+            f"got {shape!r}"
         )
 
     def load_level(cls, lvl):
@@ -353,13 +413,22 @@ def load_pyramid(dirpath) -> WaveletPyramid:
             }
         )
 
-    source_time = int(manifest["original_shape"][1])
-    return WaveletPyramid(
-        level1=load_level(SubbandSet3D, "1"),
-        level2=load_level(SubbandSet3D, "2"),
-        level3=load_level(SubbandSet2D, "3"),
-        source_time=source_time,
-    )
+    try:
+        pyramid = WaveletPyramid(
+            level1=load_level(SubbandSet3D, "1"),
+            level2=load_level(SubbandSet3D, "2"),
+            level3=load_level(SubbandSet2D, "3"),
+            source_time=shape[1],
+        )
+    except ShapeError as exc:
+        raise FormatError(f"{dirpath}: inconsistent pyramid ({exc})") from exc
+    c1, _, h1, w1 = pyramid.level1.band_shape
+    if (c1, 2 * h1, 2 * w1) != (shape[0], shape[2], shape[3]):
+        raise FormatError(
+            f"{manifest_path}: original_shape {shape} disagrees with level-1 "
+            f"subbands of shape {pyramid.level1.band_shape}"
+        )
+    return pyramid
 
 
 # ---------------------------------------------------------------------------
@@ -376,34 +445,52 @@ class Dwt3dStream:
 
     ``pad_first`` must be True exactly when the total stream length is odd,
     mirroring the causal odd-length rule of the direct transform.
+
+    Frame-blocked kernel: the eight band arrays are allocated once per chunk
+    and filled block by block (see ``_BLOCK_BYTES``). A chunk's first pair
+    may start with a leading frame that is not in the chunk, either the
+    replicated frame 0 or the odd frame carried over from the last chunk; it
+    is paired in place, never concatenated onto the chunk.
     """
 
     def __init__(self, pad_first: bool):
         self.pad_first = pad_first
-        self._buffer: np.ndarray | None = None
+        self._carry: np.ndarray | None = None
         self._started = False
 
     def feed(self, frames: np.ndarray) -> dict[str, np.ndarray]:
+        frames = np.asarray(frames, dtype=np.float32)
         if frames.ndim != 4:
             raise ShapeError("expected (c, n, h, w) frames")
         c, n, h, w = frames.shape
         if h % 2 or w % 2:
             raise ShapeError(f"height and width must be even, got ({h}, {w})")
-        empty = frames[:, :0, : h // 2, : w // 2]
         if n == 0:
-            return {k: empty for k in KEYS_3D}
+            return _empty_bands(KEYS_3D, c, 0, h // 2, w // 2)
+        lead = self._carry
         if not self._started:
-            if self.pad_first:
-                frames = np.concatenate([frames[:, :1], frames], axis=1)
             self._started = True
-        if self._buffer is not None:
-            frames = np.concatenate([self._buffer, frames], axis=1)
-        pairs = frames.shape[1] // 2
-        self._buffer = frames[:, 2 * pairs :].copy() if frames.shape[1] % 2 else None
-        if pairs == 0:
-            return {k: empty for k in KEYS_3D}
-        a_t, d_t = _analyze_axis(frames[:, : 2 * pairs], axis=1)
-        return {**_analyze_2d(a_t, "h"), **_analyze_2d(d_t, "g")}
+            if self.pad_first:
+                lead = frames[:, :1]
+        rest = frames if lead is None else frames[:, 1:]
+        pairs = rest.shape[1] // 2
+        first = 0 if lead is None else 1
+        bands = _empty_bands(KEYS_3D, c, first + pairs, h // 2, w // 2)
+        size = min(_block_pairs(c, h, w), max(first + pairs, 1))
+        scratch = _scratch(c, size, (h, w), (h, w), (h // 2, w), (h // 2, w))
+        if lead is not None:
+            _analyze_pair_block(lead, frames[:, :1], bands, 0, scratch)
+        for start in range(0, pairs, size):
+            stop = min(start + size, pairs)
+            _analyze_pair_block(
+                rest[:, 2 * start : 2 * stop : 2],
+                rest[:, 2 * start + 1 : 2 * stop : 2],
+                bands,
+                first + start,
+                scratch,
+            )
+        self._carry = rest[:, 2 * pairs :].copy() if rest.shape[1] % 2 else None
+        return bands
 
 
 class Idwt3dStream:
@@ -411,6 +498,11 @@ class Idwt3dStream:
 
     ``drop_first`` must be True exactly when the original stream length is
     odd, so the synthesized duplicate of frame 0 is discarded once.
+
+    Frame-blocked kernel: the output frames are allocated once per chunk and
+    each block's even and odd frames are written straight into them. The
+    dropped duplicate of frame 0 is never computed, so the result is one
+    contiguous array.
     """
 
     def __init__(self, drop_first: bool):
@@ -418,14 +510,33 @@ class Idwt3dStream:
         self._started = False
 
     def feed(self, bands: dict[str, np.ndarray]) -> np.ndarray:
-        ref = bands["hhh"]
-        if ref.shape[1] == 0:
-            return ref[:, :0].repeat(2, axis=2).repeat(2, axis=3)
-        frames = _synthesize_axis(
-            _synthesize_2d(bands, "h"), _synthesize_2d(bands, "g"), axis=1
-        )
-        if not self._started:
-            if self.drop_first:
-                frames = frames[:, 1:]
-            self._started = True
-        return frames
+        c, n, h, w = _common_shape(bands, KEYS_3D)
+        drop = n > 0 and self.drop_first and not self._started
+        self._started = self._started or n > 0
+        out = np.empty((c, 2 * n - drop, 2 * h, 2 * w), dtype=np.float32)
+        size = min(_block_pairs(c, 2 * h, 2 * w), max(n, 1))
+        frame_shape, row_shape = (2 * h, 2 * w), (h, 2 * w)
+        scratch = _scratch(c, size, frame_shape, frame_shape, row_shape, row_shape)
+        for start in range(0, n, size):
+            stop = min(start + size, n)
+            low, high, *rows = (a[:, : stop - start] for a in scratch)
+            _synthesize_2d_into(bands, "h", slice(start, stop), low, rows)
+            _synthesize_2d_into(bands, "g", slice(start, stop), high, rows)
+            # Pair p becomes frames 2p - drop (even) and 2p + 1 - drop (odd).
+            frame = 2 * start - drop
+            if frame < 0:
+                _butterfly(low[:, :1], high[:, :1], None, out[:, :1])
+                low, high, frame = low[:, 1:], high[:, 1:], 1
+            end = frame + 2 * low.shape[1]
+            _butterfly(low, high, out[:, frame:end:2], out[:, frame + 1 : end : 2])
+        return out
+
+
+def _analyze_pair_block(even, odd, bands, start: int, scratch) -> None:
+    """Analyze the frame pairs (even[:, i], odd[:, i]) into bands[:, start + i]."""
+    n = even.shape[1]
+    low, high, *rows = (a[:, :n] for a in scratch)
+    where = slice(start, start + n)
+    _butterfly(even, odd, low, high)
+    _analyze_2d_into(low, bands, "h", where, rows)
+    _analyze_2d_into(high, bands, "g", where, rows)

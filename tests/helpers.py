@@ -5,6 +5,8 @@ formulations so they cannot share a code path with the implementations they
 check.
 """
 
+import itertools
+
 import numpy as np
 
 from wfcodec import (
@@ -21,6 +23,7 @@ from wfcodec import (
     nearest_upsample,
     silu,
 )
+from wfcodec.wavelet import KEYS_3D
 
 
 def make_random(seed: int, shape) -> VideoTensor:
@@ -76,6 +79,51 @@ def conv3d_loop_oracle(x, weight, bias, stride, spatial_pad, pad_mode="replicate
                                     )
                     out[o, n, y, z] = acc + bias[o]
     return out
+
+
+# ---------------------------------------------------------------------------
+# 3D Haar oracle: every coefficient written out as the signed sum of one
+# 2x2x2 block, from the filter definition h = (1, 1)/sqrt(2) (scaling) and
+# g = (1, -1)/sqrt(2) (wavelet) on each axis, in float64.
+# ---------------------------------------------------------------------------
+
+_HAAR_SIGNS = {"h": (1.0, 1.0), "g": (1.0, -1.0)}
+
+
+def _haar_sign(key, i, j, k) -> float:
+    """Filter tap product of subband ``key`` at block offset (i, j, k) in (t, h, w)."""
+    return _HAAR_SIGNS[key[0]][i] * _HAAR_SIGNS[key[1]][j] * _HAAR_SIGNS[key[2]][k]
+
+
+def haar3d_oracle(x) -> dict:
+    """Eight float64 subbands of one 3D Haar level, keyed hhh..ggg.
+
+    An odd frame count replicates frame 0 once in front (the causal pad rule).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[1] % 2:
+        x = np.concatenate([x[:, :1], x], axis=1)
+    return {
+        key: sum(
+            _haar_sign(key, i, j, k) * x[:, i::2, j::2, k::2]
+            for i, j, k in itertools.product((0, 1), repeat=3)
+        )
+        / np.sqrt(8.0)
+        for key in KEYS_3D
+    }
+
+
+def ihaar3d_oracle(bands, original_t: int) -> np.ndarray:
+    """Inverse of :func:`haar3d_oracle`: each output 2x2x2 block is the signed
+    sum of its eight coefficients; the replicated frame 0 is dropped."""
+    bands = {key: np.asarray(bands[key], dtype=np.float64) for key in KEYS_3D}
+    c, n, h, w = bands["hhh"].shape
+    out = np.empty((c, 2 * n, 2 * h, 2 * w))
+    for i, j, k in itertools.product((0, 1), repeat=3):
+        out[:, i::2, j::2, k::2] = sum(
+            _haar_sign(key, i, j, k) * bands[key] for key in KEYS_3D
+        ) / np.sqrt(8.0)
+    return out[:, 2 * n - original_t :]
 
 
 def squared_l2(arr) -> float:

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import wfcodec
 from wfcodec import Rng, new_tensor, random_normal, save_tensor, load_tensor
 from wfcodec.cli import main
 from wfcodec.synthetic import smooth_video
@@ -410,6 +411,15 @@ class TestLossReport:
         assert len(err.splitlines()) == 1
 
 
+def child_env(**extra) -> dict:
+    """This environment for a child process, with the imported wfcodec's
+    directory first on PYTHONPATH, so the child runs the package under test
+    (pytest's ``pythonpath`` setting reaches only this process)."""
+    package_root = os.path.dirname(os.path.dirname(wfcodec.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 class TestProcessEntry:
     def test_console_script_cache_table(self):
         proc = subprocess.run(
@@ -417,6 +427,7 @@ class TestProcessEntry:
              "--stride-t", "2", "--chunk-size", "4", "--m-max", "5"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
@@ -430,7 +441,7 @@ class TestProcessEntry:
             [sys.executable, "-m", "wfcodec.cli", "roundtrip", str(path)],
             capture_output=True,
             text=True,
-            env={**os.environ, "WFCODEC_THREADS": "1"},
+            env=child_env(WFCODEC_THREADS="1"),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["verdict"] == "pass"

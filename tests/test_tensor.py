@@ -195,6 +195,14 @@ class TestFileFormat:
         with pytest.raises(FormatError, match="trailing"):
             load_tensor(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_is_format_error(self, tmp_path, value):
+        path = tmp_path / "nan.wfvt"
+        header = struct.pack("<4sIII4I", b"WFVT", 1, 0, 4, 1, 1, 1, 2)
+        path.write_bytes(header + np.array([1.0, value], dtype="<f4").tobytes())
+        with pytest.raises(FormatError, match="non-finite"):
+            load_tensor(path)
+
     def test_roundtrip_many_seeds(self, tmp_path):
         for seed in range(5):
             tensor = make_random(seed, (2, 4, 6, 8))

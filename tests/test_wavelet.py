@@ -1,16 +1,20 @@
-"""Filter bank and pyramid tests: exact values, perfect reconstruction,
-orthonormality, causality, and streamed/direct agreement."""
+"""Filter bank and pyramid tests: exact values, an independent 3D oracle,
+perfect reconstruction, orthonormality, causality, streamed/direct agreement,
+and pyramid file defects."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfcodec import (
-    HAAR,
     FormatError,
     Rng,
     ShapeError,
+    SubbandSet3D,
     VideoTensor,
     build_pyramid,
     dwt2d,
@@ -24,20 +28,18 @@ from wfcodec import (
     reconstruct_pyramid,
     save_pyramid,
 )
+from wfcodec import wavelet
 from wfcodec.wavelet import KEYS_2D, KEYS_3D, Dwt3dStream, Idwt3dStream
 
-from helpers import make_random, max_abs_diff, squared_l2
+from helpers import (
+    haar3d_oracle,
+    ihaar3d_oracle,
+    make_random,
+    max_abs_diff,
+    squared_l2,
+)
 
 SQRT2 = math.sqrt(2.0)
-
-
-class TestHaarFilters:
-    def test_orthonormal_pair(self):
-        h = np.array(HAAR.scaling)
-        g = np.array(HAAR.wavelet)
-        assert np.dot(h, h) == pytest.approx(1.0, abs=1e-12)
-        assert np.dot(g, g) == pytest.approx(1.0, abs=1e-12)
-        assert np.dot(h, g) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestHaar1D:
@@ -181,6 +183,54 @@ class TestDwt3d:
             assert np.array_equal(b0[key].data[:, 0], b1[key].data[:, 0])
 
 
+def _blocks_of(pairs: int, c: int, h: int, w: int):
+    """A ``_BLOCK_BYTES`` that makes the 3D kernels take ``pairs`` pairs per
+    block on (c, h, w) full-resolution frames."""
+    return 4 * c * h * w * pairs
+
+
+class TestHaarOracle:
+    """dwt3d/idwt3d against per-block butterflies written out in float64.
+
+    Two pairs per block, so T >= 9 spans several blocks: T = 10 ends on a
+    short block in both directions, T = 11 in the analysis and T = 9 in the
+    synthesis. T = 1 and 2 are the single-pair edge cases."""
+
+    SHAPE = (2, 8, 12)  # c, h, w; h != w catches a swapped spatial pass
+
+    @pytest.mark.parametrize("t", [1, 2, 9, 10, 11])
+    def test_analysis_matches_oracle(self, monkeypatch, t):
+        monkeypatch.setattr(wavelet, "_BLOCK_BYTES", _blocks_of(2, *self.SHAPE))
+        c, h, w = self.SHAPE
+        v = make_random(500 + t, (c, t, h, w))
+        bands = dwt3d(v)
+        expected = haar3d_oracle(v.data)
+        for key in KEYS_3D:
+            assert bands[key].shape == expected[key].shape
+            assert max_abs_diff(bands[key], expected[key]) <= 1e-5, key
+
+    @pytest.mark.parametrize("t", [1, 2, 9, 10, 11])
+    def test_synthesis_matches_oracle(self, monkeypatch, t):
+        """Arbitrary band values, not analysis outputs, so a synthesis bug
+        cannot hide behind a matching analysis bug."""
+        monkeypatch.setattr(wavelet, "_BLOCK_BYTES", _blocks_of(2, *self.SHAPE))
+        c, h, w = self.SHAPE
+        n = (t + 1) // 2
+        rng = Rng(600 + t)
+        raw = {key: rng.normal((c, n, h // 2, w // 2)) for key in KEYS_3D}
+        out = idwt3d(SubbandSet3D(raw), t)
+        assert out.shape == (c, t, h, w)
+        assert max_abs_diff(out, ihaar3d_oracle(raw, t)) <= 1e-5
+
+    def test_synthesis_output_is_contiguous(self):
+        bands = dwt3d(make_random(7, (2, 9, 8, 8)))
+        frames = Idwt3dStream(drop_first=True).feed(
+            {key: bands[key].data for key in KEYS_3D}
+        )
+        assert frames.shape == (2, 9, 8, 8)
+        assert frames.flags.c_contiguous
+
+
 class TestDwt2d:
     def test_constant_input(self):
         c = -2.5
@@ -266,6 +316,13 @@ class TestPyramid:
             assert np.array_equal(p0.level3[key].data[:, 0], p1.level3[key].data[:, 0])
 
 
+@pytest.fixture(scope="module")
+def pyramid_dir(tmp_path_factory):
+    target = tmp_path_factory.mktemp("pyramid") / "pyr"
+    save_pyramid(build_pyramid(make_random(12, (1, 5, 8, 8))), target)
+    return target
+
+
 class TestPyramidSerialization:
     def test_roundtrip(self, tmp_path):
         p = build_pyramid(make_random(12, (2, 5, 16, 16)))
@@ -288,6 +345,88 @@ class TestPyramidSerialization:
         with pytest.raises(FormatError):
             load_pyramid(target)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: {k: v for k, v in m.items() if k != "original_shape"},
+            lambda m: {**m, "original_shape": "x"},
+            lambda m: {**m, "original_shape": [1]},
+            lambda m: {**m, "original_shape": [1, "5", 8, 8]},
+            lambda m: {**m, "original_shape": [1, 5.0, 8, 8]},
+            lambda m: {**m, "original_shape": [1, 9, 8, 8]},  # time vs bands
+            lambda m: {**m, "original_shape": [2, 5, 8, 8]},  # channels vs bands
+            lambda m: {**m, "original_shape": [1, 5, 8, 16]},  # width vs bands
+            lambda m: {**m, "levels": 4},
+            lambda m: [m],
+        ],
+        ids=[
+            "no-shape", "shape-str", "shape-short", "time-str", "time-float",
+            "time-mismatch", "channel-mismatch", "width-mismatch", "levels",
+            "not-object",
+        ],
+    )
+    def test_manifest_defect_is_format_error(self, pyramid_dir, edit):
+        path = pyramid_dir / "pyramid.json"
+        raw = path.read_bytes()
+        try:
+            path.write_text(json.dumps(edit(json.loads(raw))))
+            with pytest.raises(FormatError):
+                load_pyramid(pyramid_dir)
+        finally:
+            path.write_bytes(raw)
+        assert load_pyramid(pyramid_dir).source_time == 5
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(["pyramid.json", "L1_ghg.wfvt"]), data=st.data())
+    def test_prefix_or_byte_flip_is_format_error(self, pyramid_dir, name, data):
+        path = pyramid_dir / name
+        raw = path.read_bytes()
+        # Cutting only the manifest's trailing newline leaves the same JSON
+        # document, so prefixes are taken of the document itself.
+        doc = raw.rstrip() if name.endswith(".json") else raw
+        try:
+            cut = data.draw(st.integers(0, len(doc) - 1), label="cut")
+            path.write_bytes(doc[:cut])
+            with pytest.raises(FormatError):
+                load_pyramid(pyramid_dir)
+            pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
+            flipped = bytearray(raw)
+            flipped[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]))
+            path.write_bytes(bytes(flipped))
+            try:
+                load_pyramid(pyramid_dir)
+            except FormatError:
+                pass
+        finally:
+            path.write_bytes(raw)
+
+
+def _stream_dwt(v: VideoTensor, sizes) -> dict:
+    """Feed ``v`` to one Dwt3dStream in chunks of ``sizes`` frames."""
+    stream = Dwt3dStream(pad_first=v.time % 2 == 1)
+    chunks, start = [], 0
+    for size in sizes:
+        chunks.append(stream.feed(v.data[:, start : start + size]))
+        start += size
+    return {key: np.concatenate([c[key] for c in chunks], axis=1) for key in KEYS_3D}
+
+
+def _stream_idwt(bands: dict, sizes, drop_first: bool) -> np.ndarray:
+    """Feed ``bands`` to one Idwt3dStream in chunks of ``sizes`` pairs."""
+    stream = Idwt3dStream(drop_first=drop_first)
+    pieces, start = [], 0
+    for size in sizes:
+        pieces.append(
+            stream.feed({k: bands[k][:, start : start + size] for k in KEYS_3D})
+        )
+        start += size
+    return np.concatenate(pieces, axis=1)
+
+
+_CHUNKINGS = st.lists(st.integers(0, 5), min_size=1, max_size=8).filter(
+    lambda sizes: sum(sizes) > 0
+)
+
 
 class TestStreamingTransforms:
     """Chunked temporal transforms must match the direct ones bit for bit."""
@@ -296,41 +435,53 @@ class TestStreamingTransforms:
     def test_dwt_stream_matches_direct(self, sizes):
         v = make_random(410, (2, 9, 8, 8))
         direct = dwt3d(v)
-        stream = Dwt3dStream(pad_first=True)
-        chunks = []
-        start = 0
-        for size in sizes:
-            chunks.append(stream.feed(v.data[:, start : start + size]))
-            start += size
+        got = _stream_dwt(v, sizes)
         for key in KEYS_3D:
-            got = np.concatenate([c[key] for c in chunks], axis=1)
-            assert np.array_equal(got, direct[key].data)
+            assert np.array_equal(got[key], direct[key].data)
 
     def test_dwt_stream_even_length_no_pad(self):
         v = make_random(411, (1, 8, 8, 8))
         direct = dwt3d(v)
-        stream = Dwt3dStream(pad_first=False)
-        got = {}
-        for piece in (v.data[:, :3], v.data[:, 3:]):
-            out = stream.feed(piece)
-            for key in KEYS_3D:
-                got.setdefault(key, []).append(out[key])
+        got = _stream_dwt(v, [3, 5])
         for key in KEYS_3D:
-            assert np.array_equal(
-                np.concatenate(got[key], axis=1), direct[key].data
-            )
+            assert np.array_equal(got[key], direct[key].data)
 
     @pytest.mark.parametrize("sizes", [[1, 2, 2], [5], [1] * 5, [2, 3]])
     def test_idwt_stream_matches_direct(self, sizes):
         v = make_random(412, (2, 9, 8, 8))
         bands = dwt3d(v)
         direct = idwt3d(bands, 9)
-        stream = Idwt3dStream(drop_first=True)
-        pieces = []
-        start = 0
-        for size in sizes:
-            chunk = {k: bands[k].data[:, start : start + size] for k in KEYS_3D}
-            pieces.append(stream.feed(chunk))
-            start += size
-        got = np.concatenate(pieces, axis=1)
+        got = _stream_idwt({k: bands[k].data for k in KEYS_3D}, sizes, True)
         assert np.array_equal(got, direct.data)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        sizes=_CHUNKINGS,
+        block=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_dwt_any_chunking_equals_one_chunk(self, sizes, block, seed):
+        """Random chunk sizes (empty chunks included) and block budgets."""
+        v = make_random(seed, (2, sum(sizes), 4, 6))
+        direct = dwt3d(v)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wavelet, "_BLOCK_BYTES", _blocks_of(block, 2, 4, 6))
+            got = _stream_dwt(v, sizes)
+        for key in KEYS_3D:
+            assert np.array_equal(got[key], direct[key].data), key
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        sizes=_CHUNKINGS,
+        drop_first=st.booleans(),
+        block=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_idwt_any_chunking_equals_one_chunk(self, sizes, drop_first, block, seed):
+        rng = Rng(seed)
+        bands = {k: rng.normal((2, sum(sizes), 2, 3)) for k in KEYS_3D}
+        whole = Idwt3dStream(drop_first=drop_first).feed(bands)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wavelet, "_BLOCK_BYTES", _blocks_of(block, 2, 4, 6))
+            got = _stream_idwt(bands, sizes, drop_first)
+        assert np.array_equal(got, whole)
