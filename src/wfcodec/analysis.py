@@ -28,8 +28,9 @@ class SubbandStats:
 
 
 def _band_energy(arr: np.ndarray) -> float:
-    flat = arr.ravel().astype(np.float64)
-    return float(np.dot(flat, flat))
+    # Accumulates in float64 without a float64 copy of the band.
+    flat = arr.ravel()
+    return float(np.einsum("i,i->", flat, flat, dtype=np.float64))
 
 
 def subband_energy(subbands) -> list[SubbandStats]:

@@ -111,7 +111,7 @@ def _conv3d_core(
 
     ``xp`` is already padded in time (causal lead or cached frames) and in
     space; no padding happens here. Emits every window that fits, i.e.
-    (Tp - k_t) // s_t + 1 output frames.
+    (Tp - k_t) // s_t + 1 output frames, or none when Tp < k_t.
 
     A tile is a band of output rows of one output frame. Its column rows are
     ordered (c, dt, dy, dx), the order of the stored weight, so the GEMM
@@ -128,35 +128,28 @@ def _conv3d_core(
         )
     ho = (hp - kh) // sh + 1
     wo = (wp - kw) // sw + 1
-    to = (tp - kt) // st + 1 if tp >= kt else 0
+    to = max(0, (tp - kt) // st + 1)
     out = np.empty((cout, to, ho, wo), dtype=np.float32)
-    if to == 0:
-        return out
-    if spec.kernel == (1, 1, 1) and spec.stride == (1, 1, 1):
-        np.matmul(
-            weight.reshape(cout, cin), xp.reshape(cin, -1), out=out.reshape(cout, -1)
-        )
-    else:
-        k = cin * kt * kh * kw
-        rows = max(1, min(ho, _COL_TILE_BYTES // (4 * k * wo)))
-        rows = -(-ho // -(-ho // rows))  # balance the bands of one frame
-        wmat = weight.reshape(cout, k)
-        col_buf = np.empty(k * rows * wo, dtype=np.float32)
-        out_rows = out.reshape(cout, to, ho * wo)
-        for t in range(to):
-            frames = xp[:, t * st : t * st + kt]
-            for y0 in range(0, ho, rows):
-                r = min(rows, ho - y0)
-                col = col_buf[: k * r * wo].reshape(cin, kt, kh, kw, r, wo)
-                for dy in range(kh):
-                    ys = y0 * sh + dy
-                    band = frames[:, :, ys : ys + sh * (r - 1) + 1 : sh]
-                    for dx in range(kw):
-                        col[:, :, dy, dx] = band[..., dx : dx + sw * (wo - 1) + 1 : sw]
-                np.matmul(
-                    wmat, col.reshape(k, r * wo),
-                    out=out_rows[:, t, y0 * wo : (y0 + r) * wo],
-                )
+    k = cin * kt * kh * kw
+    rows = max(1, min(ho, _COL_TILE_BYTES // (4 * k * wo)))
+    rows = -(-ho // -(-ho // rows))  # balance the bands of one frame
+    wmat = weight.reshape(cout, k)
+    col_buf = np.empty(k * rows * wo, dtype=np.float32)
+    out_rows = out.reshape(cout, to, ho * wo)
+    for t in range(to):
+        frames = xp[:, t * st : t * st + kt]
+        for y0 in range(0, ho, rows):
+            r = min(rows, ho - y0)
+            col = col_buf[: k * r * wo].reshape(cin, kt, kh, kw, r, wo)
+            for dy in range(kh):
+                ys = y0 * sh + dy
+                band = frames[:, :, ys : ys + sh * (r - 1) + 1 : sh]
+                for dx in range(kw):
+                    col[:, :, dy, dx] = band[..., dx : dx + sw * (wo - 1) + 1 : sw]
+            np.matmul(
+                wmat, col.reshape(k, r * wo),
+                out=out_rows[:, t, y0 * wo : (y0 + r) * wo],
+            )
     out += bias[:, None, None, None]
     return out
 
@@ -261,7 +254,7 @@ def _stream_conv_core(
     """
     if state.finalized:
         raise StateError("chunk fed after the stream was finalized")
-    kt, st = spec.kernel[0], spec.stride[0]
+    st = spec.stride[0]
     n = frames.shape[1]
     lead = spec.temporal_pad if n and state.frames_seen == 0 else 0
     cached = state.occupancy
@@ -273,35 +266,20 @@ def _stream_conv_core(
     offset = state.next_window_start - slab_start
     if offset < 0:
         raise StateError("cache lost frames still needed by the next window")
-    avail = head + n - offset
-    emitted = (avail - kt) // st + 1 if avail >= kt else 0
-    if emitted:
-        ph, pw = spec.spatial_pad
-        h, w = frames.shape[2:]
-        if head or offset or ph or pw:
-            xp = np.zeros(
-                (frames.shape[0], avail, h + 2 * ph, w + 2 * pw), dtype=np.float32
-            )
-            inner = xp[:, :, ph : ph + h, pw : pw + w]
-            if cached:
-                inner[:, :cached] = state.cache
-            if lead and spec.pad_mode == PAD_REPLICATE:
-                inner[:, cached:head] = frames[:, :1]
-            inner[:, head:] = frames[:, offset:]
-        else:
-            # Nothing to prepend or border (kernel-1 layers): no copy.
-            xp = inner = frames
-        out = _conv3d_core(xp, weight, bias, spec)
-    else:
-        if cached:
-            inner = np.concatenate([state.cache, frames], axis=1)
-        else:
-            inner = frames[:, offset:]
-        out = np.zeros(
-            (spec.out_channels, 0) + _spatial_out(frames.shape[2:], spec),
-            dtype=np.float32,
-        )
-    new_next = state.next_window_start + emitted * st
+    ph, pw = spec.spatial_pad
+    h, w = frames.shape[2:]
+    xp = np.zeros(
+        (frames.shape[0], max(head + n - offset, 0), h + 2 * ph, w + 2 * pw),
+        dtype=np.float32,
+    )
+    inner = xp[:, :, ph : ph + h, pw : pw + w]
+    if cached:
+        inner[:, :cached] = state.cache
+    if lead and spec.pad_mode == PAD_REPLICATE:
+        inner[:, cached:head] = frames[:, :1]
+    inner[:, head:] = frames[:, offset:]
+    out = _conv3d_core(xp, weight, bias, spec)
+    new_next = state.next_window_start + out.shape[1] * st
     keep_from = new_next - slab_start - offset
     if final or keep_from >= inner.shape[1]:
         cache = _EMPTY
@@ -315,14 +293,6 @@ def _stream_conv_core(
         finalized=final,
     )
     return out, new_state
-
-
-def _spatial_out(hw: tuple[int, int], spec: ConvSpec) -> tuple[int, int]:
-    h, w = hw
-    kh, kw = spec.kernel[1:]
-    sh, sw = spec.stride[1:]
-    ph, pw = spec.spatial_pad
-    return ((h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1)
 
 
 def stream_conv3d(

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import analyze_pyramid
-from .causal import ChunkPlan, cache_len, cache_len_by_simulation
+from .causal import ChunkPlan, _check_cache_args, cache_len, cache_len_by_simulation
 from .errors import FormatError, ParameterError, WfcodecError
 from .losses import LossComponents, LossWeights, kl_divergence, l1_recon, total_loss, wl_loss
 from .model import (
@@ -77,6 +77,12 @@ def _max_abs(a: np.ndarray, b: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
+
+
+def _tolerance(args) -> float:
+    if not args.tolerance >= 0:  # also rejects nan
+        raise ParameterError(f"--tolerance must be >= 0, got {args.tolerance}")
+    return args.tolerance
 
 
 def _config_from_args(args) -> ModelConfig:
@@ -143,8 +149,8 @@ def _add_config_flags(parser: argparse.ArgumentParser, with_norm: bool = False):
 
 
 def cmd_roundtrip(args) -> Report:
+    tol = _tolerance(args)
     video = load_tensor(args.input)
-    tol = args.tolerance
     if args.levels == 3:
         error = _max_abs(
             reconstruct_pyramid(build_pyramid(video), video.time).data, video.data
@@ -180,13 +186,21 @@ def cmd_analyze(args) -> Report:
 
 
 def cmd_cache_table(args) -> Report:
+    k_t, s_t, t_chunk, m_max = args.kernel_t, args.stride_t, args.chunk_size, args.m_max
+    _check_cache_args(k_t, s_t, t_chunk, m_max)
+    # Row m is one step plus a walk of about (k_t + m*t_chunk) / s_t windows.
+    # The cap bounds the table to about 1 s and 150 MiB of rows.
+    steps = m_max + 1 + ((m_max + 1) * k_t + t_chunk * m_max * (m_max + 1) // 2) // s_t
+    if steps > 10**5:
+        raise ParameterError(
+            f"the table would take about {steps} steps, above the cap of 10**5; "
+            "lower --m-max"
+        )
     rows = []
     all_agree = True
-    for m in range(args.m_max + 1):
-        formula = cache_len(args.kernel_t, args.stride_t, args.chunk_size, m)
-        simulated = cache_len_by_simulation(
-            args.kernel_t, args.stride_t, args.chunk_size, m
-        )
+    for m in range(m_max + 1):
+        formula = cache_len(k_t, s_t, t_chunk, m)
+        simulated = cache_len_by_simulation(k_t, s_t, t_chunk, m)
         agree = formula == simulated
         all_agree &= agree
         rows.append(
@@ -194,11 +208,7 @@ def cmd_cache_table(args) -> Report:
         )
     return Report(
         command="cache-table",
-        inputs={
-            "kernel_t": args.kernel_t,
-            "stride_t": args.stride_t,
-            "chunk_size": args.chunk_size,
-        },
+        inputs={"kernel_t": k_t, "stride_t": s_t, "chunk_size": t_chunk},
         metrics={"rows": rows},
         tolerances={"match": "exact integer equality"},
         verdict="pass" if all_agree else "fail",
@@ -214,10 +224,10 @@ def _load_or_init_weights(args, config: ModelConfig) -> tuple[WeightStore, dict]
 
 
 def cmd_verify_stream(args) -> Report:
+    tol = _tolerance(args)
     video = load_tensor(args.input)
     config = _config_from_args(args)
     weights, weight_info = _load_or_init_weights(args, config)
-    tol = args.tolerance
     plans = [ChunkPlan.parse(text) for text in (args.plan or ["canonical:4"])]
     direct_enc = encode(video, config, weights)
     direct_dec = decode(
@@ -304,9 +314,9 @@ def cmd_encode(args) -> Report:
 
 def cmd_decode(args) -> Report:
     mean_path, logvar_path, manifest_path = _latent_paths(args.latent)
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
     try:
+        with open(manifest_path, "rb") as fh:
+            manifest = json.loads(fh.read())  # ValueError: bad JSON or bad UTF-8
         # The manifest records every config field; a missing one must not
         # silently fall back to a default.
         fields = sorted(manifest["config"])
@@ -314,7 +324,7 @@ def cmd_decode(args) -> Report:
             raise FormatError(f"{manifest_path}: unexpected config fields {fields}")
         config = ModelConfig(**manifest["config"])
         original_t = args.frames or int(manifest["original_shape"][1])
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise FormatError(f"{manifest_path}: bad latent manifest ({exc!r})") from exc
     mean = load_tensor(mean_path)
     weights, weight_info = _load_or_init_weights(args, config)
@@ -449,7 +459,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel-t", type=int, required=True)
     p.add_argument("--stride-t", type=int, required=True)
     p.add_argument("--chunk-size", type=int, required=True)
-    p.add_argument("--m-max", type=int, default=10)
+    p.add_argument(
+        "--m-max",
+        type=int,
+        default=10,
+        help="last chunk index m (default: 10); the table's window walk, about "
+        "the sum over m of 1 + (k_t + m*t_chunk)/s_t, is capped at 10**5 steps",
+    )
     p.set_defaults(func=cmd_cache_table)
 
     p = sub.add_parser("encode", help="video -> latent mean/logvar files")
@@ -524,10 +540,7 @@ def main(argv=None) -> int:
     try:
         with _thread_limit_context():
             report = args.func(args)
-    except WfcodecError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (WfcodecError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
     print(report.to_json())

@@ -31,6 +31,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -78,10 +79,11 @@ class ModelConfig:
     latent_channels: int = 4
     input_channels: int = 3
     blocks_per_stage: int = 2
-    activation: str = "silu"
     norm: str = NORM_FRAME_LAYERNORM
     groupnorm_groups: int = 8
-    eps: float = 1e-5
+    # Not a setting: the norms run at the layer functions' default eps. Kept
+    # readable because the benchmark's per-layer replay passes it explicitly.
+    eps: ClassVar[float] = 1e-5
 
     def __post_init__(self):
         if self.base_channels < 1 or self.c_flow < 1 or self.input_channels < 1:
@@ -92,16 +94,12 @@ class ModelConfig:
             )
         if self.blocks_per_stage < 1:
             raise ParameterError("blocks_per_stage must be >= 1")
-        if self.activation != "silu":
-            raise ParameterError(f"unknown activation {self.activation!r}")
         if self.norm not in (NORM_FRAME_LAYERNORM, NORM_GROUPNORM):
             raise ParameterError(f"unknown norm kind {self.norm!r}")
         if self.c_flow > 2 * self.base_channels:
             raise ParameterError(
                 "c_flow cannot exceed twice base_channels (decoder tap width)"
             )
-        if self.eps <= 0:
-            raise ParameterError("eps must be > 0")
         if self.norm == NORM_GROUPNORM:
             for width in self._normed_widths():
                 if width % self.groupnorm_groups:
@@ -177,9 +175,6 @@ class WeightStore:
 
     def __len__(self) -> int:
         return len(self._tensors)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
 
     def _serialized(self):
         yield _WEIGHT_MAGIC
@@ -467,10 +462,10 @@ def _stream(node: _Node, config: ModelConfig, weights: WeightStore):
     if node.kind == "norm":
         gain, bias = param("gain"), param("bias")
         if config.norm == NORM_FRAME_LAYERNORM:
-            layer = LayerDef.layernorm(gain, bias, config.eps, node.name)
+            layer = LayerDef.layernorm(gain, bias, name=node.name)
         else:
             layer = LayerDef.groupnorm(
-                config.groupnorm_groups, gain, bias, config.eps, node.name
+                config.groupnorm_groups, gain, bias, name=node.name
             )
         return _LayerStream(layer)
     if node.kind == "act":

@@ -8,6 +8,7 @@ check.
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 
 from wfcodec import (
     ConvSpec,
@@ -37,6 +38,13 @@ def max_abs_diff(a, b) -> float:
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
+
+
+def draw_chunk_sizes(draw, total: int) -> list[int]:
+    """A hypothesis draw of chunk sizes >= 1 summing to ``total``."""
+    cuts = draw(st.sets(st.integers(1, max(total - 1, 1)), max_size=total - 1))
+    bounds = [0, *sorted(cuts), total]
+    return [b - a for a, b in zip(bounds, bounds[1:])]
 
 
 def conv3d_loop_oracle(x, weight, bias, stride, spatial_pad, pad_mode="replicate"):
@@ -151,22 +159,20 @@ def _oracle_conv(x, weights, name):
     return causal_conv3d(x, spec, weight, weights.get(f"{name}.bias"))
 
 
-def _oracle_norm_act(x, weights, name, eps):
-    normed = frame_layernorm(
-        x, weights.get(f"{name}.gain"), weights.get(f"{name}.bias"), eps
-    )
+def _oracle_norm_act(x, weights, name):
+    normed = frame_layernorm(x, weights.get(f"{name}.gain"), weights.get(f"{name}.bias"))
     return VideoTensor(silu(normed.data))
 
 
 def _oracle_stage(x, weights, prefix, config):
     for i in range(config.blocks_per_stage):
         p = f"{prefix}.block{i}"
-        h = _oracle_norm_act(x, weights, f"{p}.norm1", config.eps)
+        h = _oracle_norm_act(x, weights, f"{p}.norm1")
         h = _oracle_conv(h, weights, f"{p}.conv1")
-        h = _oracle_norm_act(h, weights, f"{p}.norm2", config.eps)
+        h = _oracle_norm_act(h, weights, f"{p}.norm2")
         h = _oracle_conv(h, weights, f"{p}.conv2")
         skip = x
-        if f"{p}.skip.weight" in weights:
+        if h.channels != x.channels:
             skip = _oracle_conv(x, weights, f"{p}.skip")
         x = VideoTensor(skip.data + h.data)
     return x
@@ -192,7 +198,7 @@ def oracle_encode(video, config, weights):
     x = _oracle_conv(x, weights, "enc.down2")
     x = _oracle_inflow(x, weights, "enc.inflow3", pyramid.level3.stack())
     x = _oracle_stage(x, weights, "enc.stage3", config)
-    x = _oracle_norm_act(x, weights, "enc.head.norm", config.eps)
+    x = _oracle_norm_act(x, weights, "enc.head.norm")
     x = _oracle_conv(x, weights, "enc.head.conv").data
     chn = config.latent_channels
     return x[:chn], x[chn:], pyramid.level2.stack(), pyramid.level3.stack()
@@ -210,7 +216,7 @@ def oracle_decode(z, config, weights, original_t):
     w2 = w2.replace("hhh", VideoTensor(w2["hhh"].data + idwt2d(w3).data))
     x = _oracle_conv(nearest_upsample(x, (2, 2, 2)), weights, "dec.up1")
     x = _oracle_stage(x, weights, "dec.stage1", config)
-    x = _oracle_norm_act(x, weights, "dec.out.norm", config.eps)
+    x = _oracle_norm_act(x, weights, "dec.out.norm")
     w1 = SubbandSet3D.from_stack(_oracle_conv(x, weights, "dec.out.conv"))
     contrib = idwt3d(w2, original_t=w1.time)
     w1 = w1.replace("hhh", VideoTensor(w1["hhh"].data + contrib.data))

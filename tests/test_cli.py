@@ -291,6 +291,15 @@ def _non_utf8_weights(path):
     return str(path)
 
 
+def assert_input_error(code, report, err, name):
+    """Exit 2, nothing on stdout, and exactly one JSON error line on stderr."""
+    assert code == 2
+    assert report is None
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == name
+
+
 class TestInputErrors:
     """Bad input text or files exit 2 with a JSON error, never a traceback."""
 
@@ -301,9 +310,23 @@ class TestInputErrors:
             ["encode", "--input", video_file, "--plan", plan,
              "--output", str(tmp_path / "latent"), *TINY_FLAGS],
         )
-        assert code == 2
-        assert report is None
-        assert json.loads(err)["error"] == "ParameterError"
+        assert_input_error(code, report, err, "ParameterError")
+
+    @staticmethod
+    def _decode_edited_manifest(capsys, tmp_path, video_file, write):
+        prefix = str(tmp_path / "latent")
+        code, _, _ = run_cli(
+            capsys,
+            ["encode", "--input", video_file, "--init-seed", "3",
+             "--output", prefix, *TINY_FLAGS],
+        )
+        assert code == 0
+        write(prefix + ".json")
+        return run_cli(
+            capsys,
+            ["decode", "--latent", prefix, "--init-seed", "3",
+             "--output", str(tmp_path / "out.wfvt")],
+        )
 
     @pytest.mark.parametrize(
         "edit",
@@ -316,26 +339,25 @@ class TestInputErrors:
         ids=["unknown-key", "missing-config-key", "no-config", "no-shape"],
     )
     def test_bad_latent_manifest_exits_2(self, capsys, tmp_path, video_file, edit):
-        prefix = str(tmp_path / "latent")
-        code, _, _ = run_cli(
-            capsys,
-            ["encode", "--input", video_file, "--init-seed", "3",
-             "--output", prefix, *TINY_FLAGS],
-        )
-        assert code == 0
-        with open(prefix + ".json") as fh:
-            manifest = json.load(fh)
-        edit(manifest)
-        with open(prefix + ".json", "w") as fh:
-            json.dump(manifest, fh)
-        code, report, err = run_cli(
-            capsys,
-            ["decode", "--latent", prefix, "--init-seed", "3",
-             "--output", str(tmp_path / "out.wfvt")],
-        )
-        assert code == 2
-        assert report is None
-        assert json.loads(err)["error"] == "FormatError"
+        def write(path):
+            with open(path) as fh:
+                manifest = json.load(fh)
+            edit(manifest)
+            with open(path, "w") as fh:
+                json.dump(manifest, fh)
+
+        result = self._decode_edited_manifest(capsys, tmp_path, video_file, write)
+        assert_input_error(*result, "FormatError")
+
+    def test_non_utf8_latent_manifest_exits_2(self, capsys, tmp_path, video_file):
+        def write(path):
+            with open(path, "rb") as fh:
+                text = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(text.replace(b'"direct"', b'"\xff"'))
+
+        result = self._decode_edited_manifest(capsys, tmp_path, video_file, write)
+        assert_input_error(*result, "FormatError")
 
     def test_non_utf8_weight_name_exits_2(self, capsys, tmp_path, video_file):
         weights = _non_utf8_weights(tmp_path / "bad.wfwt")
@@ -344,9 +366,33 @@ class TestInputErrors:
             ["encode", "--input", video_file, "--weights", weights,
              "--output", str(tmp_path / "latent"), *TINY_FLAGS],
         )
-        assert code == 2
-        assert report is None
-        assert json.loads(err)["error"] == "FormatError"
+        assert_input_error(code, report, err, "FormatError")
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1"])
+    @pytest.mark.parametrize("command", ["roundtrip", "verify-stream"])
+    def test_bad_tolerance_exits_2(self, capsys, video_file, command, tolerance):
+        argv = [command, video_file] if command == "roundtrip" else [
+            command, "--input", video_file, *TINY_FLAGS
+        ]
+        code, report, err = run_cli(capsys, [*argv, "--tolerance", tolerance])
+        assert_input_error(code, report, err, "ParameterError")
+
+    @pytest.mark.parametrize("kernel_t", ["3", "0"])
+    def test_negative_m_max_exits_2(self, capsys, kernel_t):
+        code, report, err = run_cli(
+            capsys,
+            ["cache-table", "--kernel-t", kernel_t, "--stride-t", "1",
+             "--chunk-size", "4", "--m-max", "-1"],
+        )
+        assert_input_error(code, report, err, "ParameterError")
+
+    def test_unbounded_cache_table_exits_2(self, capsys):
+        code, report, err = run_cli(
+            capsys,
+            ["cache-table", "--kernel-t", "3", "--stride-t", "1",
+             "--chunk-size", "4", "--m-max", "100000000000"],
+        )
+        assert_input_error(code, report, err, "ParameterError")
 
 
 class TestLossReport:

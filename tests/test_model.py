@@ -30,7 +30,9 @@ from wfcodec import (
 from wfcodec.model import PRESET_BASE_CHANNELS
 from wfcodec.wavelet import KEYS_3D, SubbandSet3D
 
-from helpers import make_random, max_abs_diff, oracle_decode, oracle_encode
+from helpers import (
+    draw_chunk_sizes, make_random, max_abs_diff, oracle_decode, oracle_encode,
+)
 
 TINY = ModelConfig(base_channels=8, c_flow=8, latent_channels=4, blocks_per_stage=1)
 TINY2 = ModelConfig(base_channels=8, c_flow=12, latent_channels=4, blocks_per_stage=2)
@@ -44,6 +46,34 @@ def tiny_weights():
 @pytest.fixture(scope="module")
 def tiny_video():
     return make_random(1, (3, 17, 16, 16))
+
+
+def assert_encodings_equal(a, b):
+    assert np.array_equal(a.latent.mean.data, b.latent.mean.data)
+    assert np.array_equal(a.latent.logvar.data, b.latent.logvar.data)
+    assert np.array_equal(a.w2.stack(), b.w2.stack())
+    assert np.array_equal(a.w3.stack(), b.w3.stack())
+
+
+def assert_decodings_equal(a, b):
+    assert np.array_equal(a.video.data, b.video.data)
+    assert np.array_equal(a.w2_hat.stack(), b.w2_hat.stack())
+    assert np.array_equal(a.w3_hat.stack(), b.w3_hat.stack())
+
+
+@st.composite
+def _stream_cases(draw):
+    """(config, frames, seed, encode sizes, decode sizes) at 16x16."""
+    config = ModelConfig(
+        base_channels=draw(st.sampled_from([8, 16])),
+        c_flow=draw(st.sampled_from([4, 8])),
+        latent_channels=4,
+        blocks_per_stage=draw(st.integers(1, 2)),
+    )
+    t = 4 * draw(st.integers(0, 5)) + 1
+    seed = draw(st.integers(0, 2**16))
+    enc_sizes = draw_chunk_sizes(draw, t)
+    return config, t, seed, enc_sizes, draw_chunk_sizes(draw, config.latent_time(t))
 
 
 class TestModelConfig:
@@ -293,6 +323,8 @@ class TestWholeClipOracle:
 
 
 class TestStreamingIdentity:
+    """Every chunk plan reproduces direct encode and decode bit for bit."""
+
     def test_encode_streamed_matches_direct(self, tiny_weights, tiny_video):
         direct = encode(tiny_video, TINY, tiny_weights)
         for plan in (
@@ -302,14 +334,7 @@ class TestStreamingIdentity:
             ChunkPlan.explicit([1] * 17),
         ):
             streamed = encode(tiny_video, TINY, tiny_weights, mode=plan)
-            assert (
-                max_abs_diff(streamed.latent.mean, direct.latent.mean) <= 1e-6
-            )
-            assert (
-                max_abs_diff(streamed.latent.logvar, direct.latent.logvar) <= 1e-6
-            )
-            assert max_abs_diff(streamed.w2.stack(), direct.w2.stack()) <= 1e-6
-            assert max_abs_diff(streamed.w3.stack(), direct.w3.stack()) <= 1e-6
+            assert_encodings_equal(streamed, direct)
 
     def test_decode_streamed_matches_direct(self, tiny_weights, tiny_video):
         z = encode(tiny_video, TINY, tiny_weights).latent.mean
@@ -321,13 +346,7 @@ class TestStreamingIdentity:
             ChunkPlan.explicit([1] * 5),
         ):
             streamed = decode(z, TINY, tiny_weights, original_t=17, mode=plan)
-            assert max_abs_diff(streamed.video, direct.video) <= 1e-6
-            assert (
-                max_abs_diff(streamed.w2_hat.stack(), direct.w2_hat.stack()) <= 1e-6
-            )
-            assert (
-                max_abs_diff(streamed.w3_hat.stack(), direct.w3_hat.stack()) <= 1e-6
-            )
+            assert_decodings_equal(streamed, direct)
 
     def test_deeper_config_streams_lossless(self):
         config = TINY2
@@ -335,41 +354,30 @@ class TestStreamingIdentity:
         v = make_random(78, (3, 9, 16, 16))
         direct = encode(v, config, weights)
         streamed = encode(v, config, weights, mode=ChunkPlan.explicit([1, 4, 4]))
-        assert max_abs_diff(streamed.latent.mean, direct.latent.mean) <= 1e-6
+        assert np.array_equal(streamed.latent.mean.data, direct.latent.mean.data)
         z = direct.latent.mean
         d_direct = decode(z, config, weights, original_t=9)
         d_streamed = decode(
             z, config, weights, original_t=9, mode=ChunkPlan.explicit([1, 2])
         )
-        assert max_abs_diff(d_streamed.video, d_direct.video) <= 1e-6
+        assert np.array_equal(d_streamed.video.data, d_direct.video.data)
 
-    def test_random_mixed_plans_property(self, tiny_weights, tiny_video):
-        """Any chunk-size sequence reproduces direct encode and decode."""
-        direct = encode(tiny_video, TINY, tiny_weights)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=_stream_cases())
+    def test_random_mixed_plans_property(self, case):
+        """Random tiny configs and random encode and decode plans."""
+        config, t, seed, enc_sizes, dec_sizes = case
+        weights = init_weights(config, Rng(seed))
+        video = make_random(seed + 1, (3, t, 16, 16))
+        direct = encode(video, config, weights)
+        streamed = encode(video, config, weights, mode=ChunkPlan.explicit(enc_sizes))
+        assert_encodings_equal(streamed, direct)
         z = direct.latent.mean
-        direct_dec = decode(z, TINY, tiny_weights, original_t=17)
-        rng = Rng(904)
-        for _ in range(4):
-            sizes = []
-            remaining = 17
-            while remaining:
-                step = min(int(rng.integers(1, 9)), remaining)
-                sizes.append(step)
-                remaining -= step
-            streamed = encode(
-                tiny_video, TINY, tiny_weights, mode=ChunkPlan.explicit(sizes)
-            )
-            assert max_abs_diff(streamed.latent.mean, direct.latent.mean) <= 1e-6
-            z_sizes = []
-            remaining = 5
-            while remaining:
-                step = min(int(rng.integers(1, 4)), remaining)
-                z_sizes.append(step)
-                remaining -= step
-            streamed_dec = decode(
-                z, TINY, tiny_weights, original_t=17, mode=ChunkPlan.explicit(z_sizes)
-            )
-            assert max_abs_diff(streamed_dec.video, direct_dec.video) <= 1e-6
+        direct_dec = decode(z, config, weights, original_t=t)
+        streamed_dec = decode(
+            z, config, weights, original_t=t, mode=ChunkPlan.explicit(dec_sizes)
+        )
+        assert_decodings_equal(streamed_dec, direct_dec)
 
     def test_groupnorm_breaks_streaming(self):
         """Whole-clip group normalization is the documented negative control:
