@@ -16,14 +16,12 @@ from .causal import (
     CacheState,
     ChunkPlan,
     ConvSpec,
-    LayerDef,
     cache_len,
     cache_len_by_simulation,
     causal_conv3d,
     frame_layernorm,
     groupnorm_whole_clip,
     nearest_upsample,
-    run_layer_stack,
     silu,
     stream_conv3d,
 )
@@ -67,8 +65,6 @@ from .wavelet import (
     build_pyramid,
     dwt2d,
     dwt3d,
-    haar_1d_analysis,
-    haar_1d_synthesis,
     idwt2d,
     idwt3d,
     load_pyramid,

@@ -16,6 +16,9 @@ import numpy as np
 from .errors import ParameterError
 
 DEFAULT_BINS = 256
+# np.histogram allocates ``bins`` counts and ``bins + 1`` edges, 8 bytes each;
+# the cap keeps that near 1 MiB, far above any useful entropy resolution.
+MAX_BINS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -63,10 +66,15 @@ def _band_entropy(arr: np.ndarray, bins: int) -> float:
     return float(-np.sum(probs * np.log2(probs)))
 
 
+def _check_bins(bins: int) -> None:
+    """Reject a histogram bin count outside [2, MAX_BINS]."""
+    if not 2 <= bins <= MAX_BINS:
+        raise ParameterError(f"bins must be in [2, {MAX_BINS}], got {bins}")
+
+
 def subband_entropy(subbands, bins: int = DEFAULT_BINS) -> list[SubbandStats]:
     """Histogram entropy in bits for every subband; single-valued bands give 0."""
-    if bins < 2:
-        raise ParameterError(f"bins must be >= 2, got {bins}")
+    _check_bins(bins)
     return [
         SubbandStats(key=key, entropy_bits=_band_entropy(band.data, bins))
         for key, band in subbands.items()
@@ -75,8 +83,7 @@ def subband_entropy(subbands, bins: int = DEFAULT_BINS) -> list[SubbandStats]:
 
 def analyze_level(subbands, bins: int = DEFAULT_BINS) -> list[SubbandStats]:
     """Joint energy + entropy stats, one record per subband in canonical order."""
-    if bins < 2:
-        raise ParameterError(f"bins must be >= 2, got {bins}")
+    _check_bins(bins)
     merged = []
     for energy_stat, entropy_stat in zip(
         subband_energy(subbands), subband_entropy(subbands, bins)

@@ -334,7 +334,7 @@ def silu(x: np.ndarray) -> np.ndarray:
 
 
 def _frame_layernorm_core(
-    frames: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
+    frames: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5
 ) -> np.ndarray:
     if frames.shape[1] == 0:
         return frames
@@ -376,7 +376,11 @@ def _check_affine(channels: int, gain, bias, eps: float):
 
 
 def _groupnorm_core(
-    frames: np.ndarray, groups: int, gain: np.ndarray, bias: np.ndarray, eps: float
+    frames: np.ndarray,
+    groups: int,
+    gain: np.ndarray,
+    bias: np.ndarray,
+    eps: float = 1e-5,
 ) -> np.ndarray:
     c, t, h, w = frames.shape
     if frames.shape[1] == 0:
@@ -440,116 +444,8 @@ def nearest_upsample(x: VideoTensor, factors: tuple[int, int, int]) -> VideoTens
 
 
 # ---------------------------------------------------------------------------
-# Layer stacks and the streaming executor. Every path, the model included,
-# runs layers through _LayerStream; direct mode is a stream of one chunk.
+# Chunk plans: how the executor splits a clip's time axis.
 # ---------------------------------------------------------------------------
-
-KIND_CONV = "causal_conv3d"
-KIND_LAYERNORM = "frame_layernorm"
-KIND_GROUPNORM = "groupnorm"
-KIND_NONLINEARITY = "nonlinearity"
-KIND_RESAMPLE = "resample"
-
-STREAM_SAFE_KINDS = frozenset(
-    {KIND_CONV, KIND_LAYERNORM, KIND_NONLINEARITY, KIND_RESAMPLE}
-)
-
-
-@dataclass(frozen=True)
-class LayerDef:
-    """One layer of a runnable stack; use the classmethod constructors."""
-
-    kind: str
-    spec: ConvSpec | None = None
-    weight: np.ndarray | None = None
-    bias: np.ndarray | None = None
-    gain: np.ndarray | None = None
-    groups: int = 1
-    eps: float = 1e-5
-    factors: tuple[int, int, int] = (1, 1, 1)
-    name: str = ""
-
-    @classmethod
-    def conv(cls, spec: ConvSpec, weight, bias=None, name: str = "") -> "LayerDef":
-        weight, bias = _check_weights(spec, weight, bias)
-        return cls(kind=KIND_CONV, spec=spec, weight=weight, bias=bias, name=name)
-
-    @classmethod
-    def layernorm(cls, gain, bias, eps: float = 1e-5, name: str = "") -> "LayerDef":
-        gain = np.asarray(gain, dtype=np.float32)
-        bias = np.asarray(bias, dtype=np.float32)
-        return cls(kind=KIND_LAYERNORM, gain=gain, bias=bias, eps=eps, name=name)
-
-    @classmethod
-    def groupnorm(
-        cls, groups: int, gain, bias, eps: float = 1e-5, name: str = ""
-    ) -> "LayerDef":
-        gain = np.asarray(gain, dtype=np.float32)
-        bias = np.asarray(bias, dtype=np.float32)
-        return cls(
-            kind=KIND_GROUPNORM, groups=groups, gain=gain, bias=bias, eps=eps,
-            name=name,
-        )
-
-    @classmethod
-    def nonlinearity(cls, name: str = "") -> "LayerDef":
-        return cls(kind=KIND_NONLINEARITY, name=name)
-
-    @classmethod
-    def upsample(cls, factors: tuple[int, int, int], name: str = "") -> "LayerDef":
-        ft, fh, fw = factors
-        if ft not in (1, 2) or fh < 1 or fw < 1:
-            raise ParameterError(f"unsupported upsample factors {factors}")
-        return cls(kind=KIND_RESAMPLE, factors=tuple(factors), name=name)
-
-    @property
-    def stream_safe(self) -> bool:
-        return self.kind in STREAM_SAFE_KINDS
-
-
-class _LayerStream:
-    """Streaming evaluator for one LayerDef; every execution path runs here."""
-
-    def __init__(self, layer: LayerDef):
-        self.layer = layer
-        self.conv_state = CacheState()
-        self.started = False
-
-    def feed(self, frames: np.ndarray, final: bool) -> np.ndarray:
-        layer = self.layer
-        if layer.kind == KIND_CONV:
-            out, self.conv_state = _stream_conv_core(
-                self.conv_state, frames, layer.spec, layer.weight, layer.bias, final
-            )
-            return out
-        if layer.kind == KIND_RESAMPLE:
-            out = _upsample_core(frames, layer.factors, first_chunk=not self.started)
-            self.started = self.started or frames.shape[1] > 0
-            return out
-        if layer.kind == KIND_LAYERNORM:
-            return _frame_layernorm_core(frames, layer.gain, layer.bias, layer.eps)
-        if layer.kind == KIND_GROUPNORM:
-            # The negative control: its statistics shrink to the chunk.
-            return _groupnorm_core(
-                frames, layer.groups, layer.gain, layer.bias, layer.eps
-            )
-        return silu(frames)
-
-
-def _feed_streams(streams, frames: np.ndarray, final: bool) -> np.ndarray:
-    """Feed one chunk through a chain of streams, in order."""
-    for stream in streams:
-        frames = stream.feed(frames, final)
-    return frames
-
-
-def _iter_chunks(frames: np.ndarray, plan: ChunkPlan):
-    """Yield (chunk, is_last) over the time axis of (c, t, h, w) frames."""
-    sizes = plan.split(frames.shape[1])
-    start = 0
-    for i, size in enumerate(sizes):
-        yield frames[:, start : start + size], i == len(sizes) - 1
-        start += size
 
 
 @dataclass(frozen=True)
@@ -625,20 +521,10 @@ class ChunkPlan:
         return "explicit:" + ",".join(str(s) for s in self.sizes)
 
 
-def run_layer_stack(
-    layers: list[LayerDef], x: VideoTensor, plan: ChunkPlan | None = None
-) -> VideoTensor:
-    """Execute a stack chunk by chunk per the plan (direct = one chunk).
-
-    For stacks containing only stream-safe kinds, every plan agrees exactly;
-    an empty stack is the identity.
-    """
-    streams = [_LayerStream(layer) for layer in layers]
-    pieces = []
-    for chunk, final in _iter_chunks(x.data, plan or ChunkPlan.direct()):
-        out = _feed_streams(streams, chunk, final)
-        if out.shape[1]:
-            pieces.append(out)
-    if not pieces:
-        raise ShapeError("streaming produced no output frames")
-    return VideoTensor(np.concatenate(pieces, axis=1))
+def _iter_chunks(frames: np.ndarray, plan: ChunkPlan):
+    """Yield (chunk, is_last) over the time axis of (c, t, h, w) frames."""
+    sizes = plan.split(frames.shape[1])
+    start = 0
+    for i, size in enumerate(sizes):
+        yield frames[:, start : start + size], i == len(sizes) - 1
+        start += size

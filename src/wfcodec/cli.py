@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import analyze_pyramid
+from .analysis import MAX_BINS, _check_bins, analyze_pyramid
 from .causal import ChunkPlan, _check_cache_args, cache_len, cache_len_by_simulation
 from .errors import FormatError, ParameterError, WfcodecError
 from .losses import LossComponents, LossWeights, kl_divergence, l1_recon, total_loss, wl_loss
@@ -91,9 +91,9 @@ def _config_from_args(args) -> ModelConfig:
         overrides["c_flow"] = args.c_flow
     if args.blocks is not None:
         overrides["blocks_per_stage"] = args.blocks
-    if getattr(args, "norm", None):
+    if getattr(args, "norm", None) is not None:
         overrides["norm"] = args.norm
-    if getattr(args, "groupnorm_groups", None):
+    if getattr(args, "groupnorm_groups", None) is not None:
         overrides["groupnorm_groups"] = args.groupnorm_groups
     if args.base_channels is not None:
         return ModelConfig(
@@ -173,6 +173,7 @@ def cmd_roundtrip(args) -> Report:
 
 
 def cmd_analyze(args) -> Report:
+    _check_bins(args.bins)
     video = load_tensor(args.input)
     records = analyze_pyramid(build_pyramid(video), bins=args.bins)
     degenerate = any(r["degenerate"] for r in records)
@@ -323,9 +324,17 @@ def cmd_decode(args) -> Report:
         if fields != sorted(_config_dict(ModelConfig())):
             raise FormatError(f"{manifest_path}: unexpected config fields {fields}")
         config = ModelConfig(**manifest["config"])
-        original_t = args.frames or int(manifest["original_shape"][1])
-    except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:
+        original_t = manifest["original_shape"][1]
+    except (
+        OSError, KeyError, IndexError, TypeError, ValueError, ParameterError
+    ) as exc:
         raise FormatError(f"{manifest_path}: bad latent manifest ({exc!r})") from exc
+    if type(original_t) is not int:
+        raise FormatError(
+            f"{manifest_path}: frame count {original_t!r} is not an integer"
+        )
+    if args.frames is not None:
+        original_t = args.frames
     mean = load_tensor(mean_path)
     weights, weight_info = _load_or_init_weights(args, config)
     if args.sample_seed is not None:
@@ -435,7 +444,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="per-subband energy/entropy report")
     p.add_argument("input")
-    p.add_argument("--bins", type=int, default=256, help="histogram bins (>= 2)")
+    p.add_argument(
+        "--bins",
+        type=int,
+        default=256,
+        help=f"histogram bins, from 2 to {MAX_BINS} (default: 256)",
+    )
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser(

@@ -30,18 +30,21 @@ import hashlib
 import math
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import ClassVar
 
 import numpy as np
 
 from .causal import (
+    CacheState,
     ChunkPlan,
     ConvSpec,
-    LayerDef,
-    _feed_streams,
+    _frame_layernorm_core,
+    _groupnorm_core,
     _iter_chunks,
-    _LayerStream,
+    _stream_conv_core,
+    _upsample_core,
+    silu,
 )
 from .errors import FormatError, ParameterError, ShapeError, WeightError
 from .tensor import Rng, VideoTensor
@@ -86,6 +89,10 @@ class ModelConfig:
     eps: ClassVar[float] = 1e-5
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and type(value) is not int:  # also rejects bool
+                raise ParameterError(f"{f.name} must be an integer, got {value!r}")
         if self.base_channels < 1 or self.c_flow < 1 or self.input_channels < 1:
             raise ParameterError("channel counts must be >= 1")
         if self.latent_channels not in LATENT_CHANNEL_CHOICES:
@@ -96,6 +103,8 @@ class ModelConfig:
             raise ParameterError("blocks_per_stage must be >= 1")
         if self.norm not in (NORM_FRAME_LAYERNORM, NORM_GROUPNORM):
             raise ParameterError(f"unknown norm kind {self.norm!r}")
+        if self.groupnorm_groups < 1:
+            raise ParameterError("groupnorm_groups must be >= 1")
         if self.c_flow > 2 * self.base_channels:
             raise ParameterError(
                 "c_flow cannot exceed twice base_channels (decoder tap width)"
@@ -126,6 +135,10 @@ def preset_config(name: str, latent_channels: int = 4, **overrides) -> ModelConf
     if name not in PRESET_BASE_CHANNELS:
         raise ParameterError(
             f"unknown preset {name!r}; choose from {sorted(PRESET_BASE_CHANNELS)}"
+        )
+    if "base_channels" in overrides:
+        raise ParameterError(
+            "a preset sets base_channels; build a ModelConfig to choose it"
         )
     return ModelConfig(
         base_channels=PRESET_BASE_CHANNELS[name],
@@ -443,50 +456,93 @@ class ForwardResult:
 
 # ---------------------------------------------------------------------------
 # Execution: one chunk executor for every plan; direct mode is the plan with
-# a single chunk. The encoder and the decoder are each one ordered node list
-# of causal._LayerStream layers, residual blocks and energy-flow taps, fed by
-# causal._feed_streams. Keeping the whole backbone in one list means only the
+# a single chunk. The encoder and the decoder are each one ordered list of
+# executor nodes, built straight from the graph's _Nodes: every node is an
+# object with feed(frames, final), and _feed_streams runs a chunk through a
+# list of them. Keeping the whole backbone in one list means only the
 # executor holds an activation, so each is freed as soon as the next node has
 # consumed it; that keeps peak memory at that of a hand-written whole-clip pass.
 # ---------------------------------------------------------------------------
 
 
+def _feed_streams(streams, frames: np.ndarray, final: bool) -> np.ndarray:
+    """Feed one chunk through a chain of executor nodes, in order."""
+    for stream in streams:
+        frames = stream.feed(frames, final)
+    return frames
+
+
+class _ConvStream:
+    """A causal conv and its tail-frame cache."""
+
+    def __init__(self, spec: ConvSpec, weight: np.ndarray, bias: np.ndarray):
+        self.spec = spec
+        self.weight = weight
+        self.bias = bias
+        self.state = CacheState()
+
+    def feed(self, frames: np.ndarray, final: bool) -> np.ndarray:
+        out, self.state = _stream_conv_core(
+            self.state, frames, self.spec, self.weight, self.bias, final
+        )
+        return out
+
+
+class _UpsampleStream:
+    """Nearest upsampling; only the stream's first frames drop the time pad."""
+
+    def __init__(self, factors: tuple[int, int, int]):
+        self.factors = factors
+        self.started = False
+
+    def feed(self, frames: np.ndarray, final: bool) -> np.ndarray:
+        out = _upsample_core(frames, self.factors, first_chunk=not self.started)
+        self.started = self.started or frames.shape[1] > 0
+        return out
+
+
+class _FrameStream:
+    """A stateless layer that maps each chunk on its own: a norm or SiLU."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def feed(self, frames: np.ndarray, final: bool) -> np.ndarray:
+        return self.fn(frames)
+
+
 def _stream(node: _Node, config: ModelConfig, weights: WeightStore):
-    """The executor form of one node: an object with feed(frames, final)."""
+    """The executor node of one graph node."""
     def param(suffix: str) -> np.ndarray:
         return weights.get(f"{node.name}.{suffix}")
 
-    if node.kind == "conv":
-        layer = LayerDef.conv(node.spec, param("weight"), param("bias"), node.name)
-        return _LayerStream(layer)
     if node.kind == "norm":
         gain, bias = param("gain"), param("bias")
         if config.norm == NORM_FRAME_LAYERNORM:
-            layer = LayerDef.layernorm(gain, bias, name=node.name)
-        else:
-            layer = LayerDef.groupnorm(
-                config.groupnorm_groups, gain, bias, name=node.name
-            )
-        return _LayerStream(layer)
+            return _FrameStream(lambda x: _frame_layernorm_core(x, gain, bias))
+        # The negative control: its statistics shrink to the chunk.
+        groups = config.groupnorm_groups
+        return _FrameStream(lambda x: _groupnorm_core(x, groups, gain, bias))
     if node.kind == "act":
-        return _LayerStream(LayerDef.nonlinearity())
+        return _FrameStream(silu)
     if node.kind == "upsample":
-        return _LayerStream(LayerDef.upsample(node.factors))
+        return _UpsampleStream(node.factors)
     if node.kind == "block":
         body = [_stream(child, config, weights) for child in node.body]
         skip = _stream(node.skip, config, weights) if node.skip else None
         return _Block(body, skip)
-    conv = _stream(replace(node, kind="conv"), config, weights)
-    act = _stream(_ACT, config, weights)
+    conv = _ConvStream(node.spec, param("weight"), param("bias"))
     if node.kind == "inflow":
-        return _Inflow(node, [conv, act])
-    return _Outflow(node, [act, conv])
+        return _Inflow(node, conv)
+    if node.kind == "outflow":
+        return _Outflow(node, conv)
+    return conv
 
 
 class _Block:
     """Residual block: skip(x) + body(x), skip being the identity or a conv."""
 
-    def __init__(self, body: list[_LayerStream], skip: _LayerStream | None):
+    def __init__(self, body: list, skip: _ConvStream | None):
         self.body = body
         self.skip = skip
 
@@ -505,9 +561,9 @@ class _Branch:
     """Energy-flow branch: a 1x1x1 conv between the backbone and the subband
     stack ``node.keys``; ``bands`` holds the current chunk's subbands."""
 
-    def __init__(self, node: _Node, streams: list[_LayerStream]):
+    def __init__(self, node: _Node, conv: _ConvStream):
         self.node = node
-        self.streams = streams
+        self.conv = conv
         self.bands: dict[str, np.ndarray] = {}
 
 
@@ -516,7 +572,7 @@ class _Inflow(_Branch):
 
     def feed(self, x: np.ndarray, final: bool) -> np.ndarray:
         stack = np.concatenate([self.bands[k] for k in self.node.keys], axis=0)
-        flow = _feed_streams(self.streams, stack, final)
+        flow = silu(self.conv.feed(stack, final))
         if x.shape[1] != flow.shape[1]:
             raise ShapeError(
                 f"backbone/wavelet rate mismatch at {self.node.name}: "
@@ -529,7 +585,7 @@ class _Outflow(_Branch):
     """Passes x through; predicts ``bands`` as conv(act(x[:c_flow]))."""
 
     def feed(self, x: np.ndarray, final: bool) -> np.ndarray:
-        out = _feed_streams(self.streams, x[: self.node.spec.in_channels], final)
+        out = self.conv.feed(silu(x[: self.node.spec.in_channels]), final)
         self.bands = _split_bands(out, self.node.keys)
         return x
 

@@ -81,10 +81,6 @@ class VideoTensor:
     def width(self) -> int:
         return self._data.shape[3]
 
-    def at(self, c: int, t: int, h: int, w: int) -> float:
-        """Element accessor; flat offset is ((c*T + t)*H + h)*W + w."""
-        return float(self._data[c, t, h, w])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, VideoTensor):
             return NotImplemented

@@ -61,33 +61,6 @@ def _butterfly(x, y, low, high) -> None:
         high *= INV_SQRT2
 
 
-def haar_1d_analysis(signal) -> tuple[np.ndarray, np.ndarray]:
-    """One analysis step on an even-length 1D signal.
-
-    approx[i] = (x[2i] + x[2i+1]) / sqrt(2); detail[i] = (x[2i] - x[2i+1]) / sqrt(2).
-    """
-    x = np.asarray(signal, dtype=np.float32)
-    if x.ndim != 1:
-        raise ShapeError(f"expected a 1D signal, got {x.ndim} dims")
-    if x.size < 2 or x.size % 2:
-        raise ShapeError(f"signal length must be even and >= 2, got {x.size}")
-    approx = np.empty(x.size // 2, dtype=np.float32)
-    detail = np.empty_like(approx)
-    _butterfly(x[0::2], x[1::2], approx, detail)
-    return approx, detail
-
-
-def haar_1d_synthesis(approx, detail) -> np.ndarray:
-    """Exact inverse of :func:`haar_1d_analysis`."""
-    a = np.asarray(approx, dtype=np.float32)
-    d = np.asarray(detail, dtype=np.float32)
-    if a.shape != d.shape or a.ndim != 1:
-        raise ShapeError(f"approx/detail shapes differ: {a.shape} vs {d.shape}")
-    out = np.empty(2 * a.size, dtype=np.float32)
-    _butterfly(a, d, out[0::2], out[1::2])
-    return out
-
-
 def _analyze_2d_into(frames, bands, prefix: str, where: slice, rows) -> None:
     """Spatial analysis of (c, t, h, w) frames into bands[prefix+hh..gg][:, where].
 

@@ -1,4 +1,5 @@
-"""Shared test utilities: seeded tensors, deviation measures, brute-force oracles.
+"""Shared test utilities: seeded tensors, synthetic videos, deviation measures,
+brute-force oracles.
 
 The oracles here deliberately use plain Python loops or independent numpy
 formulations so they cannot share a code path with the implementations they
@@ -22,6 +23,7 @@ from wfcodec import (
     idwt2d,
     idwt3d,
     nearest_upsample,
+    random_normal,
     silu,
 )
 from wfcodec.wavelet import KEYS_3D
@@ -29,6 +31,55 @@ from wfcodec.wavelet import KEYS_3D
 
 def make_random(seed: int, shape) -> VideoTensor:
     return VideoTensor(Rng(seed).normal(shape))
+
+
+def smooth_video(
+    channels: int = 3, time: int = 33, height: int = 64, width: int = 64
+) -> VideoTensor:
+    """Separable low-frequency sinusoid product with a DC offset.
+
+    One cycle per axis, phase-shifted per channel. Almost all of its energy
+    lands in the all-low-pass subband of a single-level 3D transform.
+    """
+    c = np.arange(channels, dtype=np.float64)
+    t = np.arange(time, dtype=np.float64)
+    y = np.arange(height, dtype=np.float64)
+    x = np.arange(width, dtype=np.float64)
+    temporal = 1.0 + 0.5 * np.sin(
+        2.0 * np.pi * (t[None, :] / max(time, 2) + c[:, None] / max(channels, 1))
+    )
+    vertical = 1.0 + 0.5 * np.sin(2.0 * np.pi * y / height)
+    horizontal = 1.0 + 0.5 * np.cos(2.0 * np.pi * x / width)
+    grid = (
+        temporal[:, :, None, None]
+        * vertical[None, None, :, None]
+        * horizontal[None, None, None, :]
+    )
+    return VideoTensor(grid.astype(np.float32))
+
+
+def noise_video(
+    seed: int, channels: int = 3, time: int = 33, height: int = 64, width: int = 64
+) -> VideoTensor:
+    """Seeded white noise; spreads energy evenly across all subbands."""
+    return random_normal(Rng(seed), (channels, time, height, width))
+
+
+def ramp_video(
+    channels: int = 3, time: int = 8, height: int = 16, width: int = 16
+) -> VideoTensor:
+    """Smooth linear ramp along every axis; useful for low-pass-only checks."""
+    c = np.arange(channels, dtype=np.float64) + 1.0
+    t = np.linspace(0.0, 1.0, time)
+    y = np.linspace(0.0, 1.0, height)
+    x = np.linspace(0.0, 1.0, width)
+    grid = (
+        c[:, None, None, None]
+        + t[None, :, None, None]
+        + y[None, None, :, None]
+        + x[None, None, None, :]
+    )
+    return VideoTensor(grid.astype(np.float32))
 
 
 def max_abs_diff(a, b) -> float:

@@ -34,21 +34,27 @@ from wfcodec import (
     dwt3d,
     encode,
     forward,
+    frame_layernorm,
     init_weights,
     kl_divergence,
     l1_recon,
     preset_config,
     reconstruct_pyramid,
-    run_layer_stack,
+    silu,
     subband_energy,
     total_loss,
     wl_loss,
 )
-from wfcodec.causal import LayerDef
-from wfcodec.synthetic import noise_video, smooth_video
 from wfcodec.wavelet import KEYS_2D, KEYS_3D
 
-from helpers import conv3d_loop_oracle, make_random, max_abs_diff, squared_l2
+from helpers import (
+    conv3d_loop_oracle,
+    make_random,
+    max_abs_diff,
+    noise_video,
+    smooth_video,
+    squared_l2,
+)
 from test_losses import kl_loop, mean_abs_loop
 
 
@@ -223,14 +229,15 @@ def test_criterion_7_causality():
         rng = Rng(72)
         spec1 = ConvSpec(3, 4, (3, 3, 3), (1, 1, 1), (1, 1))
         spec2 = ConvSpec(4, 4, (3, 3, 3), (2, 2, 2), (1, 1))
-        stack = [
-            LayerDef.conv(spec1, rng.normal(spec1.weight_shape(), std=0.3)),
-            LayerDef.nonlinearity(),
-            LayerDef.layernorm(np.ones(4, np.float32), np.zeros(4, np.float32)),
-            LayerDef.conv(spec2, rng.normal(spec2.weight_shape(), std=0.3)),
-        ]
-        s0 = run_layer_stack(stack, base)
-        s1 = run_layer_stack(stack, perturbed)
+        w1 = rng.normal(spec1.weight_shape(), std=0.3)
+        w2 = rng.normal(spec2.weight_shape(), std=0.3)
+        ones, zeros = np.ones(4, np.float32), np.zeros(4, np.float32)
+
+        def stack(x):
+            h = VideoTensor(silu(causal_conv3d(x, spec1, w1).data))
+            return causal_conv3d(frame_layernorm(h, ones, zeros), spec2, w2)
+
+        s0, s1 = stack(base), stack(perturbed)
         assert np.array_equal(s0.data[:, 0], s1.data[:, 0])
 
         config = ModelConfig(

@@ -18,10 +18,9 @@ from wfcodec import (
     subband_entropy,
 )
 from wfcodec.analysis import analyze_pyramid
-from wfcodec.synthetic import noise_video, smooth_video
 from wfcodec.wavelet import KEYS_3D, SubbandSet2D
 
-from helpers import make_random, squared_l2
+from helpers import make_random, noise_video, smooth_video, squared_l2
 
 
 def entropy_loop_oracle(values, bins):

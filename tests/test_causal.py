@@ -1,4 +1,4 @@
-"""Causal convolution, cache bookkeeping, normalization, and layer stacks.
+"""Causal convolution, cache bookkeeping, normalization, upsampling, chunk plans.
 
 The two independent routes are kept strictly apart: the closed-form
 cache_len is checked against the sliding-window simulation, and the
@@ -14,7 +14,6 @@ from wfcodec import (
     CacheState,
     ChunkPlan,
     ConvSpec,
-    LayerDef,
     ParameterError,
     Rng,
     ShapeError,
@@ -27,7 +26,6 @@ from wfcodec import (
     groupnorm_whole_clip,
     nearest_upsample,
     new_tensor,
-    run_layer_stack,
     silu,
     stream_conv3d,
 )
@@ -518,103 +516,6 @@ class TestStreamProperties:
             chunk = new_tensor(1, 1 if m == 0 else t_chunk, 1, 1, float(m))
             _, state = stream_conv3d(state, chunk, spec, weight)
             assert state.occupancy == max(cache_len(kernel_t, stride_t, t_chunk, m), 0)
-
-
-def _random_stack(seed: int, use_groupnorm: bool = False):
-    """conv(k3,s1) -> nonlinearity -> [norm] -> conv(k3,s2) on 4 channels."""
-    rng = Rng(seed)
-    spec1 = ConvSpec(4, 4, (3, 3, 3), (1, 1, 1), (1, 1))
-    spec2 = ConvSpec(4, 4, (3, 3, 3), (2, 2, 2), (1, 1))
-    layers = [
-        LayerDef.conv(spec1, rng.normal(spec1.weight_shape(), std=0.3)),
-        LayerDef.nonlinearity(),
-    ]
-    if use_groupnorm:
-        layers.append(
-            LayerDef.groupnorm(2, np.ones(4, np.float32), np.zeros(4, np.float32))
-        )
-    layers.append(
-        LayerDef.conv(spec2, rng.normal(spec2.weight_shape(), std=0.3))
-    )
-    return layers
-
-
-class TestRunLayerStack:
-    def test_empty_stack_is_identity(self):
-        x = make_random(71, (2, 5, 4, 4))
-        assert run_layer_stack([], x) == x
-        streamed = run_layer_stack([], x, ChunkPlan.canonical(2))
-        assert np.array_equal(streamed.data, x.data)
-
-    def test_stream_safe_stack_matches_direct(self):
-        x = make_random(72, (4, 17, 8, 8))
-        layers = _random_stack(73)
-        direct = run_layer_stack(layers, x)
-        for plan in (
-            ChunkPlan.canonical(4),
-            ChunkPlan.canonical(8),
-            ChunkPlan.explicit([1, 3, 5, 7, 1]),
-            ChunkPlan.explicit([1] * 17),
-        ):
-            streamed = run_layer_stack(layers, x, plan)
-            assert streamed.shape == direct.shape
-            assert np.array_equal(streamed.data, direct.data)
-
-    def test_random_mixed_plans_property(self):
-        """Any chunking with sizes 1..8 reproduces the direct result."""
-        x = make_random(74, (4, 21, 8, 8))
-        layers = _random_stack(75)
-        direct = run_layer_stack(layers, x)
-        rng = Rng(76)
-        for _ in range(6):
-            sizes = []
-            remaining = 21
-            while remaining:
-                step = min(int(rng.integers(1, 9)), remaining)
-                sizes.append(step)
-                remaining -= step
-            streamed = run_layer_stack(layers, x, ChunkPlan.explicit(sizes))
-            assert np.array_equal(streamed.data, direct.data)
-
-    def test_groupnorm_stack_diverges(self):
-        x = make_random(77, (4, 16, 8, 8))
-        layers = _random_stack(78, use_groupnorm=True)
-        direct = run_layer_stack(layers, x)
-        streamed = run_layer_stack(layers, x, ChunkPlan.explicit([8, 8]))
-        assert max_abs_diff(streamed.data, direct.data) > 1e-3
-
-    def test_stack_causality(self):
-        layers = _random_stack(79)
-        base = make_random(80, (4, 9, 8, 8))
-        perturbed = base.data.copy()
-        perturbed[:, 1:] += 5.0
-        out0 = run_layer_stack(layers, base)
-        out1 = run_layer_stack(layers, VideoTensor(perturbed))
-        assert np.array_equal(out0.data[:, 0], out1.data[:, 0])
-
-    def test_layernorm_and_upsample_stack(self):
-        x = make_random(81, (3, 9, 4, 4))
-        layers = [
-            LayerDef.layernorm(np.ones(3, np.float32), np.zeros(3, np.float32)),
-            LayerDef.upsample((2, 2, 2)),
-            LayerDef.nonlinearity(),
-        ]
-        direct = run_layer_stack(layers, x)
-        assert direct.shape == (3, 17, 8, 8)
-        streamed = run_layer_stack(layers, x, ChunkPlan.explicit([1, 4, 4]))
-        assert max_abs_diff(streamed.data, direct.data) <= 1e-6
-
-
-class TestLayerKinds:
-    def test_stream_safety_classification(self):
-        spec = ConvSpec(2, 2, (3, 3, 3), (1, 1, 1), (1, 1))
-        weight = Rng(90).normal(spec.weight_shape(), std=0.2)
-        ones, zeros = np.ones(2, np.float32), np.zeros(2, np.float32)
-        assert LayerDef.conv(spec, weight).stream_safe
-        assert LayerDef.layernorm(ones, zeros).stream_safe
-        assert LayerDef.nonlinearity().stream_safe
-        assert LayerDef.upsample((2, 2, 2)).stream_safe
-        assert not LayerDef.groupnorm(2, ones, zeros).stream_safe
 
 
 class TestChunkPlan:

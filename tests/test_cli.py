@@ -2,19 +2,26 @@
 errors surfaced with exit code 2."""
 
 import importlib.util
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wfcodec
 from wfcodec import Rng, new_tensor, random_normal, save_tensor, load_tensor
+from wfcodec.analysis import MAX_BINS
 from wfcodec.cli import main
-from wfcodec.synthetic import smooth_video
 
-from helpers import make_random
+from helpers import make_random, smooth_video
 
 TINY_FLAGS = ["--base-channels", "8", "--c-flow", "8", "--blocks", "1"]
 
@@ -313,7 +320,7 @@ class TestInputErrors:
         assert_input_error(code, report, err, "ParameterError")
 
     @staticmethod
-    def _decode_edited_manifest(capsys, tmp_path, video_file, write):
+    def _decode_edited_manifest(capsys, tmp_path, video_file, write, flags=()):
         prefix = str(tmp_path / "latent")
         code, _, _ = run_cli(
             capsys,
@@ -325,7 +332,7 @@ class TestInputErrors:
         return run_cli(
             capsys,
             ["decode", "--latent", prefix, "--init-seed", "3",
-             "--output", str(tmp_path / "out.wfvt")],
+             "--output", str(tmp_path / "out.wfvt"), *flags],
         )
 
     @pytest.mark.parametrize(
@@ -335,8 +342,14 @@ class TestInputErrors:
             lambda m: m["config"].pop("base_channels"),
             lambda m: m.pop("config"),
             lambda m: m.pop("original_shape"),
+            lambda m: m["config"].update(norm="groupnorm", groupnorm_groups=0),
+            lambda m: m["config"].update(blocks_per_stage=1.5),
+            lambda m: m["config"].update(latent_channels=4.0),
+            lambda m: m["original_shape"].__setitem__(1, float("inf")),
         ],
-        ids=["unknown-key", "missing-config-key", "no-config", "no-shape"],
+        ids=["unknown-key", "missing-config-key", "no-config", "no-shape",
+             "zero-groups", "fractional-blocks", "float-latent-channels",
+             "infinite-frames"],
     )
     def test_bad_latent_manifest_exits_2(self, capsys, tmp_path, video_file, edit):
         def write(path):
@@ -384,6 +397,26 @@ class TestInputErrors:
             ["cache-table", "--kernel-t", kernel_t, "--stride-t", "1",
              "--chunk-size", "4", "--m-max", "-1"],
         )
+        assert_input_error(code, report, err, "ParameterError")
+
+    def test_zero_frames_override_exits_2(self, capsys, tmp_path, video_file):
+        result = self._decode_edited_manifest(
+            capsys, tmp_path, video_file, lambda path: None, ["--frames", "0"]
+        )
+        assert_input_error(*result, "ShapeError")
+
+    @pytest.mark.parametrize("groups", ["-8", "0"])
+    def test_bad_groupnorm_groups_exits_2(self, capsys, video_file, groups):
+        code, report, err = run_cli(
+            capsys,
+            ["verify-stream", "--input", video_file, "--norm", "groupnorm",
+             "--groupnorm-groups", groups, *TINY_FLAGS],
+        )
+        assert_input_error(code, report, err, "ParameterError")
+
+    def test_bins_above_cap_exits_2(self, capsys, video_file):
+        bins = str(MAX_BINS + 1)
+        code, report, err = run_cli(capsys, ["analyze", video_file, "--bins", bins])
         assert_input_error(code, report, err, "ParameterError")
 
     def test_unbounded_cache_table_exits_2(self, capsys):
@@ -535,3 +568,174 @@ class TestThreadCapWarning:
         lines = err.splitlines()
         assert json.loads(lines[0])["reason"] == "threadpoolctl is not installed"
         assert lines[1:] == ["wfcodec cache-table: pass"]
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract under fuzzed argv and corrupted input files.
+# ---------------------------------------------------------------------------
+
+# Flags whose value sets a layer width or count: drawn small, so no drawn
+# case allocates more than a few MiB of weights or activations.
+_WIDTH_FLAGS = {
+    "--base-channels", "--c-flow", "--blocks", "--latent-channels",
+    "--groupnorm-groups",
+}
+_NUMBERS = [str(n) for n in range(-8, 65)] + ["nan", "inf", "-inf", "1.5", "x"]
+_WIDTHS = ["-8", "-2", "-1", "0", "1", "2", "3", "4", "8", "16", "nan", "1.5", "x"]
+_FIELD_VALUES = [0, -8, 1.5, 4.0, "x", True, None]
+
+
+def _argv_and_inputs(d):
+    """Each subcommand's valid argv in directory ``d`` and the files it reads."""
+    video, recon, weights = f"{d}/video.wfvt", f"{d}/recon.wfvt", f"{d}/w.wfwt"
+    latent = f"{d}/latent"
+    mean, logvar = f"{latent}.mean.wfvt", f"{latent}.logvar.wfvt"
+    manifest = f"{latent}.json"
+    return {
+        "roundtrip": (["roundtrip", video, "--levels", "3", "--tolerance", "1e-5"],
+                      [video]),
+        "analyze": (["analyze", video, "--bins", "16"], [video]),
+        "verify-stream": (
+            ["verify-stream", "--input", video, "--weights", weights,
+             "--plan", "canonical:2", "--tolerance", "1e-6", "--norm", "groupnorm",
+             "--groupnorm-groups", "2", *TINY_FLAGS],
+            [video, weights],
+        ),
+        "cache-table": (
+            ["cache-table", "--kernel-t", "3", "--stride-t", "2",
+             "--chunk-size", "4", "--m-max", "4"],
+            [],
+        ),
+        "encode": (
+            ["encode", "--input", video, "--weights", weights, "--plan", "canonical:2",
+             "--output", f"{d}/out", *TINY_FLAGS],
+            [video, weights],
+        ),
+        "decode": (
+            ["decode", "--latent", latent, "--weights", weights, "--plan", "direct",
+             "--frames", "5", "--sample-seed", "1", "--output", f"{d}/out.wfvt"],
+            [manifest, mean, logvar, weights],
+        ),
+        "init-weights": (
+            ["init-weights", "--seed", "1", "--output", f"{d}/new.wfwt", *TINY_FLAGS],
+            [],
+        ),
+        "loss-report": (
+            ["loss-report", "--input", video, "--recon", recon, "--latent-mean", mean,
+             "--latent-logvar", logvar, "--adv", "0.5", "--lambda-kl", "1"],
+            [video, recon, mean, logvar],
+        ),
+    }
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    """A 5-frame 16x16 clip, a width-8 model's weights and its latent files.
+
+    The latent manifest names a groupnorm config, which loads the same
+    weights, so that its ``groupnorm_groups`` field is live.
+    """
+    d = tmp_path_factory.mktemp("contract")
+    save_tensor(make_random(5, (3, 5, 16, 16)), d / "video.wfvt")
+    save_tensor(make_random(6, (3, 5, 16, 16)), d / "recon.wfvt")
+    assert main(["init-weights", "--seed", "3", "--output", str(d / "w.wfwt"),
+                 *TINY_FLAGS]) == 0
+    assert main(["encode", "--input", str(d / "video.wfvt"), "--weights",
+                 str(d / "w.wfwt"), "--output", str(d / "latent"), *TINY_FLAGS]) == 0
+    manifest = json.loads((d / "latent.json").read_text())
+    manifest["config"].update(norm="groupnorm", groupnorm_groups=2)
+    (d / "latent.json").write_text(json.dumps(manifest))
+    return d
+
+
+def _drop_flag(data, argv):
+    """Drop one flag and its value; never --base-channels, whose absence
+    builds the preset's full-width model."""
+    flags = [
+        i for i, tok in enumerate(argv)
+        if tok.startswith("--") and tok != "--base-channels"
+    ]
+    if not flags:
+        return argv
+    i = data.draw(st.sampled_from(flags))
+    has_value = i + 1 < len(argv) and not argv[i + 1].startswith("--")
+    return argv[:i] + argv[i + 1 + has_value:]
+
+
+def _replace_number(data, argv):
+    """Replace one numeric flag value from a bounded set."""
+    numeric = [i for i, tok in enumerate(argv) if i and _is_number(tok)]
+    if not numeric:
+        return argv
+    i = data.draw(st.sampled_from(numeric))
+    pool = _WIDTHS if argv[i - 1] in _WIDTH_FLAGS else _NUMBERS
+    return argv[:i] + [data.draw(st.sampled_from(pool))] + argv[i + 1:]
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _corrupt(data, path):
+    """Truncate the file or flip one of its bytes."""
+    raw = path.read_bytes()
+    if not raw:
+        return
+    i = data.draw(st.integers(0, len(raw) - 1))
+    if data.draw(st.booleans()):
+        path.write_bytes(raw[:i])
+    else:
+        flipped = raw[i] ^ data.draw(st.integers(1, 255))
+        path.write_bytes(raw[:i] + bytes([flipped]) + raw[i + 1:])
+
+
+def _replace_config_field(data, path):
+    """Give one config field of a latent manifest a wrong value."""
+    manifest = json.loads(path.read_bytes())
+    key = data.draw(st.sampled_from(sorted(manifest["config"])))
+    manifest["config"][key] = data.draw(st.sampled_from(_FIELD_VALUES))
+    path.write_text(json.dumps(manifest))
+
+
+class TestExitCodeContract:
+    """Every subcommand, fed dropped flags, out-of-range numbers and corrupt
+    input files, exits 0, 1 or 2 without a traceback: stdout holds one JSON
+    report or nothing, and exit 2 leaves a JSON error line on stderr."""
+
+    @pytest.mark.parametrize("command", sorted(_argv_and_inputs(".")))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_exit_codes(self, contract_inputs, command, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            shutil.copytree(contract_inputs, tmp, dirs_exist_ok=True)
+            argv, inputs = _argv_and_inputs(tmp)[command]
+            menu = ["drop", "number"] + ["corrupt"] * bool(inputs)
+            menu += ["field"] * (command == "decode")
+            changes = data.draw(st.lists(st.sampled_from(menu), min_size=1, max_size=2))
+            if "field" in changes:  # before any corruption of the manifest
+                _replace_config_field(data, Path(inputs[0]))
+            for change in changes:
+                if change == "drop":
+                    argv = _drop_flag(data, argv)
+                elif change == "number":
+                    argv = _replace_number(data, argv)
+                elif change == "corrupt":
+                    _corrupt(data, Path(data.draw(st.sampled_from(inputs))))
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejected the argv
+                    assert exc.code == 2
+                    return
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert "error" in json.loads(err.getvalue().splitlines()[-1])
+        else:
+            report = json.loads(out.getvalue())
+            assert report["verdict"] == ("pass" if code == 0 else "fail")

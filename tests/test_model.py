@@ -109,6 +109,27 @@ class TestModelConfig:
                 base_channels=8, c_flow=8, norm="groupnorm", groupnorm_groups=5
             )
 
+    @pytest.mark.parametrize("groups", [0, -8])
+    def test_groupnorm_groups_must_be_positive(self, groups):
+        for norm in ("groupnorm", "frame_layernorm"):
+            with pytest.raises(ParameterError):
+                ModelConfig(
+                    base_channels=8, c_flow=8, norm=norm, groupnorm_groups=groups
+                )
+
+    @pytest.mark.parametrize(
+        "field", ["base_channels", "c_flow", "latent_channels", "input_channels",
+                  "blocks_per_stage", "groupnorm_groups"]
+    )
+    @pytest.mark.parametrize("value", ["x", 4.0, 1.5, True, None])
+    def test_integer_fields_reject_other_types(self, field, value):
+        with pytest.raises(ParameterError):
+            ModelConfig(**{"base_channels": 8, "c_flow": 8, field: value})
+
+    def test_preset_rejects_base_channels_override(self):
+        with pytest.raises(ParameterError):
+            preset_config("wfvae-s", base_channels=8)
+
 
 class TestInitWeights:
     def test_same_seed_identical(self):

@@ -34,7 +34,7 @@ class TestNewTensor:
 
     def test_unit_shape(self):
         t = new_tensor(1, 1, 1, 1, -2.0)
-        assert t.at(0, 0, 0, 0) == -2.0
+        assert t.data[0, 0, 0, 0] == -2.0
 
     @pytest.mark.parametrize("shape", [(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)])
     def test_zero_dimension_rejected(self, shape):
@@ -71,7 +71,7 @@ class TestVideoTensor:
             t.data[0, 0, 0, 0] = 5.0
 
     def test_accessor_matches_flat_offset(self):
-        """at(c,t,h,w) must address offset ((c*T + t)*H + h)*W + w.
+        """data[c,t,h,w] must address offset ((c*T + t)*H + h)*W + w.
 
         Checked against an explicit nested-loop walk of the flat buffer.
         """
@@ -83,7 +83,7 @@ class TestVideoTensor:
                 for h in range(h_n):
                     for w in range(w_n):
                         offset = ((c * t_n + t) * h_n + h) * w_n + w
-                        assert tensor.at(c, t, h, w) == flat[offset]
+                        assert tensor.data[c, t, h, w] == flat[offset]
 
     def test_equality_by_content(self):
         a = new_tensor(1, 2, 2, 2, 3.0)
