@@ -105,45 +105,61 @@ _COL_TILE_BYTES = 8 << 20
 
 
 def _conv3d_core(
-    xp: np.ndarray, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec
+    fill, length: int, shape, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec
 ) -> np.ndarray:
     """Window engine for every convolution path: one im2col GEMM per tile.
 
-    ``xp`` is already padded in time (causal lead or cached frames) and in
-    space; no padding happens here. Emits every window that fits, i.e.
-    (Tp - k_t) // s_t + 1 output frames, or none when Tp < k_t.
+    The conv input is a virtual sequence of ``length`` frames of ``shape``
+    (c, h, w), already padded in time (causal lead or cached frames);
+    ``fill(dst, p)`` writes its frame ``p`` into ``dst``. One zero-bordered
+    window of k_t padded frames slides over it: each output frame shifts the
+    window down by s_t and fills the s_t newest frames, so no buffer grows
+    with the chunk. Emits every window that fits, i.e.
+    (length - k_t) // s_t + 1 output frames, or none when length < k_t.
 
     A tile is a band of output rows of one output frame. Its column rows are
     ordered (c, dt, dy, dx), the order of the stored weight, so the GEMM
     takes ``weight.reshape(cout, -1)`` without a copy and writes straight
     into the output.
     """
-    cin, tp, hp, wp = xp.shape
+    cin, h, w = shape
     cout = spec.out_channels
     kt, kh, kw = spec.kernel
     st, sh, sw = spec.stride
+    ph, pw = spec.spatial_pad
+    hp, wp = h + 2 * ph, w + 2 * pw
     if hp < kh or wp < kw:
         raise ShapeError(
             f"spatial extent ({hp}, {wp}) smaller than kernel ({kh}, {kw})"
         )
     ho = (hp - kh) // sh + 1
     wo = (wp - kw) // sw + 1
-    to = max(0, (tp - kt) // st + 1)
+    to = max(0, (length - kt) // st + 1)
     out = np.empty((cout, to, ho, wo), dtype=np.float32)
+    if to == 0:
+        return out
     k = cin * kt * kh * kw
     rows = max(1, min(ho, _COL_TILE_BYTES // (4 * k * wo)))
     rows = -(-ho // -(-ho // rows))  # balance the bands of one frame
     wmat = weight.reshape(cout, k)
     col_buf = np.empty(k * rows * wo, dtype=np.float32)
     out_rows = out.reshape(cout, to, ho * wo)
+    window = np.zeros((cin, kt, hp, wp), dtype=np.float32)
+    inner = window[:, :, ph : ph + h, pw : pw + w]
+    kept = 0  # window frames carried over from the previous output frame
     for t in range(to):
-        frames = xp[:, t * st : t * st + kt]
+        for dt in range(kt):
+            if dt < kept:
+                inner[:, dt] = inner[:, dt + st]
+            else:
+                fill(inner[:, dt], t * st + dt)
+        kept = max(kt - st, 0)
         for y0 in range(0, ho, rows):
             r = min(rows, ho - y0)
             col = col_buf[: k * r * wo].reshape(cin, kt, kh, kw, r, wo)
             for dy in range(kh):
                 ys = y0 * sh + dy
-                band = frames[:, :, ys : ys + sh * (r - 1) + 1 : sh]
+                band = window[:, :, ys : ys + sh * (r - 1) + 1 : sh]
                 for dx in range(kw):
                     col[:, :, dy, dx] = band[..., dx : dx + sw * (wo - 1) + 1 : sw]
             np.matmul(
@@ -244,18 +260,26 @@ def _stream_conv_core(
     weight,
     bias,
     final: bool = False,
+    factors: tuple[int, int, int] = (1, 1, 1),
 ) -> tuple[np.ndarray, CacheState]:
     """Convolve one chunk against the cache; ``final`` ends the stream.
 
-    The conv input is assembled once, in a single zero-filled buffer that
-    already carries the spatial border: cached frames, then the causal lead
-    (first chunk only), then the chunk. The cache keeps unpadded frames; the
-    final chunk keeps none and returns a finalized state.
+    The conv input is a virtual sequence: cached frames, then the causal lead
+    (first chunk only), then the chunk. Its frames are written straight into
+    the conv window, so the padded input is never assembled. ``factors``
+    makes the conv read the chunk through a nearest upsample with the causal
+    time rule of :func:`nearest_upsample`; the upsampled chunk is never made
+    either. The cache keeps unpadded conv-input frames; the final chunk keeps
+    none and returns a finalized state.
     """
     if state.finalized:
         raise StateError("chunk fed after the stream was finalized")
+    ft, fh, fw = factors
     st = spec.stride[0]
-    n = frames.shape[1]
+    c, n, h, w = frames.shape
+    # Factor-2 time upsampling doubles every frame but the stream's first.
+    drop = int(ft == 2 and state.frames_seen == 0)
+    n = max(n * ft - drop, 0)
     lead = spec.temporal_pad if n and state.frames_seen == 0 else 0
     cached = state.occupancy
     head = cached + lead
@@ -266,29 +290,34 @@ def _stream_conv_core(
     offset = state.next_window_start - slab_start
     if offset < 0:
         raise StateError("cache lost frames still needed by the next window")
-    ph, pw = spec.spatial_pad
-    h, w = frames.shape[2:]
-    xp = np.zeros(
-        (frames.shape[0], max(head + n - offset, 0), h + 2 * ph, w + 2 * pw),
-        dtype=np.float32,
-    )
-    inner = xp[:, :, ph : ph + h, pw : pw + w]
-    if cached:
-        inner[:, :cached] = state.cache
-    if lead and spec.pad_mode == PAD_REPLICATE:
-        inner[:, cached:head] = frames[:, :1]
-    inner[:, head:] = frames[:, offset:]
-    out = _conv3d_core(xp, weight, bias, spec)
-    new_next = state.next_window_start + out.shape[1] * st
-    keep_from = new_next - slab_start - offset
-    if final or keep_from >= inner.shape[1]:
+    length = max(head + n - offset, 0)
+
+    def fill(dst: np.ndarray, p: int) -> None:
+        """Write conv-input frame ``p`` (unpadded) into ``dst``."""
+        if p < cached:
+            dst[...] = state.cache[:, p]
+        elif p < head and spec.pad_mode == PAD_ZEROS:
+            dst[...] = 0.0
+        else:
+            q = 0 if p < head else p - head + offset  # replicate: chunk frame 0
+            src = frames[:, (q + drop) // ft]
+            for i in range(fh):
+                for j in range(fw):
+                    dst[:, i::fh, j::fw] = src
+
+    shape = (c, h * fh, w * fw)
+    out = _conv3d_core(fill, length, shape, weight, bias, spec)
+    keep_from = out.shape[1] * st
+    if final or keep_from >= length:
         cache = _EMPTY
     else:
-        cache = np.ascontiguousarray(inner[:, keep_from:])
+        cache = np.empty((c, length - keep_from) + shape[1:], dtype=np.float32)
+        for p in range(keep_from, length):
+            fill(cache[:, p - keep_from], p)
     new_state = CacheState(
         chunk_index=state.chunk_index + 1,
         frames_seen=new_seen,
-        next_window_start=new_next,
+        next_window_start=state.next_window_start + keep_from,
         cache=cache,
         finalized=final,
     )
@@ -333,19 +362,36 @@ def silu(x: np.ndarray) -> np.ndarray:
         return x / (1.0 + np.exp(-x))
 
 
+def _normalize(x: np.ndarray, axes: tuple[int, ...], eps: float) -> np.ndarray:
+    """(x - mean) / sqrt(var + eps), statistics over ``axes``.
+
+    Float64 accumulators, float32 arithmetic. A slice whose float32 squares
+    overflow (|x| above about 1.8e19) is normalized in float64 instead; every
+    other slice keeps the float32 result, bit for bit.
+    """
+    mean = x.mean(axis=axes, keepdims=True, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        ex2 = np.mean(np.square(x), axis=axes, keepdims=True, dtype=np.float64)
+    wide = ~np.isfinite(ex2)
+    var = np.maximum(ex2 - np.square(mean), 0.0)
+    scale = (1.0 / np.sqrt(var + eps)).astype(np.float32)
+    if not wide.any():
+        return (x - mean.astype(np.float32)) * scale
+    # Scale is 0 on the wide slices; a zero shift there keeps x * 0 finite.
+    out = (x - np.where(wide, 0.0, mean).astype(np.float32)) * scale
+    centered = x.astype(np.float64) - mean
+    var = np.mean(np.square(centered), axis=axes, keepdims=True)
+    return np.where(wide, (centered / np.sqrt(var + eps)).astype(np.float32), out)
+
+
 def _frame_layernorm_core(
     frames: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5
 ) -> np.ndarray:
     if frames.shape[1] == 0:
         return frames
-    # Float64 accumulators, float32 arithmetic: per-frame statistics are
-    # independent of chunk boundaries, keeping this layer stream-safe.
-    mean = frames.mean(axis=(0, 2, 3), keepdims=True, dtype=np.float64)
-    ex2 = np.mean(np.square(frames), axis=(0, 2, 3), keepdims=True, dtype=np.float64)
-    var = np.maximum(ex2 - np.square(mean), 0.0)
-    scale = (1.0 / np.sqrt(var + eps)).astype(np.float32)
-    shift = mean.astype(np.float32)
-    out = (frames - shift) * scale
+    # Per-frame statistics are independent of chunk boundaries, keeping this
+    # layer stream-safe.
+    out = _normalize(frames, (0, 2, 3), eps)
     out *= gain[:, None, None, None]
     out += bias[:, None, None, None]
     return out
@@ -386,14 +432,7 @@ def _groupnorm_core(
     if frames.shape[1] == 0:
         return frames
     grouped = frames.reshape(groups, c // groups, t, h, w)
-    mean = grouped.mean(axis=(1, 2, 3, 4), keepdims=True, dtype=np.float64)
-    ex2 = np.mean(
-        np.square(grouped), axis=(1, 2, 3, 4), keepdims=True, dtype=np.float64
-    )
-    var = np.maximum(ex2 - np.square(mean), 0.0)
-    scale = (1.0 / np.sqrt(var + eps)).astype(np.float32)
-    shift = mean.astype(np.float32)
-    out = ((grouped - shift) * scale).reshape(c, t, h, w)
+    out = _normalize(grouped, (1, 2, 3, 4), eps).reshape(c, t, h, w)
     out *= gain[:, None, None, None]
     out += bias[:, None, None, None]
     return out
@@ -416,20 +455,6 @@ def groupnorm_whole_clip(
     return VideoTensor(_groupnorm_core(x.data, groups, gain, bias, eps))
 
 
-def _upsample_core(frames: np.ndarray, factors, first_chunk: bool) -> np.ndarray:
-    ft, fh, fw = factors
-    out = frames
-    if fh > 1:
-        out = np.repeat(out, fh, axis=2)
-    if fw > 1:
-        out = np.repeat(out, fw, axis=3)
-    if ft == 2 and out.shape[1]:
-        out = np.repeat(out, 2, axis=1)
-        if first_chunk:
-            out = out[:, 1:]
-    return out
-
-
 def nearest_upsample(x: VideoTensor, factors: tuple[int, int, int]) -> VideoTensor:
     """Nearest-neighbor upsampling with a causal time rule.
 
@@ -440,7 +465,10 @@ def nearest_upsample(x: VideoTensor, factors: tuple[int, int, int]) -> VideoTens
     ft, fh, fw = factors
     if ft not in (1, 2) or fh < 1 or fw < 1:
         raise ParameterError(f"unsupported upsample factors {factors}")
-    return VideoTensor(_upsample_core(x.data, factors, first_chunk=True))
+    out = np.repeat(np.repeat(x.data, fh, axis=2), fw, axis=3)
+    if ft == 2:
+        out = np.repeat(out, 2, axis=1)[:, 1:]
+    return VideoTensor(out)
 
 
 # ---------------------------------------------------------------------------

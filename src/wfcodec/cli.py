@@ -4,6 +4,9 @@ Machine-readable JSON reports go to stdout, a one-line human summary to
 stderr, and the exit code is 0 exactly when the report verdict is "pass"
 (1 for a failed verdict, 2 for usage/input errors). Every report embeds the
 tolerances it used, so verdicts can be recomputed from the metrics alone.
+The ``encode``, ``decode`` and ``verify-stream`` reports also carry the
+command's wall time (``elapsed_s``) and the process's peak resident memory
+(``peak_rss_mib``, from ``getrusage``).
 
 ``WFCODEC_THREADS`` caps BLAS worker parallelism for the duration of a
 command. The cap needs ``threadpoolctl`` and an integer value; when either is
@@ -17,7 +20,9 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
+import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -77,6 +82,12 @@ def _max_abs(a: np.ndarray, b: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
+
+
+def _run_stats(t0: float) -> dict:
+    """Wall time since ``t0`` and the process's peak resident set so far."""
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    return {"elapsed_s": time.perf_counter() - t0, "peak_rss_mib": peak_kib / 1024}
 
 
 def _tolerance(args) -> float:
@@ -225,6 +236,7 @@ def _load_or_init_weights(args, config: ModelConfig) -> tuple[WeightStore, dict]
 
 
 def cmd_verify_stream(args) -> Report:
+    t0 = time.perf_counter()
     tol = _tolerance(args)
     video = load_tensor(args.input)
     config = _config_from_args(args)
@@ -268,7 +280,9 @@ def cmd_verify_stream(args) -> Report:
             "config": _config_dict(config),
             **weight_info,
         },
-        metrics={"plans": plan_reports, "worst_max_abs_dev": worst},
+        metrics={
+            "plans": plan_reports, "worst_max_abs_dev": worst, **_run_stats(t0)
+        },
         tolerances={"max_abs_dev": tol},
         verdict="pass" if worst <= tol else "fail",
     )
@@ -279,6 +293,7 @@ def _latent_paths(prefix: str) -> tuple[str, str, str]:
 
 
 def cmd_encode(args) -> Report:
+    t0 = time.perf_counter()
     video = load_tensor(args.input)
     config = _config_from_args(args)
     weights, weight_info = _load_or_init_weights(args, config)
@@ -307,6 +322,7 @@ def cmd_encode(args) -> Report:
             "mean_file": mean_path,
             "logvar_file": logvar_path,
             "manifest": manifest_path,
+            **_run_stats(t0),
         },
         tolerances={},
         verdict="pass",
@@ -314,6 +330,7 @@ def cmd_encode(args) -> Report:
 
 
 def cmd_decode(args) -> Report:
+    t0 = time.perf_counter()
     mean_path, logvar_path, manifest_path = _latent_paths(args.latent)
     try:
         with open(manifest_path, "rb") as fh:
@@ -355,6 +372,7 @@ def cmd_decode(args) -> Report:
             "video_shape": list(result.video.shape),
             "output": args.output,
             "sampled": args.sample_seed is not None,
+            **_run_stats(t0),
         },
         tolerances={},
         verdict="pass",

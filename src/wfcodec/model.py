@@ -43,7 +43,6 @@ from .causal import (
     _groupnorm_core,
     _iter_chunks,
     _stream_conv_core,
-    _upsample_core,
     silu,
 )
 from .errors import FormatError, ParameterError, ShapeError, WeightError
@@ -277,10 +276,11 @@ class WeightStore:
 class _Node:
     """One graph node: a layer, a residual block, or an energy-flow branch.
 
-    ``kind`` is conv, norm, act, upsample, block, inflow or outflow. ``spec``
-    is the conv geometry of conv and branch nodes, ``width`` the channels of
-    a norm, ``keys`` the subbands a branch carries; a block runs ``body`` and
-    adds its input, through the ``skip`` conv when the width changes.
+    ``kind`` is conv, norm, act, block, inflow or outflow. ``spec`` is the
+    conv geometry of conv and branch nodes, ``factors`` the nearest upsample
+    a conv reads its input through, ``width`` the channels of a norm,
+    ``keys`` the subbands a branch carries; a block runs ``body`` and adds its
+    input, through the ``skip`` conv when the width changes.
     """
 
     kind: str
@@ -296,9 +296,12 @@ class _Node:
 _ACT = _Node("act")
 
 
-def _conv(name: str, cin: int, cout: int, kernel=(3, 3, 3), stride=(1, 1, 1)) -> _Node:
+def _conv(
+    name: str, cin: int, cout: int, kernel=(3, 3, 3), stride=(1, 1, 1), factors=(1, 1, 1)
+) -> _Node:
     pad = ((kernel[1] - 1) // 2, (kernel[2] - 1) // 2)
-    return _Node("conv", name, ConvSpec(cin, cout, tuple(kernel), tuple(stride), pad))
+    spec = ConvSpec(cin, cout, tuple(kernel), tuple(stride), pad)
+    return _Node("conv", name, spec, factors=factors)
 
 
 def _norm(name: str, width: int) -> _Node:
@@ -349,12 +352,10 @@ def _graph(config: ModelConfig) -> tuple[list[_Node], list[_Node]]:
         _conv("dec.stem", chn, w2),
         *_stage("dec.stage3", w2, w2, blocks),
         _branch("outflow", "dec.outflow3", cf, stack2d, KEYS_2D),
-        _Node("upsample", factors=(1, 2, 2)),
-        _conv("dec.up2", w2, w1),
+        _conv("dec.up2", w2, w1, factors=(1, 2, 2)),
         *_stage("dec.stage2", w1, w1, blocks),
         _branch("outflow", "dec.outflow2", cf, stack3d, KEYS_3D),
-        _Node("upsample", factors=(2, 2, 2)),
-        _conv("dec.up1", w1, w0),
+        _conv("dec.up1", w1, w0, factors=(2, 2, 2)),
         *_stage("dec.stage1", w0, w0, blocks),
         _norm("dec.out.norm", w0),
         _ACT,
@@ -473,31 +474,24 @@ def _feed_streams(streams, frames: np.ndarray, final: bool) -> np.ndarray:
 
 
 class _ConvStream:
-    """A causal conv and its tail-frame cache."""
+    """A causal conv and its tail-frame cache; ``factors`` is the nearest
+    upsample it reads its input through."""
 
-    def __init__(self, spec: ConvSpec, weight: np.ndarray, bias: np.ndarray):
+    def __init__(
+        self, spec: ConvSpec, weight: np.ndarray, bias: np.ndarray,
+        factors: tuple[int, int, int],
+    ):
         self.spec = spec
         self.weight = weight
         self.bias = bias
+        self.factors = factors
         self.state = CacheState()
 
     def feed(self, frames: np.ndarray, final: bool) -> np.ndarray:
         out, self.state = _stream_conv_core(
-            self.state, frames, self.spec, self.weight, self.bias, final
+            self.state, frames, self.spec, self.weight, self.bias, final,
+            self.factors,
         )
-        return out
-
-
-class _UpsampleStream:
-    """Nearest upsampling; only the stream's first frames drop the time pad."""
-
-    def __init__(self, factors: tuple[int, int, int]):
-        self.factors = factors
-        self.started = False
-
-    def feed(self, frames: np.ndarray, final: bool) -> np.ndarray:
-        out = _upsample_core(frames, self.factors, first_chunk=not self.started)
-        self.started = self.started or frames.shape[1] > 0
         return out
 
 
@@ -525,13 +519,11 @@ def _stream(node: _Node, config: ModelConfig, weights: WeightStore):
         return _FrameStream(lambda x: _groupnorm_core(x, groups, gain, bias))
     if node.kind == "act":
         return _FrameStream(silu)
-    if node.kind == "upsample":
-        return _UpsampleStream(node.factors)
     if node.kind == "block":
         body = [_stream(child, config, weights) for child in node.body]
         skip = _stream(node.skip, config, weights) if node.skip else None
         return _Block(body, skip)
-    conv = _ConvStream(node.spec, param("weight"), param("bias"))
+    conv = _ConvStream(node.spec, param("weight"), param("bias"), node.factors)
     if node.kind == "inflow":
         return _Inflow(node, conv)
     if node.kind == "outflow":

@@ -5,6 +5,9 @@ cache_len is checked against the sliding-window simulation, and the
 vectorized convolution against a plain nested-loop reference.
 """
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,8 +34,26 @@ from wfcodec import (
 )
 
 from wfcodec import causal
+from wfcodec.model import _ConvStream
 
 from helpers import conv3d_loop_oracle, draw_chunk_sizes, make_random, max_abs_diff
+
+
+def norm64(x, groups, gain, bias, eps=1e-5):
+    """Float64 group normalization; one group over all channels is the
+    per-frame layer norm of a single frame."""
+    c = x.shape[0]
+    grouped = x.astype(np.float64).reshape(groups, c // groups, *x.shape[1:])
+    mean = grouped.mean(axis=(1, 2, 3, 4), keepdims=True)
+    var = grouped.var(axis=(1, 2, 3, 4), keepdims=True)
+    out = ((grouped - mean) / np.sqrt(var + eps)).reshape(x.shape)
+    return out * gain[:, None, None, None] + bias[:, None, None, None]
+
+
+# Squares of this frame overflow float32 (|x| above about 1.8e19).
+HUGE_FRAME = np.array(
+    [3e19, -1e19, 3e19, -1e19, 1, 2, 3, 4], dtype=np.float32
+).reshape(2, 1, 2, 2)
 
 
 def stream_all(x: VideoTensor, spec, weight, bias, sizes):
@@ -385,6 +406,21 @@ class TestFrameLayernorm:
         with pytest.raises(ParameterError):
             frame_layernorm(x, [1.0], [0.0], eps=0.0)
 
+    def test_huge_finite_frame_matches_float64(self):
+        gain = np.ones(2, np.float32)
+        bias = np.full(2, 0.5, np.float32)
+        ordinary = make_random(45, (2, 1, 2, 2)).data
+        x = np.concatenate([HUGE_FRAME, ordinary], axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = frame_layernorm(VideoTensor(x), gain, bias).data
+        np.testing.assert_allclose(
+            out[:, :1], norm64(HUGE_FRAME, 1, gain, bias), rtol=1e-6
+        )
+        # The ordinary frame keeps its float32 result, bit for bit.
+        alone = frame_layernorm(VideoTensor(ordinary), gain, bias).data
+        assert np.array_equal(out[:, 1:], alone)
+
 
 class TestGroupnormWholeClip:
     def test_single_frame_equals_frame_layernorm(self):
@@ -417,6 +453,21 @@ class TestGroupnormWholeClip:
             axis=1,
         )
         assert max_abs_diff(chunked, direct.data) > 1e-3
+
+    def test_huge_finite_group_matches_float64(self):
+        gain = np.ones(4, np.float32)
+        bias = np.full(4, 0.5, np.float32)
+        ordinary = np.arange(1, 9, dtype=np.float32).reshape(2, 1, 2, 2)
+        x = np.concatenate([HUGE_FRAME, ordinary], axis=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = groupnorm_whole_clip(VideoTensor(x), 2, gain, bias).data
+        np.testing.assert_allclose(
+            out[:2], norm64(HUGE_FRAME, 1, gain[:2], bias[:2]), rtol=1e-6
+        )
+        # The ordinary group keeps its float32 result, bit for bit.
+        alone = groupnorm_whole_clip(VideoTensor(ordinary), 1, gain[2:], bias[2:])
+        assert np.array_equal(out[2:], alone.data)
 
     def test_indivisible_groups_rejected(self):
         with pytest.raises(ParameterError):
@@ -516,6 +567,88 @@ class TestStreamProperties:
             chunk = new_tensor(1, 1 if m == 0 else t_chunk, 1, 1, float(m))
             _, state = stream_conv3d(state, chunk, spec, weight)
             assert state.occupancy == max(cache_len(kernel_t, stride_t, t_chunk, m), 0)
+
+
+class TestFusedUpsample:
+    """A conv that reads through nearest factors equals upsample-then-conv."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        factors=st.sampled_from([(1, 2, 2), (2, 2, 2)]),
+        kernel_t=st.sampled_from([1, 3]),
+        kernel_s=st.sampled_from([1, 3]),
+        stride_t=st.integers(1, 2),
+        pad=st.integers(0, 1),
+        pad_mode=st.sampled_from(["replicate", "zeros"]),
+        sizes=_explicit_sizes(max_frames=8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stream_equals_upsample_then_conv(
+        self, factors, kernel_t, kernel_s, stride_t, pad, pad_mode, sizes, seed
+    ):
+        spec = ConvSpec(
+            2, 3, (kernel_t, kernel_s, kernel_s), (stride_t, 1, 1), (pad, pad), pad_mode
+        )
+        rng = Rng(seed)
+        x = rng.normal((2, sum(sizes), 3, 4))
+        weight = rng.normal(spec.weight_shape(), std=0.5)
+        bias = rng.normal((spec.out_channels,), std=0.1)
+        expected = causal_conv3d(
+            nearest_upsample(VideoTensor(x), factors), spec, weight, bias
+        )
+        state, pieces, start = CacheState(), [], 0
+        for i, size in enumerate(sizes):
+            out, state = causal._stream_conv_core(
+                state, x[:, start : start + size], spec, weight, bias,
+                final=i == len(sizes) - 1, factors=factors,
+            )
+            pieces.append(out)
+            start += size
+        assert np.array_equal(np.concatenate(pieces, axis=1), expected.data)
+
+
+class TestConvMemory:
+    """A conv holds one k_t-frame window, one column tile and its output,
+    whatever the chunk length."""
+
+    SPEC = ConvSpec(8, 8, (3, 3, 3), (1, 1, 1), (1, 1))
+
+    @staticmethod
+    def _transient_bytes(run, x: np.ndarray) -> int:
+        """Traced peak of ``run(x)`` minus its output; x predates the trace."""
+        tracemalloc.start()
+        try:
+            out = run(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - out.nbytes
+
+    def _growth(self, run, shape, times) -> float:
+        rng = Rng(71)
+        short, long = (
+            self._transient_bytes(run, rng.normal((shape[0], t, *shape[1:])))
+            for t in times
+        )
+        return long / short
+
+    def test_conv_transient_flat_in_time(self):
+        weight = Rng(72).normal(self.SPEC.weight_shape(), std=0.1)
+
+        def run(x):
+            return causal_conv3d(VideoTensor(x), self.SPEC, weight).data
+
+        assert self._growth(run, (8, 32, 32), (9, 65)) < 1.1
+
+    def test_upsampling_conv_transient_flat_in_time(self):
+        # (2,2,2) upsampling of 5 and 33 frames at 16x16: 9 and 65 frames at 32x32.
+        weight = Rng(73).normal(self.SPEC.weight_shape(), std=0.1)
+        bias = np.zeros(8, np.float32)
+
+        def run(x):
+            return _ConvStream(self.SPEC, weight, bias, (2, 2, 2)).feed(x, True)
+
+        assert self._growth(run, (8, 16, 16), (5, 33)) < 1.1
 
 
 class TestChunkPlan:

@@ -307,6 +307,27 @@ def assert_input_error(code, report, err, name):
     assert json.loads(lines[0])["error"] == name
 
 
+class TestRunStats:
+    """Model commands report their wall time and the peak resident memory."""
+
+    def test_reports_carry_elapsed_and_peak_rss(self, capsys, tmp_path, video_file):
+        prefix = str(tmp_path / "latent")
+        runs = [
+            ["encode", "--input", video_file, "--init-seed", "3",
+             "--output", prefix, *TINY_FLAGS],
+            ["decode", "--latent", prefix, "--init-seed", "3",
+             "--output", str(tmp_path / "recon.wfvt")],
+            ["verify-stream", "--input", video_file, "--init-seed", "3",
+             "--plan", "canonical:4", *TINY_FLAGS],
+        ]
+        for argv in runs:
+            code, report, _ = run_cli(capsys, argv)
+            assert code == 0, argv[0]
+            metrics = report["metrics"]
+            assert metrics["elapsed_s"] > 0, argv[0]
+            assert metrics["peak_rss_mib"] > 0, argv[0]
+
+
 class TestInputErrors:
     """Bad input text or files exit 2 with a JSON error, never a traceback."""
 
