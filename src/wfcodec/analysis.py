@@ -5,6 +5,12 @@ transform level. Entropy is the Shannon entropy (base 2) of an equal-width
 histogram over each subband's own [min, max] range, which makes it invariant
 under affine rescaling of the coefficients. The histogram bin count is a
 convention (default 256), not a property of the transform.
+
+The bin rule is computed in float64: with ``width = (hi - lo) / bins``, a
+value ``v`` goes to bin ``min(int((v - lo) / width), bins - 1)``, so the
+maximum lands in the last bin. Every finite band is accepted, including one
+whose range spans a few float32 ULPs and one whose range exceeds the float32
+maximum.
 """
 
 from __future__ import annotations
@@ -16,9 +22,11 @@ import numpy as np
 from .errors import ParameterError
 
 DEFAULT_BINS = 256
-# np.histogram allocates ``bins`` counts and ``bins + 1`` edges, 8 bytes each;
-# the cap keeps that near 1 MiB, far above any useful entropy resolution.
+# Each histogram block allocates ``bins + 1`` counts, 8 bytes each; the cap
+# keeps that near 512 KiB, far above any useful entropy resolution.
 MAX_BINS = 1 << 16
+# Values binned per pass; the float64 and index scratch stay near 512 KiB each.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -56,12 +64,37 @@ def subband_energy(subbands) -> list[SubbandStats]:
     ]
 
 
+def _histogram(values: np.ndarray, bins: int, lo: float, hi: float) -> np.ndarray:
+    """Counts of the 1-D ``values`` in ``bins`` equal-width bins over [lo, hi].
+
+    ``lo < hi`` must bound ``values``. Each value goes to bin
+    ``min(int((v - lo) / width), bins - 1)`` with ``width = (hi - lo) / bins``,
+    all in float64. Float64 rounding is monotone, so an index never exceeds
+    that of ``hi``, which is at most ``bins``; slot ``bins`` is folded into
+    the last bin.
+    """
+    width = (hi - lo) / bins
+    counts = np.zeros(bins + 1, dtype=np.intp)
+    n = min(values.size, _BLOCK)
+    scaled = np.empty(n, dtype=np.float64)
+    index = np.empty(n, dtype=np.intp)
+    for start in range(0, values.size, _BLOCK):
+        block = values[start:start + _BLOCK]
+        f, idx = scaled[:block.size], index[:block.size]
+        np.subtract(block, lo, out=f, dtype=np.float64)
+        f /= width
+        np.copyto(idx, f, casting="unsafe")  # truncates; every value is >= 0
+        counts += np.bincount(idx, minlength=bins + 1)
+    counts[bins - 1] += counts[bins]
+    return counts[:bins]
+
+
 def _band_entropy(arr: np.ndarray, bins: int) -> float:
     values = arr.ravel()
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         return 0.0
-    counts, _ = np.histogram(values, bins=bins, range=(lo, hi))
+    counts = _histogram(values, bins, lo, hi)
     probs = counts[counts > 0] / values.size
     return float(-np.sum(probs * np.log2(probs)))
 

@@ -4,9 +4,9 @@ Machine-readable JSON reports go to stdout, a one-line human summary to
 stderr, and the exit code is 0 exactly when the report verdict is "pass"
 (1 for a failed verdict, 2 for usage/input errors). Every report embeds the
 tolerances it used, so verdicts can be recomputed from the metrics alone.
-The ``encode``, ``decode`` and ``verify-stream`` reports also carry the
-command's wall time (``elapsed_s``) and the process's peak resident memory
-(``peak_rss_mib``, from ``getrusage``).
+The ``roundtrip``, ``analyze``, ``encode``, ``decode`` and ``verify-stream``
+reports also carry the command's wall time (``elapsed_s``) and the process's
+peak resident memory (``peak_rss_mib``, from ``getrusage``).
 
 ``WFCODEC_THREADS`` caps BLAS worker parallelism for the duration of a
 command. The cap needs ``threadpoolctl`` and an integer value; when either is
@@ -160,6 +160,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, with_norm: bool = False):
 
 
 def cmd_roundtrip(args) -> Report:
+    t0 = time.perf_counter()
     tol = _tolerance(args)
     video = load_tensor(args.input)
     if args.levels == 3:
@@ -177,13 +178,14 @@ def cmd_roundtrip(args) -> Report:
     return Report(
         command="roundtrip",
         inputs={"input": _digest(args.input), "shape": list(video.shape)},
-        metrics={"levels": args.levels, "max_abs_error": error},
+        metrics={"levels": args.levels, "max_abs_error": error, **_run_stats(t0)},
         tolerances={"max_abs_error": tol},
         verdict="pass" if error <= tol else "fail",
     )
 
 
 def cmd_analyze(args) -> Report:
+    t0 = time.perf_counter()
     _check_bins(args.bins)
     video = load_tensor(args.input)
     records = analyze_pyramid(build_pyramid(video), bins=args.bins)
@@ -191,7 +193,12 @@ def cmd_analyze(args) -> Report:
     return Report(
         command="analyze",
         inputs={"input": _digest(args.input), "shape": list(video.shape)},
-        metrics={"bins": args.bins, "degenerate": degenerate, "subbands": records},
+        metrics={
+            "bins": args.bins,
+            "degenerate": degenerate,
+            "subbands": records,
+            **_run_stats(t0),
+        },
         tolerances={},
         verdict="pass",
     )

@@ -50,7 +50,8 @@ class VideoTensor:
             raise ShapeError(f"expected 4 dimensions (c,t,h,w), got {arr.ndim}")
         if min(arr.shape) < 1:
             raise ShapeError(f"all dimensions must be >= 1, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
+        # min and max propagate NaN and +-inf, and allocate nothing.
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise ShapeError("tensor contains NaN or Inf values")
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
@@ -168,33 +169,40 @@ def save_tensor(tensor: VideoTensor, path) -> None:
 def load_tensor(path) -> VideoTensor:
     """Read a VTensor file; raises FormatError on any structural defect."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: file shorter than header")
-    magic, version, dtype, ndim, c, t, h, w = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if dtype != DTYPE_F32:
-        raise FormatError(f"{path}: unsupported dtype code {dtype}")
-    if ndim != 4:
-        raise FormatError(f"{path}: expected 4 dims, header says {ndim}")
-    dims = (c, t, h, w)
-    if min(dims) < 1 or max(dims) > MAX_DIM:
-        raise FormatError(f"{path}: dimension out of range {dims}")
-    count = c * t * h * w
-    expected = _HEADER.size + 4 * count
-    if len(raw) < expected:
-        raise FormatError(
-            f"{path}: truncated payload ({len(raw) - _HEADER.size} bytes, "
-            f"need {4 * count})"
-        )
-    if len(raw) > expected:
-        raise FormatError(f"{path}: {len(raw) - expected} trailing bytes")
-    values = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size, count=count)
+        total = os.fstat(fh.fileno()).st_size
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise FormatError(f"{path}: file shorter than header")
+        magic, version, dtype, ndim, c, t, h, w = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if dtype != DTYPE_F32:
+            raise FormatError(f"{path}: unsupported dtype code {dtype}")
+        if ndim != 4:
+            raise FormatError(f"{path}: expected 4 dims, header says {ndim}")
+        dims = (c, t, h, w)
+        if min(dims) < 1 or max(dims) > MAX_DIM:
+            raise FormatError(f"{path}: dimension out of range {dims}")
+        # Checked before allocating: corrupt dims must not become a huge array.
+        nbytes = 4 * c * t * h * w
+        expected = _HEADER.size + nbytes
+        if total < expected:
+            raise FormatError(
+                f"{path}: truncated payload ({total - _HEADER.size} bytes, "
+                f"need {nbytes})"
+            )
+        if total > expected:
+            raise FormatError(f"{path}: {total - expected} trailing bytes")
+        values = np.empty(dims, dtype="<f4")
+        got = fh.readinto(values)
+        if got != nbytes:
+            raise FormatError(
+                f"{path}: truncated payload ({got} bytes, need {nbytes})"
+            )
     try:
-        return VideoTensor(values.reshape(dims))
+        return VideoTensor(values)
     except ShapeError as exc:
         # The dims passed the checks above, so VideoTensor's one remaining
         # check failed: the payload is not finite.

@@ -2,10 +2,14 @@
 energy-concentration behavior that motivates the low-frequency pathway."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from wfcodec import analysis
 from wfcodec import (
     ParameterError,
     Rng,
@@ -23,17 +27,23 @@ from wfcodec.wavelet import KEYS_3D, SubbandSet2D
 from helpers import make_random, noise_video, smooth_video, squared_l2
 
 
+def histogram_loop_oracle(values, bins, lo, hi):
+    """Bin counts by an explicit Python loop over the float64 bin rule."""
+    counts = [0] * bins
+    width = (hi - lo) / bins
+    for v in values:
+        idx = min(int((v - lo) / width), bins - 1)
+        counts[idx] += 1
+    return counts
+
+
 def entropy_loop_oracle(values, bins):
     """Independent histogram entropy: explicit binning loop in Python."""
     values = [float(v) for v in np.asarray(values).ravel()]
     lo, hi = min(values), max(values)
     if lo == hi:
         return 0.0
-    counts = [0] * bins
-    width = (hi - lo) / bins
-    for v in values:
-        idx = min(int((v - lo) / width), bins - 1)
-        counts[idx] += 1
+    counts = histogram_loop_oracle(values, bins, lo, hi)
     total = len(values)
     return -sum(
         (c / total) * math.log2(c / total) for c in counts if c
@@ -145,6 +155,76 @@ class TestSubbandEntropy:
             subband_entropy(_uniform_set(5), bins=1)
         with pytest.raises(ParameterError):
             analyze_level(_uniform_set(5), bins=0)
+
+
+_F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _edge_values(lo, hi, bins, edges):
+    """lo, hi, and each bin edge lo + j*width with its float32 neighbours."""
+    width = (hi - lo) / bins
+    values = [lo, hi]
+    for j in edges:
+        edge = np.float32(min(max(lo + j * width, lo), hi))
+        for v in (edge, np.nextafter(edge, np.float32(-np.inf)),
+                  np.nextafter(edge, np.float32(np.inf))):
+            values.append(min(max(float(v), lo), hi))
+    return np.array(values, dtype=np.float32)
+
+
+@st.composite
+def histogram_cases(draw):
+    """(float32 values with min < max, bins, block size) for _histogram."""
+    bins = draw(st.one_of(st.integers(2, 64), st.integers(2, analysis.MAX_BINS)))
+    kind = draw(st.sampled_from(["edges", "two-valued", "few-ulps", "huge", "any"]))
+    if kind == "edges":
+        # Small integer ends make many edges exact, where rounding decides.
+        ends = st.one_of(st.integers(-64, 64).map(float), _F32)
+        lo, hi = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+        if bins <= 64:
+            edges = range(bins + 1)
+        else:
+            edges = draw(st.lists(st.integers(0, bins), min_size=1, max_size=20))
+        values = _edge_values(lo, hi, bins, edges)
+    elif kind == "two-valued":
+        a, b = sorted(draw(st.lists(_F32, min_size=2, max_size=2, unique=True)))
+        values = [a, b] + draw(st.lists(st.sampled_from([a, b]), max_size=60))
+    elif kind == "few-ulps":
+        base = draw(st.sampled_from([1000.0, -1000.0]))
+        steps = [0, draw(st.integers(1, 4))]
+        steps += draw(st.lists(st.integers(0, 4), max_size=60))
+        bits = np.float32(base).view(np.int32)
+        values = list(np.array([bits + k for k in steps], np.int32).view(np.float32))
+    elif kind == "huge":
+        near = st.floats(float(np.float32(3e38)), _F32_MAX, width=32)
+        signed = st.one_of(near, near.map(lambda v: -v))
+        values = [-draw(near), draw(near)] + draw(st.lists(signed, max_size=60))
+    else:
+        values = draw(st.lists(_F32, min_size=2, max_size=60))
+    arr = np.array(values, dtype=np.float32)
+    arr = arr[draw(st.permutations(range(arr.size)))]
+    block = draw(st.integers(1, 16))
+    return arr, bins, block
+
+
+class TestHistogram:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=histogram_cases())
+    # Edges where (v - lo) / width and (v - lo) * (1 / width) truncate apart.
+    @example(case=(_edge_values(-20.0, -15.0, 26, range(27)), 26, 5))
+    @example(case=(_edge_values(-20.0, -13.0, 24, range(25)), 24, 7))
+    def test_counts_match_loop_oracle(self, case):
+        values, bins, block = case
+        lo, hi = float(values.min()), float(values.max())
+        assume(lo < hi)
+        # A small block makes the array span several blocks, the last short.
+        with mock.patch.object(analysis, "_BLOCK", block):
+            counts = analysis._histogram(values, bins, lo, hi)
+        assert counts.tolist() == histogram_loop_oracle(
+            [float(v) for v in values], bins, lo, hi
+        )
+        assert counts.sum() == values.size
 
 
 class TestAnalyzePyramid:

@@ -12,12 +12,20 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wfcodec
-from wfcodec import Rng, new_tensor, random_normal, save_tensor, load_tensor
+from wfcodec import (
+    Rng,
+    VideoTensor,
+    load_tensor,
+    new_tensor,
+    random_normal,
+    save_tensor,
+)
 from wfcodec.analysis import MAX_BINS
 from wfcodec.cli import main
 
@@ -96,6 +104,28 @@ class TestAnalyze:
         code, report, err = run_cli(capsys, ["analyze", video_file, "--bins", "1"])
         assert code == 2
         assert "ParameterError" in err
+
+    @staticmethod
+    def _assert_passes(capsys, path, clip):
+        save_tensor(VideoTensor(clip.astype(np.float32)), path)
+        code, report, err = run_cli(capsys, ["analyze", str(path)])
+        assert code == 0
+        assert report["verdict"] == "pass"
+        assert err.strip() == "wfcodec analyze: pass"
+
+    def test_range_of_few_ulps_passes(self, capsys, tmp_path):
+        """Bands spanning a few float32 ULPs near 1000 once had too many bins
+        for their range."""
+        noise = np.random.default_rng(0).standard_normal((1, 9, 16, 16))
+        self._assert_passes(capsys, tmp_path / "narrow.wfvt", 1000 + 1e-4 * noise)
+
+    def test_range_beyond_float32_max_passes(self, capsys, tmp_path):
+        """A level-1 band of +-1.98e38 spans more than the float32 maximum."""
+        t, y, x = np.indices((8, 16, 16))
+        sign = np.random.default_rng(0).choice([-1.0, 1.0], size=(4, 8, 8))
+        blocks = sign.repeat(2, 0).repeat(2, 1).repeat(2, 2)
+        clip = 7e37 * (-1.0) ** (t + y + x) * blocks
+        self._assert_passes(capsys, tmp_path / "wide.wfvt", clip[None])
 
 
 class TestCacheTable:
@@ -308,11 +338,14 @@ def assert_input_error(code, report, err, name):
 
 
 class TestRunStats:
-    """Model commands report their wall time and the peak resident memory."""
+    """Clip and model commands report their wall time and the peak resident
+    memory."""
 
     def test_reports_carry_elapsed_and_peak_rss(self, capsys, tmp_path, video_file):
         prefix = str(tmp_path / "latent")
         runs = [
+            ["roundtrip", video_file],
+            ["analyze", video_file],
             ["encode", "--input", video_file, "--init-seed", "3",
              "--output", prefix, *TINY_FLAGS],
             ["decode", "--latent", prefix, "--init-seed", "3",
@@ -604,6 +637,8 @@ _WIDTH_FLAGS = {
 _NUMBERS = [str(n) for n in range(-8, 65)] + ["nan", "inf", "-inf", "1.5", "x"]
 _WIDTHS = ["-8", "-2", "-1", "0", "1", "2", "3", "4", "8", "16", "nan", "1.5", "x"]
 _FIELD_VALUES = [0, -8, 1.5, 4.0, "x", True, None]
+_SCALES = [1e-4, 1.0, 1e37]
+_OFFSETS = [0.0, 1000.0]
 
 
 def _argv_and_inputs(d):
@@ -722,10 +757,19 @@ def _replace_config_field(data, path):
     path.write_text(json.dumps(manifest))
 
 
+def _rescale(data, path):
+    """Replace the clip x by a*x + b: a range of a few ULPs, or a huge one."""
+    a = data.draw(st.sampled_from(_SCALES))
+    b = data.draw(st.sampled_from(_OFFSETS))
+    clip = load_tensor(path).data.astype(np.float64)
+    save_tensor(VideoTensor((a * clip + b).astype(np.float32)), path)
+
+
 class TestExitCodeContract:
-    """Every subcommand, fed dropped flags, out-of-range numbers and corrupt
-    input files, exits 0, 1 or 2 without a traceback: stdout holds one JSON
-    report or nothing, and exit 2 leaves a JSON error line on stderr."""
+    """Every subcommand, fed dropped flags, out-of-range numbers, rescaled
+    clips and corrupt input files, exits 0, 1 or 2 without a traceback:
+    stdout holds one JSON report or nothing, and exit 2 leaves a JSON error
+    line on stderr."""
 
     @pytest.mark.parametrize("command", sorted(_argv_and_inputs(".")))
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -734,11 +778,15 @@ class TestExitCodeContract:
         with tempfile.TemporaryDirectory() as tmp:
             shutil.copytree(contract_inputs, tmp, dirs_exist_ok=True)
             argv, inputs = _argv_and_inputs(tmp)[command]
+            video = f"{tmp}/video.wfvt"
             menu = ["drop", "number"] + ["corrupt"] * bool(inputs)
             menu += ["field"] * (command == "decode")
+            menu += ["scale"] * (video in inputs)
             changes = data.draw(st.lists(st.sampled_from(menu), min_size=1, max_size=2))
             if "field" in changes:  # before any corruption of the manifest
                 _replace_config_field(data, Path(inputs[0]))
+            if "scale" in changes:  # before any corruption of the clip
+                _rescale(data, Path(video))
             for change in changes:
                 if change == "drop":
                     argv = _drop_flag(data, argv)

@@ -1,6 +1,9 @@
 """Tensor core: construction, RNG determinism, and file-format round trips."""
 
+import os
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -60,6 +63,29 @@ class TestVideoTensor:
         arr[0, 0, 1, 1] = np.inf
         with pytest.raises(ShapeError):
             VideoTensor(arr)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_rejects_non_finite_anywhere(self, value, where):
+        arr = make_random(2, (2, 3, 4, 5)).data.copy()
+        flat = arr.reshape(-1)
+        flat[{"first": 0, "middle": flat.size // 2, "last": -1}[where]] = value
+        with pytest.raises(ShapeError):
+            VideoTensor(arr)
+
+    def test_wrapping_allocates_no_temporary(self):
+        """The finiteness check must not build a per-element mask, which for
+        this 16 MiB float32 array would be a 4 MiB bool temporary."""
+        arr = np.random.default_rng(0).standard_normal(
+            (1, 64, 256, 256), dtype=np.float32
+        )
+        tracemalloc.start()
+        try:
+            VideoTensor(arr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ShapeError):
@@ -165,6 +191,17 @@ class TestFileFormat:
         path.write_bytes(header + b"\x00" * 64)
         with pytest.raises(FormatError, match="truncated"):
             load_tensor(path)
+
+    def test_short_read_is_format_error(self, tmp_path, monkeypatch):
+        """A payload that shrinks between the size check and the read."""
+        path = tmp_path / "shrunk.wfvt"
+        save_tensor(new_tensor(1, 1, 2, 2, 1.0), path)
+        full = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-4])
+        with monkeypatch.context() as m:
+            m.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=full))
+            with pytest.raises(FormatError, match="truncated"):
+                load_tensor(path)
 
     def test_wrong_dtype_code(self, tmp_path):
         path = tmp_path / "dtype.wfvt"
