@@ -3,10 +3,12 @@
 Machine-readable JSON reports go to stdout, a one-line human summary to
 stderr, and the exit code is 0 exactly when the report verdict is "pass"
 (1 for a failed verdict, 2 for usage/input errors). Every report embeds the
-tolerances it used, so verdicts can be recomputed from the metrics alone.
-The ``roundtrip``, ``analyze``, ``encode``, ``decode`` and ``verify-stream``
-reports also carry the command's wall time (``elapsed_s``) and the process's
-peak resident memory (``peak_rss_mib``, from ``getrusage``).
+tolerances it used, so verdicts can be recomputed from the metrics alone,
+and carries the command's wall time (``elapsed_s``) and the process's peak
+resident memory (``peak_rss_mib``, from ``getrusage``). Input digests are the
+first 16 hex digits of the input file's SHA-256, computed from the data the
+command loaded, not by reading the file again. Output files are written
+atomically.
 
 ``WFCODEC_THREADS`` caps BLAS worker parallelism for the duration of a
 command. The cap needs ``threadpoolctl`` and an integer value; when either is
@@ -17,14 +19,13 @@ missing, the command runs uncapped and writes one JSON warning line
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import resource
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -42,7 +43,9 @@ from .model import (
     init_weights,
     preset_config,
 )
-from .tensor import Rng, load_tensor, save_tensor
+from .tensor import (
+    Rng, load_manifest, load_tensor, save_manifest, save_tensor, tensor_digest,
+)
 from .wavelet import build_pyramid, dwt3d, idwt3d, reconstruct_pyramid
 
 DEFAULT_ROUNDTRIP_TOL = 1e-5
@@ -58,36 +61,13 @@ class Report:
     verdict: str = "pass"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "inputs": self.inputs,
-                "metrics": self.metrics,
-                "tolerances": self.tolerances,
-                "verdict": self.verdict,
-            },
-            indent=2,
-        )
-
-
-def _digest(path) -> str:
-    hasher = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            hasher.update(block)
-    return hasher.hexdigest()[:16]
+        return json.dumps(asdict(self), indent=2)
 
 
 def _max_abs(a: np.ndarray, b: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
-
-
-def _run_stats(t0: float) -> dict:
-    """Wall time since ``t0`` and the process's peak resident set so far."""
-    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
-    return {"elapsed_s": time.perf_counter() - t0, "peak_rss_mib": peak_kib / 1024}
 
 
 def _tolerance(args) -> float:
@@ -113,18 +93,6 @@ def _config_from_args(args) -> ModelConfig:
             **overrides,
         )
     return preset_config(args.preset, latent_channels=args.latent_channels, **overrides)
-
-
-def _config_dict(config: ModelConfig) -> dict:
-    return {
-        "base_channels": config.base_channels,
-        "c_flow": config.c_flow,
-        "latent_channels": config.latent_channels,
-        "input_channels": config.input_channels,
-        "blocks_per_stage": config.blocks_per_stage,
-        "norm": config.norm,
-        "groupnorm_groups": config.groupnorm_groups,
-    }
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, with_norm: bool = False):
@@ -160,7 +128,6 @@ def _add_config_flags(parser: argparse.ArgumentParser, with_norm: bool = False):
 
 
 def cmd_roundtrip(args) -> Report:
-    t0 = time.perf_counter()
     tol = _tolerance(args)
     video = load_tensor(args.input)
     if args.levels == 3:
@@ -177,28 +144,22 @@ def cmd_roundtrip(args) -> Report:
             error = _max_abs(idwt3d(restored, video.time).data, video.data)
     return Report(
         command="roundtrip",
-        inputs={"input": _digest(args.input), "shape": list(video.shape)},
-        metrics={"levels": args.levels, "max_abs_error": error, **_run_stats(t0)},
+        inputs={"input": tensor_digest(video)[:16], "shape": list(video.shape)},
+        metrics={"levels": args.levels, "max_abs_error": error},
         tolerances={"max_abs_error": tol},
         verdict="pass" if error <= tol else "fail",
     )
 
 
 def cmd_analyze(args) -> Report:
-    t0 = time.perf_counter()
     _check_bins(args.bins)
     video = load_tensor(args.input)
     records = analyze_pyramid(build_pyramid(video), bins=args.bins)
     degenerate = any(r["degenerate"] for r in records)
     return Report(
         command="analyze",
-        inputs={"input": _digest(args.input), "shape": list(video.shape)},
-        metrics={
-            "bins": args.bins,
-            "degenerate": degenerate,
-            "subbands": records,
-            **_run_stats(t0),
-        },
+        inputs={"input": tensor_digest(video)[:16], "shape": list(video.shape)},
+        metrics={"bins": args.bins, "degenerate": degenerate, "subbands": records},
         tolerances={},
         verdict="pass",
     )
@@ -237,13 +198,12 @@ def cmd_cache_table(args) -> Report:
 def _load_or_init_weights(args, config: ModelConfig) -> tuple[WeightStore, dict]:
     if args.weights:
         weights = WeightStore.load(args.weights)
-        return weights, {"weights": _digest(args.weights)}
+        return weights, {"weights": weights.digest()[:16]}
     weights = init_weights(config, Rng(args.init_seed))
     return weights, {"weights_seed": args.init_seed}
 
 
 def cmd_verify_stream(args) -> Report:
-    t0 = time.perf_counter()
     tol = _tolerance(args)
     video = load_tensor(args.input)
     config = _config_from_args(args)
@@ -282,14 +242,12 @@ def cmd_verify_stream(args) -> Report:
     return Report(
         command="verify-stream",
         inputs={
-            "input": _digest(args.input),
+            "input": tensor_digest(video)[:16],
             "shape": list(video.shape),
-            "config": _config_dict(config),
+            "config": asdict(config),
             **weight_info,
         },
-        metrics={
-            "plans": plan_reports, "worst_max_abs_dev": worst, **_run_stats(t0)
-        },
+        metrics={"plans": plan_reports, "worst_max_abs_dev": worst},
         tolerances={"max_abs_dev": tol},
         verdict="pass" if worst <= tol else "fail",
     )
@@ -300,7 +258,6 @@ def _latent_paths(prefix: str) -> tuple[str, str, str]:
 
 
 def cmd_encode(args) -> Report:
-    t0 = time.perf_counter()
     video = load_tensor(args.input)
     config = _config_from_args(args)
     weights, weight_info = _load_or_init_weights(args, config)
@@ -314,22 +271,19 @@ def cmd_encode(args) -> Report:
         "version": 1,
         "original_shape": list(video.shape),
         "latent_shape": list(result.latent.shape),
-        "config": _config_dict(config),
+        "config": asdict(config),
         "plan": plan.describe(),
     }
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    save_manifest(manifest, manifest_path)
     return Report(
         command="encode",
-        inputs={"input": _digest(args.input), **weight_info},
+        inputs={"input": tensor_digest(video)[:16], **weight_info},
         metrics={
             "mode": plan.describe(),
             "latent_shape": list(result.latent.shape),
             "mean_file": mean_path,
             "logvar_file": logvar_path,
             "manifest": manifest_path,
-            **_run_stats(t0),
         },
         tolerances={},
         verdict="pass",
@@ -337,21 +291,17 @@ def cmd_encode(args) -> Report:
 
 
 def cmd_decode(args) -> Report:
-    t0 = time.perf_counter()
     mean_path, logvar_path, manifest_path = _latent_paths(args.latent)
+    manifest = load_manifest(manifest_path)
     try:
-        with open(manifest_path, "rb") as fh:
-            manifest = json.loads(fh.read())  # ValueError: bad JSON or bad UTF-8
         # The manifest records every config field; a missing one must not
         # silently fall back to a default.
-        fields = sorted(manifest["config"])
-        if fields != sorted(_config_dict(ModelConfig())):
-            raise FormatError(f"{manifest_path}: unexpected config fields {fields}")
+        names = sorted(manifest["config"])
+        if names != sorted(f.name for f in fields(ModelConfig)):
+            raise FormatError(f"{manifest_path}: unexpected config fields {names}")
         config = ModelConfig(**manifest["config"])
         original_t = manifest["original_shape"][1]
-    except (
-        OSError, KeyError, IndexError, TypeError, ValueError, ParameterError
-    ) as exc:
+    except (KeyError, IndexError, TypeError, ParameterError) as exc:
         raise FormatError(f"{manifest_path}: bad latent manifest ({exc!r})") from exc
     if type(original_t) is not int:
         raise FormatError(
@@ -373,13 +323,12 @@ def cmd_decode(args) -> Report:
     save_tensor(result.video, args.output)
     return Report(
         command="decode",
-        inputs={"latent": _digest(mean_path), **weight_info},
+        inputs={"latent": tensor_digest(mean)[:16], **weight_info},
         metrics={
             "mode": plan.describe(),
             "video_shape": list(result.video.shape),
             "output": args.output,
             "sampled": args.sample_seed is not None,
-            **_run_stats(t0),
         },
         tolerances={},
         verdict="pass",
@@ -392,7 +341,7 @@ def cmd_init_weights(args) -> Report:
     weights.save(args.output)
     return Report(
         command="init-weights",
-        inputs={"seed": args.seed, "config": _config_dict(config)},
+        inputs={"seed": args.seed, "config": asdict(config)},
         metrics={
             "output": args.output,
             "tensors": len(weights),
@@ -417,14 +366,17 @@ def cmd_loss_report(args) -> Report:
         "adv": args.adv,
         "perceptual": args.perceptual,
     }
-    inputs = {"input": _digest(args.input), "recon": _digest(args.recon)}
+    inputs = {
+        "input": tensor_digest(original)[:16],
+        "recon": tensor_digest(recon)[:16],
+    }
     if args.latent_mean and args.latent_logvar:
         latent = GaussianLatent(
             load_tensor(args.latent_mean), load_tensor(args.latent_logvar)
         )
         components["kl"] = kl_divergence(latent)
-        inputs["latent_mean"] = _digest(args.latent_mean)
-        inputs["latent_logvar"] = _digest(args.latent_logvar)
+        inputs["latent_mean"] = tensor_digest(latent.mean)[:16]
+        inputs["latent_logvar"] = tensor_digest(latent.logvar)[:16]
     else:
         components["kl"] = 0.0
     components["total"] = total_loss(
@@ -442,11 +394,7 @@ def cmd_loss_report(args) -> Report:
         inputs=inputs,
         metrics={
             "components": components,
-            "weights": {
-                "adv": weights.adv,
-                "kl": weights.kl,
-                "wl": weights.wl,
-            },
+            "weights": asdict(weights),
         },
         tolerances={},
         verdict="pass",
@@ -578,10 +526,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with _thread_limit_context():
+            t0 = time.perf_counter()
             report = args.func(args)
+            elapsed = time.perf_counter() - t0
     except (WfcodecError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    report.metrics.update(elapsed_s=elapsed, peak_rss_mib=peak_kib / 1024)
     print(report.to_json())
     print(f"wfcodec {report.command}: {report.verdict}", file=sys.stderr)
     return 0 if report.verdict == "pass" else 1

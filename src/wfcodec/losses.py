@@ -22,15 +22,12 @@ class LossWeights:
     adv: float = 1.0
     kl: float = 1e-6
     wl: float = 0.1
-    delta: float = 1e-6
 
     def __post_init__(self):
         for name in ("adv", "kl", "wl"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ParameterError(f"weight {name} must be finite and >= 0")
-        if not self.delta > 0:
-            raise ParameterError(f"delta must be > 0, got {self.delta}")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ width divisible by 8. The latent then has shape
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import struct
@@ -46,7 +45,7 @@ from .causal import (
     silu,
 )
 from .errors import FormatError, ParameterError, ShapeError, WeightError
-from .tensor import Rng, VideoTensor
+from .tensor import Rng, VideoTensor, read_f32, sha256_hex, write_atomic
 from .wavelet import (
     KEYS_2D,
     KEYS_3D,
@@ -197,20 +196,15 @@ class WeightStore:
             yield encoded
             yield struct.pack("<I", arr.ndim)
             yield struct.pack(f"<{arr.ndim}I", *arr.shape)
-            yield arr.tobytes()
+            yield arr
 
     def digest(self) -> str:
-        hasher = hashlib.sha256()
-        for blob in self._serialized():
-            hasher.update(blob)
-        return hasher.hexdigest()
+        """SHA-256 hex of the ``.wfwt`` file :meth:`save` writes; for a loaded
+        store, the hash of its file, as :meth:`load` takes only that layout."""
+        return sha256_hex(self._serialized())
 
     def save(self, path) -> None:
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as fh:
-            for blob in self._serialized():
-                fh.write(blob)
-        os.replace(tmp, path)
+        write_atomic(path, self._serialized())
 
     @classmethod
     def load(cls, path) -> "WeightStore":
@@ -224,6 +218,7 @@ class WeightStore:
             if version != _WEIGHT_VERSION:
                 raise FormatError(f"{path}: unsupported weight version {version}")
             store = cls()
+            previous = None
             for _ in range(count):
                 try:
                     (name_len,) = struct.unpack("<H", fh.read(2))
@@ -236,15 +231,13 @@ class WeightStore:
                     raise FormatError(f"{path}: truncated entry table") from exc
                 except UnicodeDecodeError as exc:
                     raise FormatError(f"{path}: parameter name is not UTF-8") from exc
-                # Checked before allocating: a corrupt dims field must not
-                # turn into a huge allocation.
-                nbytes = 4 * math.prod(dims)
-                if nbytes > total - fh.tell():
-                    raise FormatError(f"{path}: truncated payload for {name!r}")
-                arr = np.empty(dims, dtype="<f4")
-                if fh.readinto(arr) != nbytes:
-                    raise FormatError(f"{path}: truncated payload for {name!r}")
-                store.put(name, arr)
+                # Code point order of str equals byte order of UTF-8.
+                if previous is not None and name <= previous:
+                    raise FormatError(
+                        f"{path}: entry {name!r} does not sort after {previous!r}"
+                    )
+                previous = name
+                store.put(name, read_f32(fh, dims, total, f"{path}: {name!r}"))
             trailing = total - fh.tell()
         if trailing:
             raise FormatError(f"{path}: {trailing} trailing bytes")

@@ -13,10 +13,18 @@ File format ("VTensor", extension ``.wfvt``), little-endian throughout::
     ndim    u32      4
     dims    4 x u32  (channels, time, height, width)
     payload c*t*h*w float32 values, row-major, no padding, no checksum
+
+This module also holds the file-format plumbing every other format shares:
+the one atomic writer, the one checked float32 payload reader, the one JSON
+manifest reader and writer, and the one SHA-256 digest of a serialization.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import json
+import math
 import os
 import struct
 
@@ -154,16 +162,77 @@ def random_normal(rng: Rng, shape, mean: float = 0.0, std: float = 1.0) -> Video
     return VideoTensor(rng.normal((c, t, h, w), mean=mean, std=std))
 
 
+def write_atomic(path, blobs) -> None:
+    """Write ``blobs`` (bytes or C-contiguous arrays, written from their own
+    buffers) to a tmp file, then move it over ``path``; a failure leaves
+    ``path`` as it was and removes the tmp file."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def sha256_hex(blobs) -> str:
+    """SHA-256 over ``blobs`` (bytes or C-contiguous arrays), without copies."""
+    hasher = hashlib.sha256()
+    for blob in blobs:
+        hasher.update(blob)
+    return hasher.hexdigest()
+
+
+def read_f32(fh, dims, total: int, what: str) -> np.ndarray:
+    """Read a float32 array of shape ``dims`` from ``fh`` of ``total`` bytes.
+
+    Corrupt dims must not become a huge array, so the size is checked first."""
+    nbytes = 4 * math.prod(dims)
+    left = total - fh.tell()
+    if nbytes > left:
+        raise FormatError(f"{what}: truncated payload ({left} bytes, need {nbytes})")
+    values = np.empty(dims, dtype="<f4")
+    got = fh.readinto(values)
+    if got != nbytes:
+        raise FormatError(f"{what}: truncated payload ({got} bytes, need {nbytes})")
+    return values
+
+
+def save_manifest(manifest: dict, path) -> None:
+    """Write a JSON manifest atomically, indented, with a final newline."""
+    write_atomic(path, [(json.dumps(manifest, indent=2) + "\n").encode()])
+
+
+def load_manifest(path) -> dict:
+    """Read a JSON manifest; any defect raises FormatError."""
+    try:
+        with open(path, "rb") as fh:
+            manifest = json.loads(fh.read())
+    # ValueError: bad JSON or bad UTF-8; RecursionError: absurd nesting.
+    except (OSError, ValueError, RecursionError) as exc:
+        raise FormatError(f"{path}: unreadable manifest ({exc!r})") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: manifest is not a JSON object")
+    return manifest
+
+
+def _serialized(tensor: VideoTensor):
+    yield _HEADER.pack(MAGIC, FORMAT_VERSION, DTYPE_F32, 4, *tensor.shape)
+    yield tensor.data
+
+
 def save_tensor(tensor: VideoTensor, path) -> None:
     """Write a tensor in the VTensor format. load(save(t)) is bit-identical."""
-    c, t, h, w = tensor.shape
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, DTYPE_F32, 4, c, t, h, w)
-    payload = np.ascontiguousarray(tensor.data).tobytes()
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-    os.replace(tmp, path)
+    write_atomic(path, _serialized(tensor))
+
+
+def tensor_digest(tensor: VideoTensor) -> str:
+    """SHA-256 hex of the tensor's VTensor file; for a loaded tensor, the
+    hash of its file, as :func:`load_tensor` pins the header and the size."""
+    return sha256_hex(_serialized(tensor))
 
 
 def load_tensor(path) -> VideoTensor:
@@ -185,22 +254,10 @@ def load_tensor(path) -> VideoTensor:
         dims = (c, t, h, w)
         if min(dims) < 1 or max(dims) > MAX_DIM:
             raise FormatError(f"{path}: dimension out of range {dims}")
-        # Checked before allocating: corrupt dims must not become a huge array.
-        nbytes = 4 * c * t * h * w
-        expected = _HEADER.size + nbytes
-        if total < expected:
-            raise FormatError(
-                f"{path}: truncated payload ({total - _HEADER.size} bytes, "
-                f"need {nbytes})"
-            )
-        if total > expected:
-            raise FormatError(f"{path}: {total - expected} trailing bytes")
-        values = np.empty(dims, dtype="<f4")
-        got = fh.readinto(values)
-        if got != nbytes:
-            raise FormatError(
-                f"{path}: truncated payload ({got} bytes, need {nbytes})"
-            )
+        trailing = total - _HEADER.size - 4 * math.prod(dims)
+        if trailing > 0:
+            raise FormatError(f"{path}: {trailing} trailing bytes")
+        values = read_f32(fh, dims, total, path)
     try:
         return VideoTensor(values)
     except ShapeError as exc:

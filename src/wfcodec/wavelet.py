@@ -17,14 +17,13 @@ spatial padding.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, ShapeError
-from .tensor import VideoTensor, load_tensor, save_tensor
+from .tensor import VideoTensor, load_manifest, load_tensor, save_manifest, save_tensor
 
 INV_SQRT2 = 2.0**-0.5
 
@@ -338,9 +337,7 @@ def save_pyramid(p: WaveletPyramid, dirpath) -> None:
         "original_shape": [c1, p.source_time, h1 * 2, w1 * 2],
         "padding_rule": PADDING_RULE,
     }
-    with open(os.path.join(dirpath, _MANIFEST_NAME), "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    save_manifest(manifest, os.path.join(dirpath, _MANIFEST_NAME))
 
 
 def load_pyramid(dirpath) -> WaveletPyramid:
@@ -351,14 +348,9 @@ def load_pyramid(dirpath) -> WaveletPyramid:
     manifest's ``original_shape``.
     """
     manifest_path = os.path.join(dirpath, _MANIFEST_NAME)
-    try:
-        with open(manifest_path, "rb") as fh:
-            manifest = json.loads(fh.read())
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
-        raise FormatError(f"{manifest_path}: unreadable manifest ({exc})") from exc
+    manifest = load_manifest(manifest_path)
     if (
-        not isinstance(manifest, dict)
-        or manifest.get("format") != "wfcodec-pyramid"
+        manifest.get("format") != "wfcodec-pyramid"
         or manifest.get("version") != 1
         or manifest.get("levels") != 3
     ):

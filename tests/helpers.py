@@ -6,7 +6,10 @@ formulations so they cannot share a code path with the implementations they
 check.
 """
 
+import builtins
+import errno
 import itertools
+import struct
 
 import numpy as np
 from hypothesis import strategies as st
@@ -147,6 +150,55 @@ def conv3d_loop_oracle(x, weight, bias, stride, spatial_pad, pad_mode="replicate
 # ---------------------------------------------------------------------------
 
 _HAAR_SIGNS = {"h": (1.0, 1.0), "g": (1.0, -1.0)}
+
+
+def wfwt_bytes(entries) -> bytes:
+    """A ``.wfwt`` file holding ``(name, values)`` entries in the given order."""
+    out = [b"WFWT", struct.pack("<II", 1, len(entries))]
+    for name, values in entries:
+        encoded = name.encode("utf-8")
+        arr = np.asarray(values, dtype="<f4")
+        out.append(struct.pack("<H", len(encoded)) + encoded)
+        out.append(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
+        out.append(arr.tobytes())
+    return b"".join(out)
+
+
+class _TornFile:
+    """Stores half of the first blob it is given, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, blob):
+        data = memoryview(blob).cast("B")
+        self._fh.write(data[: len(data) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def tear_writes(monkeypatch, suffix: str) -> None:
+    """Make every atomic write to a path ending in ``suffix`` fail partway.
+
+    The package's one writer opens ``<path>.tmp.<pid>`` inside
+    ``wfcodec.tensor``; only that module's ``open`` is replaced.
+    """
+    import wfcodec.tensor
+
+    def torn_open(path, mode="r", *args, **kwargs):
+        fh = builtins.open(path, mode, *args, **kwargs)
+        target, sep, _ = str(path).rpartition(".tmp.")
+        if "w" in mode and sep and target.endswith(suffix):
+            return _TornFile(fh)
+        return fh
+
+    monkeypatch.setattr(wfcodec.tensor, "open", torn_open, raising=False)
 
 
 def _haar_sign(key, i, j, k) -> float:

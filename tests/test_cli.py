@@ -1,6 +1,7 @@
 """CLI contract: JSON reports on stdout, exit code 0 iff verdict pass,
 errors surfaced with exit code 2."""
 
+import hashlib
 import importlib.util
 import io
 import json
@@ -29,7 +30,7 @@ from wfcodec import (
 from wfcodec.analysis import MAX_BINS
 from wfcodec.cli import main
 
-from helpers import make_random, smooth_video
+from helpers import make_random, smooth_video, tear_writes, wfwt_bytes
 
 TINY_FLAGS = ["--base-channels", "8", "--c-flow", "8", "--blocks", "1"]
 
@@ -338,8 +339,7 @@ def assert_input_error(code, report, err, name):
 
 
 class TestRunStats:
-    """Clip and model commands report their wall time and the peak resident
-    memory."""
+    """Every command reports its wall time and the peak resident memory."""
 
     def test_reports_carry_elapsed_and_peak_rss(self, capsys, tmp_path, video_file):
         prefix = str(tmp_path / "latent")
@@ -352,13 +352,80 @@ class TestRunStats:
              "--output", str(tmp_path / "recon.wfvt")],
             ["verify-stream", "--input", video_file, "--init-seed", "3",
              "--plan", "canonical:4", *TINY_FLAGS],
+            ["cache-table", "--kernel-t", "3", "--stride-t", "1",
+             "--chunk-size", "4"],
+            ["init-weights", "--output", str(tmp_path / "w.wfwt"), *TINY_FLAGS],
+            ["loss-report", "--input", video_file, "--recon", video_file],
         ]
+        assert {argv[0] for argv in runs} == set(
+            wfcodec.cli._build_parser()._subparsers._group_actions[0].choices
+        )
         for argv in runs:
             code, report, _ = run_cli(capsys, argv)
             assert code == 0, argv[0]
             metrics = report["metrics"]
             assert metrics["elapsed_s"] > 0, argv[0]
             assert metrics["peak_rss_mib"] > 0, argv[0]
+
+
+def _file_hash(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+
+
+class TestInputDigests:
+    """Every reported input digest is the input file's SHA-256, though the
+    commands take it from the data they loaded."""
+
+    def test_digests_are_file_hashes(self, capsys, tmp_path, video_file):
+        weights = str(tmp_path / "w.wfwt")
+        prefix = str(tmp_path / "latent")
+        recon = str(tmp_path / "recon.wfvt")
+        code, _, _ = run_cli(
+            capsys, ["init-weights", "--seed", "4", "--output", weights, *TINY_FLAGS]
+        )
+        assert code == 0
+        runs = [
+            (["roundtrip", video_file], {"input": video_file}),
+            (["analyze", video_file], {"input": video_file}),
+            (["verify-stream", "--input", video_file, "--weights", weights,
+              "--plan", "canonical:4", *TINY_FLAGS],
+             {"input": video_file, "weights": weights}),
+            (["encode", "--input", video_file, "--weights", weights,
+              "--output", prefix, *TINY_FLAGS],
+             {"input": video_file, "weights": weights}),
+            (["decode", "--latent", prefix, "--weights", weights,
+              "--output", recon],
+             {"latent": prefix + ".mean.wfvt", "weights": weights}),
+            (["loss-report", "--input", video_file, "--recon", recon,
+              "--latent-mean", prefix + ".mean.wfvt",
+              "--latent-logvar", prefix + ".logvar.wfvt"],
+             {"input": video_file, "recon": recon,
+              "latent_mean": prefix + ".mean.wfvt",
+              "latent_logvar": prefix + ".logvar.wfvt"}),
+        ]
+        for argv, files in runs:
+            code, report, _ = run_cli(capsys, argv)
+            assert code == 0, argv[0]
+            for key, path in files.items():
+                assert report["inputs"][key] == _file_hash(path), (argv[0], key)
+
+
+class TestAtomicOutputs:
+    def test_torn_latent_manifest_keeps_previous(
+        self, capsys, tmp_path, video_file, monkeypatch
+    ):
+        prefix = str(tmp_path / "latent")
+        argv = ["encode", "--input", video_file, "--init-seed", "3",
+                "--output", prefix, *TINY_FLAGS]
+        code, _, _ = run_cli(capsys, argv)
+        assert code == 0
+        manifest = Path(prefix + ".json")
+        before = manifest.read_bytes()
+        tear_writes(monkeypatch, ".json")
+        code, report, err = run_cli(capsys, [*argv, "--plan", "canonical:4"])
+        assert_input_error(code, report, err, "OSError")
+        assert manifest.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp.*"))
 
 
 class TestInputErrors:
@@ -425,6 +492,19 @@ class TestInputErrors:
 
         result = self._decode_edited_manifest(capsys, tmp_path, video_file, write)
         assert_input_error(*result, "FormatError")
+
+    @pytest.mark.parametrize(
+        "names", [("z", "z"), ("b", "a")], ids=["duplicate", "swapped"]
+    )
+    def test_unsorted_weight_entries_exit_2(self, capsys, tmp_path, video_file, names):
+        weights = tmp_path / "bad.wfwt"
+        weights.write_bytes(wfwt_bytes([(n, [0.0]) for n in names]))
+        code, report, err = run_cli(
+            capsys,
+            ["encode", "--input", video_file, "--weights", str(weights),
+             "--output", str(tmp_path / "latent"), *TINY_FLAGS],
+        )
+        assert_input_error(code, report, err, "FormatError")
 
     def test_non_utf8_weight_name_exits_2(self, capsys, tmp_path, video_file):
         weights = _non_utf8_weights(tmp_path / "bad.wfwt")

@@ -212,5 +212,3 @@ class TestTotalLoss:
     def test_invalid_weights(self):
         with pytest.raises(ParameterError):
             LossWeights(kl=-1.0)
-        with pytest.raises(ParameterError):
-            LossWeights(delta=0.0)

@@ -32,6 +32,7 @@ from wfcodec.wavelet import KEYS_3D, SubbandSet3D
 
 from helpers import (
     draw_chunk_sizes, make_random, max_abs_diff, oracle_decode, oracle_encode,
+    wfwt_bytes,
 )
 
 TINY = ModelConfig(base_channels=8, c_flow=8, latent_channels=4, blocks_per_stage=1)
@@ -244,6 +245,27 @@ class TestWeightStore:
         )
         with pytest.raises(FormatError, match="UTF-8"):
             WeightStore.load(path)
+
+    @pytest.mark.parametrize(
+        "names", [("z", "z"), ("b", "a")], ids=["duplicate", "swapped"]
+    )
+    def test_unsorted_entries_rejected(self, tmp_path, names):
+        """Entries must be in strictly increasing name order: a duplicate
+        would silently overwrite its twin, and any other order would make
+        ``digest()`` differ from the file hash."""
+        path = tmp_path / "unsorted.wfwt"
+        path.write_bytes(wfwt_bytes([(n, [float(i)]) for i, n in enumerate(names)]))
+        with pytest.raises(FormatError, match="sort"):
+            WeightStore.load(path)
+
+    def test_digest_is_file_hash(self, tmp_path, tiny_weights):
+        import hashlib
+
+        path = tmp_path / "w.wfwt"
+        tiny_weights.save(path)
+        expected = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert tiny_weights.digest() == expected
+        assert WeightStore.load(path).digest() == expected
 
     def test_loaded_tensors_are_aligned(self, tmp_path, tiny_weights):
         # Names of uneven length put many payloads at odd file offsets; an

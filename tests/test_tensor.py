@@ -1,5 +1,6 @@
 """Tensor core: construction, RNG determinism, and file-format round trips."""
 
+import hashlib
 import os
 import struct
 import tracemalloc
@@ -14,13 +15,17 @@ from wfcodec import (
     Rng,
     ShapeError,
     VideoTensor,
+    WeightStore,
+    build_pyramid,
     load_tensor,
     new_tensor,
     random_normal,
+    save_pyramid,
     save_tensor,
 )
+from wfcodec.tensor import load_manifest, tensor_digest
 
-from helpers import make_random
+from helpers import make_random, tear_writes
 
 
 class TestNewTensor:
@@ -246,3 +251,77 @@ class TestFileFormat:
             path = tmp_path / f"{seed}.wfvt"
             save_tensor(tensor, path)
             assert load_tensor(path) == tensor
+
+    def test_digest_is_file_hash(self, tmp_path):
+        path = tmp_path / "d.wfvt"
+        tensor = make_random(3, (2, 3, 4, 5))
+        save_tensor(tensor, path)
+        expected = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert tensor_digest(tensor) == expected
+        assert tensor_digest(load_tensor(path)) == expected
+
+    def test_writes_and_digests_copy_no_array(self, tmp_path):
+        tensor = make_random(4, (1, 16, 256, 256))  # 4 MiB payload
+        weights = WeightStore({"w": tensor.data})
+        tracemalloc.start()
+        try:
+            save_tensor(tensor, tmp_path / "t.wfvt")
+            tensor_digest(tensor)
+            weights.save(tmp_path / "w.wfwt")
+            weights.digest()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestManifest:
+    @pytest.mark.parametrize(
+        "raw",
+        [b"[1, 2]", b'"text"', b"{", b'{"a": "\xff"}', b"[" * 100_000],
+        ids=["array", "string", "bad-json", "non-utf8", "deep-nesting"],
+    )
+    def test_defect_is_format_error(self, tmp_path, raw):
+        path = tmp_path / "m.json"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError):
+            load_manifest(path)
+
+    def test_missing_file_is_format_error(self, tmp_path):
+        with pytest.raises(FormatError):
+            load_manifest(tmp_path / "absent.json")
+
+
+class TestAtomicWrites:
+    """A write that fails partway leaves the previous file intact and no
+    tmp file behind."""
+
+    @staticmethod
+    def _check_torn(monkeypatch, path, write):
+        before = path.read_bytes()
+        with monkeypatch.context() as m:
+            tear_writes(m, path.name)
+            with pytest.raises(OSError):
+                write()
+        assert path.read_bytes() == before
+        assert not list(path.parent.glob("*.tmp.*"))
+
+    def test_tensor(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.wfvt"
+        save_tensor(make_random(1, (1, 2, 4, 4)), path)
+        self._check_torn(
+            monkeypatch, path, lambda: save_tensor(make_random(2, (1, 3, 4, 4)), path)
+        )
+
+    def test_weight_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "w.wfwt"
+        WeightStore({"a": np.ones(3)}).save(path)
+        other = WeightStore({"a": np.zeros(5), "b": np.ones((2, 2))})
+        self._check_torn(monkeypatch, path, lambda: other.save(path))
+
+    def test_pyramid_manifest(self, tmp_path, monkeypatch):
+        save_pyramid(build_pyramid(make_random(1, (1, 5, 8, 8))), tmp_path)
+        other = build_pyramid(make_random(2, (1, 3, 8, 8)))
+        self._check_torn(
+            monkeypatch, tmp_path / "pyramid.json", lambda: save_pyramid(other, tmp_path)
+        )
