@@ -105,22 +105,30 @@ _COL_TILE_BYTES = 8 << 20
 
 
 def _conv3d_core(
-    fill, length: int, shape, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec
-) -> np.ndarray:
+    fill, length: int, shape, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec,
+    scratch: int = 0, into: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Window engine for every convolution path: one im2col GEMM per tile.
 
     The conv input is a virtual sequence of ``length`` frames of ``shape``
     (c, h, w), already padded in time (causal lead or cached frames);
-    ``fill(dst, p)`` writes its frame ``p`` into ``dst``. One zero-bordered
-    window of k_t padded frames slides over it: each output frame shifts the
-    window down by s_t and fills the s_t newest frames, so no buffer grows
-    with the chunk. Emits every window that fits, i.e.
-    (length - k_t) // s_t + 1 output frames, or none when length < k_t.
+    ``fill(dst, p, buf)`` writes its frame ``p`` into ``dst`` and may use the
+    first ``scratch`` floats of ``buf``, the column buffer, which is idle
+    while the window fills. One zero-bordered window of k_t padded frames
+    slides over the sequence: each output frame shifts the window down by
+    s_t and fills the s_t newest frames, so no buffer grows with the chunk.
+    Emits every window that fits, i.e. (length - k_t) // s_t + 1 output
+    frames, or none when length < k_t.
 
     A tile is a band of output rows of one output frame. Its column rows are
     ordered (c, dt, dy, dx), the order of the stored weight, so the GEMM
     takes ``weight.reshape(cout, -1)`` without a copy and writes straight
-    into the output.
+    into the output. With ``into`` the output is added to that array
+    instead, tile by tile: ``into + (matmul + bias)``, the same float adds
+    as adding the finished output to it.
+
+    Returns the output and the last window's k_t frames without their
+    border, or None when no window fit.
     """
     cin, h, w = shape
     cout = spec.out_channels
@@ -135,15 +143,25 @@ def _conv3d_core(
     ho = (hp - kh) // sh + 1
     wo = (wp - kw) // sw + 1
     to = max(0, (length - kt) // st + 1)
-    out = np.empty((cout, to, ho, wo), dtype=np.float32)
+    if into is None:
+        out = np.empty((cout, to, ho, wo), dtype=np.float32)
+    elif into.shape == (cout, to, ho, wo):
+        out = into
+    else:
+        raise ShapeError(
+            f"conv output {(cout, to, ho, wo)} cannot add into {into.shape}"
+        )
     if to == 0:
-        return out
+        return out, None
     k = cin * kt * kh * kw
     rows = max(1, min(ho, _COL_TILE_BYTES // (4 * k * wo)))
     rows = -(-ho // -(-ho // rows))  # balance the bands of one frame
     wmat = weight.reshape(cout, k)
-    col_buf = np.empty(k * rows * wo, dtype=np.float32)
-    out_rows = out.reshape(cout, to, ho * wo)
+    col_buf = np.empty(max(k * rows * wo, scratch), dtype=np.float32)
+    if into is None:
+        out_rows = out.reshape(cout, to, ho * wo)
+    else:
+        tile_buf = np.empty(cout * rows * wo, dtype=np.float32)
     window = np.zeros((cin, kt, hp, wp), dtype=np.float32)
     inner = window[:, :, ph : ph + h, pw : pw + w]
     kept = 0  # window frames carried over from the previous output frame
@@ -152,7 +170,7 @@ def _conv3d_core(
             if dt < kept:
                 inner[:, dt] = inner[:, dt + st]
             else:
-                fill(inner[:, dt], t * st + dt)
+                fill(inner[:, dt], t * st + dt, col_buf)
         kept = max(kt - st, 0)
         for y0 in range(0, ho, rows):
             r = min(rows, ho - y0)
@@ -162,12 +180,19 @@ def _conv3d_core(
                 band = window[:, :, ys : ys + sh * (r - 1) + 1 : sh]
                 for dx in range(kw):
                     col[:, :, dy, dx] = band[..., dx : dx + sw * (wo - 1) + 1 : sw]
-            np.matmul(
-                wmat, col.reshape(k, r * wo),
-                out=out_rows[:, t, y0 * wo : (y0 + r) * wo],
-            )
-    out += bias[:, None, None, None]
-    return out
+            if into is None:
+                np.matmul(
+                    wmat, col.reshape(k, r * wo),
+                    out=out_rows[:, t, y0 * wo : (y0 + r) * wo],
+                )
+            else:
+                tile = tile_buf[: cout * r * wo].reshape(cout, r * wo)
+                np.matmul(wmat, col.reshape(k, r * wo), out=tile)
+                tile += bias[:, None]
+                out[:, t, y0 : y0 + r] += tile.reshape(cout, r, wo)
+    if into is None:
+        out += bias[:, None, None, None]
+    return out, inner
 
 
 def causal_conv3d(
@@ -261,6 +286,8 @@ def _stream_conv_core(
     bias,
     final: bool = False,
     factors: tuple[int, int, int] = (1, 1, 1),
+    prologue: _Prologue | None = None,
+    into: np.ndarray | None = None,
 ) -> tuple[np.ndarray, CacheState]:
     """Convolve one chunk against the cache; ``final`` ends the stream.
 
@@ -269,14 +296,18 @@ def _stream_conv_core(
     the conv window, so the padded input is never assembled. ``factors``
     makes the conv read the chunk through a nearest upsample with the causal
     time rule of :func:`nearest_upsample`; the upsampled chunk is never made
-    either. The cache keeps unpadded conv-input frames; the final chunk keeps
-    none and returns a finalized state.
+    either. Likewise ``prologue`` is applied to each chunk frame as it enters
+    the window. The cache keeps conv-input frames (after the prologue,
+    before the spatial border); the final chunk keeps none and returns a
+    finalized state. ``into`` is an array the output is added to, see
+    :func:`_conv3d_core`.
     """
     if state.finalized:
         raise StateError("chunk fed after the stream was finalized")
     ft, fh, fw = factors
     st = spec.stride[0]
     c, n, h, w = frames.shape
+    apply = prologue.bind(frames) if prologue is not None and n else None
     # Factor-2 time upsampling doubles every frame but the stream's first.
     drop = int(ft == 2 and state.frames_seen == 0)
     n = max(n * ft - drop, 0)
@@ -291,8 +322,10 @@ def _stream_conv_core(
     if offset < 0:
         raise StateError("cache lost frames still needed by the next window")
     length = max(head + n - offset, 0)
+    upsampled = factors != (1, 1, 1)
+    scratch = 0 if apply is None else 2 * c * h * w
 
-    def fill(dst: np.ndarray, p: int) -> None:
+    def fill(dst: np.ndarray, p: int, buf: np.ndarray) -> None:
         """Write conv-input frame ``p`` (unpadded) into ``dst``."""
         if p < cached:
             dst[...] = state.cache[:, p]
@@ -300,20 +333,29 @@ def _stream_conv_core(
             dst[...] = 0.0
         else:
             q = 0 if p < head else p - head + offset  # replicate: chunk frame 0
-            src = frames[:, (q + drop) // ft]
-            for i in range(fh):
-                for j in range(fw):
-                    dst[:, i::fh, j::fw] = src
+            j = (q + drop) // ft
+            if apply is not None and not upsampled:
+                apply(j, dst, buf)  # its last division writes the window
+                return
+            src = frames[:, j] if apply is None else apply(j, None, buf)
+            for y in range(fh):
+                for x in range(fw):
+                    dst[:, y::fh, x::fw] = src
 
     shape = (c, h * fh, w * fw)
-    out = _conv3d_core(fill, length, shape, weight, bias, spec)
+    out, last = _conv3d_core(fill, length, shape, weight, bias, spec, scratch, into)
     keep_from = out.shape[1] * st
     if final or keep_from >= length:
         cache = _EMPTY
     else:
         cache = np.empty((c, length - keep_from) + shape[1:], dtype=np.float32)
+        buf = np.empty(scratch, dtype=np.float32)
+        first = keep_from - st  # the last window's first frame
         for p in range(keep_from, length):
-            fill(cache[:, p - keep_from], p)
+            if last is not None and p - first < last.shape[1]:
+                cache[:, p - keep_from] = last[:, p - first]  # filled already
+            else:
+                fill(cache[:, p - keep_from], p, buf)
     new_state = CacheState(
         chunk_index=state.chunk_index + 1,
         frames_seen=new_seen,
@@ -362,38 +404,153 @@ def silu(x: np.ndarray) -> np.ndarray:
         return x / (1.0 + np.exp(-x))
 
 
-def _normalize(x: np.ndarray, axes: tuple[int, ...], eps: float) -> np.ndarray:
-    """(x - mean) / sqrt(var + eps), statistics over ``axes``.
+def _silu_into(x: np.ndarray, dst: np.ndarray, tmp: np.ndarray) -> None:
+    """dst = silu(x), the float ops of :func:`silu`; ``dst`` may be ``x``.
 
-    Float64 accumulators, float32 arithmetic. A slice whose float32 squares
-    overflow (|x| above about 1.8e19) is normalized in float64 instead; every
-    other slice keeps the float32 result, bit for bit.
+    exp runs on the contiguous ``tmp``: numpy's vectorized float32 exp and
+    its strided fallback can differ in the last bit.
     """
-    mean = x.mean(axis=axes, keepdims=True, dtype=np.float64)
+    np.negative(x, out=tmp)
     with np.errstate(over="ignore"):
-        ex2 = np.mean(np.square(x), axis=axes, keepdims=True, dtype=np.float64)
-    wide = ~np.isfinite(ex2)
-    var = np.maximum(ex2 - np.square(mean), 0.0)
-    scale = (1.0 / np.sqrt(var + eps)).astype(np.float32)
-    if not wide.any():
-        return (x - mean.astype(np.float32)) * scale
-    # Scale is 0 on the wide slices; a zero shift there keeps x * 0 finite.
-    out = (x - np.where(wide, 0.0, mean).astype(np.float32)) * scale
-    centered = x.astype(np.float64) - mean
-    var = np.mean(np.square(centered), axis=axes, keepdims=True)
-    return np.where(wide, (centered / np.sqrt(var + eps)).astype(np.float32), out)
+        np.exp(tmp, out=tmp)
+    tmp += 1.0
+    np.divide(x, tmp, out=dst)
 
 
-def _frame_layernorm_core(
-    frames: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5
-) -> np.ndarray:
-    if frames.shape[1] == 0:
-        return frames
-    # Per-frame statistics are independent of chunk boundaries, keeping this
-    # layer stream-safe.
-    out = _normalize(frames, (0, 2, 3), eps)
-    out *= gain[:, None, None, None]
-    out += bias[:, None, None, None]
+def _silu_inplace(x: np.ndarray) -> None:
+    """x = silu(x) for (c, t, h, w) frames, with one frame of scratch."""
+    tmp = np.empty((x.shape[0],) + x.shape[2:], dtype=np.float32)
+    for t in range(x.shape[1]):
+        _silu_into(x[:, t], x[:, t], tmp)
+
+
+# Byte budget of the float32 squares behind one block of norm statistics.
+_SQUARES_BYTES = 1 << 20
+
+
+def _mean_square(x: np.ndarray, axes: tuple[int, ...], kept: int) -> np.ndarray:
+    """``np.mean(np.square(x), axis=axes, keepdims=True, dtype=np.float64)``
+    without squaring all of ``x`` at once.
+
+    The squares are reduced in blocks along ``kept``, the one axis not in
+    ``axes``. Every block but a single-index chunk spans at least two indices:
+    numpy then sums each statistic in the order it uses for the whole array,
+    bit for bit, while a one-index block would coalesce its axes and sum in
+    another order.
+    """
+    n = x.shape[kept]
+    out = np.empty(tuple(1 if a in axes else s for a, s in enumerate(x.shape)))
+    step = max(2, _SQUARES_BYTES // (4 * (x.size // n)))
+    bounds = [*range(0, max(n - 1, 1), step), n]
+    for i, j in zip(bounds, bounds[1:]):
+        block = (slice(None),) * kept + (slice(i, j),)
+        with np.errstate(over="ignore"):
+            out[block] = np.mean(
+                np.square(x[block]), axis=axes, keepdims=True, dtype=np.float64
+            )
+    return out
+
+
+class _ChunkNorm:
+    """A norm layer's statistics over one chunk, applied frame by frame: the
+    frame is normalized, scaled by ``gain`` and shifted by ``bias``.
+
+    ``groups`` 0 normalizes each frame over (channels, height, width); no
+    statistic crosses the time axis, so the layer is stream-safe. ``groups``
+    g normalizes each of g channel groups over the whole chunk, whose
+    statistics then depend on where chunk boundaries fall (the negative
+    control). Float64 accumulators, float32 arithmetic. A slice whose float32
+    squares overflow (|x| above about 1.8e19) is normalized in float64
+    instead; every other slice keeps the float32 result, bit for bit.
+    Statistics are held per (channel, frame), broadcast over whichever axis
+    they do not span.
+    """
+
+    def __init__(
+        self, frames: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+        groups: int = 0, eps: float = 1e-5,
+    ):
+        c, t, h, w = frames.shape
+        if groups:
+            x = frames.reshape(groups, c // groups, t, h, w)
+            axes, kept = (1, 2, 3, 4), 0
+        else:
+            x, axes, kept = frames, (0, 2, 3), 1
+
+        def per_frame(a: np.ndarray) -> np.ndarray:
+            if not groups:
+                return a  # (1, t, 1, 1)
+            per_channel = np.repeat(a.reshape(groups, 1, 1, 1), c // groups, axis=0)
+            return np.broadcast_to(per_channel, (c, t, 1, 1))
+
+        mean = x.mean(axis=axes, keepdims=True, dtype=np.float64)
+        ex2 = _mean_square(x, axes, kept)
+        wide = ~np.isfinite(ex2)
+        var = np.maximum(ex2 - np.square(mean), 0.0)
+        # Scale is 0 on the wide slices; a zero shift there keeps x * 0 finite.
+        self.scale = per_frame((1.0 / np.sqrt(var + eps)).astype(np.float32))
+        self.shift = per_frame(np.where(wide, 0.0, mean).astype(np.float32))
+        self.wide = per_frame(wide)
+        if wide.any():
+            centered = x.astype(np.float64) - mean
+            var = np.mean(np.square(centered), axis=axes, keepdims=True)
+            self.mean = per_frame(mean)
+            self.root = per_frame(np.sqrt(var + eps))
+        self.gain = gain[:, None, None]
+        self.bias = bias[:, None, None]
+
+    def apply(self, src: np.ndarray, t: int, dst: np.ndarray) -> None:
+        """Write the normalized frame ``t`` of the chunk, ``src``, into ``dst``."""
+        np.subtract(src, self.shift[:, t], out=dst)
+        dst *= self.scale[:, t]
+        wide = self.wide[:, t]
+        if wide.any():
+            exact = (src.astype(np.float64) - self.mean[:, t]) / self.root[:, t]
+            np.copyto(dst, exact.astype(np.float32), where=wide)
+        dst *= self.gain
+        dst += self.bias
+
+
+@dataclass(frozen=True, eq=False)
+class _Prologue:
+    """What a conv applies to each input frame as it enters the window: SiLU
+    of the norm with ``gain``, ``bias`` and ``groups`` (see
+    :class:`_ChunkNorm`), or SiLU alone when ``gain`` is None. The normalized
+    and activated chunk is never made as a whole."""
+
+    gain: np.ndarray | None = None
+    bias: np.ndarray | None = None
+    groups: int = 0
+
+    def bind(self, frames: np.ndarray):
+        """``apply(j, dst, buf)`` for a non-empty chunk: writes the prologue
+        of chunk frame ``j`` into ``dst`` and returns it. The work is done in
+        two contiguous scratch frames at the start of ``buf``, and only the
+        final division writes ``dst``; ``dst`` None means the first of them."""
+        c, _, h, w = frames.shape
+        stats = None
+        if self.gain is not None:
+            stats = _ChunkNorm(frames, self.gain, self.bias, self.groups)
+
+        def apply(j: int, dst: np.ndarray | None, buf: np.ndarray) -> np.ndarray:
+            normed, tmp = buf[: 2 * c * h * w].reshape(2, c, h, w)
+            src = frames[:, j]
+            if stats is not None:
+                stats.apply(src, j, normed)
+                src = normed
+            dst = normed if dst is None else dst
+            _silu_into(src, dst, tmp)
+            return dst
+
+        return apply
+
+
+def _normalized(frames: np.ndarray, gain, bias, groups: int, eps: float) -> np.ndarray:
+    out = np.empty(frames.shape, dtype=np.float32)
+    if frames.shape[1]:
+        stats = _ChunkNorm(frames, gain, bias, groups, eps)
+        for t in range(frames.shape[1]):
+            stats.apply(frames[:, t], t, out[:, t])
     return out
 
 
@@ -406,7 +563,7 @@ def frame_layernorm(
     whole-clip evaluation.
     """
     gain, bias, _ = _check_affine(x.channels, gain, bias, eps)
-    return VideoTensor(_frame_layernorm_core(x.data, gain, bias, eps))
+    return VideoTensor(_normalized(x.data, gain, bias, 0, eps))
 
 
 def _check_affine(channels: int, gain, bias, eps: float):
@@ -419,23 +576,6 @@ def _check_affine(channels: int, gain, bias, eps: float):
             f"gain/bias must have shape ({channels},), got {gain.shape}/{bias.shape}"
         )
     return gain, bias, eps
-
-
-def _groupnorm_core(
-    frames: np.ndarray,
-    groups: int,
-    gain: np.ndarray,
-    bias: np.ndarray,
-    eps: float = 1e-5,
-) -> np.ndarray:
-    c, t, h, w = frames.shape
-    if frames.shape[1] == 0:
-        return frames
-    grouped = frames.reshape(groups, c // groups, t, h, w)
-    out = _normalize(grouped, (1, 2, 3, 4), eps).reshape(c, t, h, w)
-    out *= gain[:, None, None, None]
-    out += bias[:, None, None, None]
-    return out
 
 
 def groupnorm_whole_clip(
@@ -452,7 +592,7 @@ def groupnorm_whole_clip(
             f"channels ({x.channels}) not divisible by groups ({groups})"
         )
     gain, bias, _ = _check_affine(x.channels, gain, bias, eps)
-    return VideoTensor(_groupnorm_core(x.data, groups, gain, bias, eps))
+    return VideoTensor(_normalized(x.data, gain, bias, groups, eps))
 
 
 def nearest_upsample(x: VideoTensor, factors: tuple[int, int, int]) -> VideoTensor:

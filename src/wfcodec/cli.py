@@ -64,10 +64,27 @@ class Report:
         return json.dumps(asdict(self), indent=2)
 
 
+# Elements per float64 difference block of _max_abs: 2 MiB of transients.
+_DIFF_BLOCK = 1 << 18
+
+
 def _max_abs(a: np.ndarray, b: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
+    """max |a - b| in float64, NaN when any difference is NaN; 0 when empty.
+
+    The difference is taken over fixed-size blocks of the flattened arrays,
+    so no clip-sized float64 copy is made.
+    """
+    a, b = a.reshape(-1), b.reshape(-1)
+    buf = np.empty(min(a.size, _DIFF_BLOCK), dtype=np.float64)
+    worst = np.float64(0.0)
+    for i in range(0, a.size, _DIFF_BLOCK):
+        diff = buf[: min(_DIFF_BLOCK, a.size - i)]
+        np.subtract(
+            a[i : i + _DIFF_BLOCK], b[i : i + _DIFF_BLOCK], out=diff, dtype=np.float64
+        )
+        np.abs(diff, out=diff)
+        worst = np.maximum(worst, diff.max())  # keeps a NaN once seen
+    return float(worst)
 
 
 def _tolerance(args) -> float:

@@ -38,11 +38,10 @@ from .causal import (
     CacheState,
     ChunkPlan,
     ConvSpec,
-    _frame_layernorm_core,
-    _groupnorm_core,
+    _Prologue,
     _iter_chunks,
+    _silu_inplace,
     _stream_conv_core,
-    silu,
 )
 from .errors import FormatError, ParameterError, ShapeError, WeightError
 from .tensor import Rng, VideoTensor, read_f32, sha256_hex, write_atomic
@@ -267,38 +266,33 @@ class WeightStore:
 
 @dataclass(frozen=True)
 class _Node:
-    """One graph node: a layer, a residual block, or an energy-flow branch.
+    """One graph node: a conv, a residual block, or an energy-flow branch.
 
-    ``kind`` is conv, norm, act, block, inflow or outflow. ``spec`` is the
-    conv geometry of conv and branch nodes, ``factors`` the nearest upsample
-    a conv reads its input through, ``width`` the channels of a norm,
-    ``keys`` the subbands a branch carries; a block runs ``body`` and adds its
-    input, through the ``skip`` conv when the width changes.
+    ``kind`` is conv, block, inflow or outflow. ``spec`` is the conv
+    geometry of conv and branch nodes. A conv reads its input through the
+    nearest upsample ``factors``, or through SiLU of the norm named ``norm``
+    (a layer with a gain and a bias over the input channels). ``keys`` are
+    the subbands a branch carries; a block runs ``body`` and adds its input,
+    through the ``skip`` conv when the width changes.
     """
 
     kind: str
     name: str = ""
     spec: ConvSpec | None = None
-    width: int = 0
+    norm: str = ""
     factors: tuple[int, int, int] = (1, 1, 1)
     keys: tuple[str, ...] = ()
     body: tuple[_Node, ...] = ()
     skip: _Node | None = None
 
 
-_ACT = _Node("act")
-
-
 def _conv(
-    name: str, cin: int, cout: int, kernel=(3, 3, 3), stride=(1, 1, 1), factors=(1, 1, 1)
+    name: str, cin: int, cout: int, kernel=(3, 3, 3), stride=(1, 1, 1),
+    factors=(1, 1, 1), norm: str = "",
 ) -> _Node:
     pad = ((kernel[1] - 1) // 2, (kernel[2] - 1) // 2)
     spec = ConvSpec(cin, cout, tuple(kernel), tuple(stride), pad)
-    return _Node("conv", name, spec, factors=factors)
-
-
-def _norm(name: str, width: int) -> _Node:
-    return _Node("norm", name, width=width)
+    return _Node("conv", name, spec, norm, factors)
 
 
 def _branch(kind: str, name: str, cin: int, cout: int, keys) -> _Node:
@@ -311,12 +305,8 @@ def _stage(prefix: str, cin: int, cout: int, blocks: int) -> list[_Node]:
     for i in range(blocks):
         p, c = f"{prefix}.block{i}", cin if i == 0 else cout
         body = (
-            _norm(f"{p}.norm1", c),
-            _ACT,
-            _conv(f"{p}.conv1", c, cout),
-            _norm(f"{p}.norm2", cout),
-            _ACT,
-            _conv(f"{p}.conv2", cout, cout),
+            _conv(f"{p}.conv1", c, cout, norm=f"{p}.norm1"),
+            _conv(f"{p}.conv2", cout, cout, norm=f"{p}.norm2"),
         )
         skip = _conv(f"{p}.skip", c, cout, kernel=(1, 1, 1)) if c != cout else None
         nodes.append(_Node("block", p, body=body, skip=skip))
@@ -337,9 +327,7 @@ def _graph(config: ModelConfig) -> tuple[list[_Node], list[_Node]]:
         _conv("enc.down2", w1, w2, stride=(1, 2, 2)),
         _branch("inflow", "enc.inflow3", stack2d, cf, KEYS_2D),
         *_stage("enc.stage3", w2 + cf, w2, blocks),
-        _norm("enc.head.norm", w2),
-        _ACT,
-        _conv("enc.head.conv", w2, 2 * chn),
+        _conv("enc.head.conv", w2, 2 * chn, norm="enc.head.norm"),
     ]
     decoder = [
         _conv("dec.stem", chn, w2),
@@ -350,20 +338,18 @@ def _graph(config: ModelConfig) -> tuple[list[_Node], list[_Node]]:
         _branch("outflow", "dec.outflow2", cf, stack3d, KEYS_3D),
         _conv("dec.up1", w1, w0, factors=(2, 2, 2)),
         *_stage("dec.stage1", w0, w0, blocks),
-        _norm("dec.out.norm", w0),
-        _ACT,
-        _conv("dec.out.conv", w0, stack3d),
+        _conv("dec.out.conv", w0, stack3d, norm="dec.out.norm"),
     ]
     return encoder, decoder
 
 
 def _node_params(node: _Node):
+    if node.norm:
+        yield f"{node.norm}.gain", (node.spec.in_channels,)
+        yield f"{node.norm}.bias", (node.spec.in_channels,)
     if node.spec is not None:
         yield f"{node.name}.weight", node.spec.weight_shape()
         yield f"{node.name}.bias", (node.spec.out_channels,)
-    elif node.kind == "norm":
-        yield f"{node.name}.gain", (node.width,)
-        yield f"{node.name}.bias", (node.width,)
     for child in (*node.body, *filter(None, [node.skip])):
         yield from _node_params(child)
 
@@ -467,56 +453,50 @@ def _feed_streams(streams, frames: np.ndarray, final: bool) -> np.ndarray:
 
 
 class _ConvStream:
-    """A causal conv and its tail-frame cache; ``factors`` is the nearest
-    upsample it reads its input through."""
+    """A causal conv and its tail-frame cache; it reads its input through the
+    nearest upsample ``factors`` or through ``prologue``."""
 
     def __init__(
         self, spec: ConvSpec, weight: np.ndarray, bias: np.ndarray,
-        factors: tuple[int, int, int],
+        factors: tuple[int, int, int], prologue: _Prologue | None = None,
     ):
         self.spec = spec
         self.weight = weight
         self.bias = bias
         self.factors = factors
+        self.prologue = prologue
         self.state = CacheState()
 
-    def feed(self, frames: np.ndarray, final: bool) -> np.ndarray:
+    def feed(
+        self, frames: np.ndarray, final: bool, into: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The conv of the chunk, or ``into`` with it added when given."""
         out, self.state = _stream_conv_core(
             self.state, frames, self.spec, self.weight, self.bias, final,
-            self.factors,
+            self.factors, self.prologue, into,
         )
         return out
 
 
-class _FrameStream:
-    """A stateless layer that maps each chunk on its own: a norm or SiLU."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def feed(self, frames: np.ndarray, final: bool) -> np.ndarray:
-        return self.fn(frames)
-
-
 def _stream(node: _Node, config: ModelConfig, weights: WeightStore):
     """The executor node of one graph node."""
-    def param(suffix: str) -> np.ndarray:
-        return weights.get(f"{node.name}.{suffix}")
-
-    if node.kind == "norm":
-        gain, bias = param("gain"), param("bias")
-        if config.norm == NORM_FRAME_LAYERNORM:
-            return _FrameStream(lambda x: _frame_layernorm_core(x, gain, bias))
-        # The negative control: its statistics shrink to the chunk.
-        groups = config.groupnorm_groups
-        return _FrameStream(lambda x: _groupnorm_core(x, groups, gain, bias))
-    if node.kind == "act":
-        return _FrameStream(silu)
     if node.kind == "block":
         body = [_stream(child, config, weights) for child in node.body]
         skip = _stream(node.skip, config, weights) if node.skip else None
         return _Block(body, skip)
-    conv = _ConvStream(node.spec, param("weight"), param("bias"), node.factors)
+    prologue = None
+    if node.norm:
+        # Group norm, the negative control, takes its statistics over the chunk.
+        groups = config.groupnorm_groups if config.norm == NORM_GROUPNORM else 0
+        prologue = _Prologue(
+            weights.get(f"{node.norm}.gain"), weights.get(f"{node.norm}.bias"), groups
+        )
+    elif node.kind == "outflow":
+        prologue = _Prologue()  # SiLU alone
+    conv = _ConvStream(
+        node.spec, weights.get(f"{node.name}.weight"),
+        weights.get(f"{node.name}.bias"), node.factors, prologue,
+    )
     if node.kind == "inflow":
         return _Inflow(node, conv)
     if node.kind == "outflow":
@@ -525,16 +505,21 @@ def _stream(node: _Node, config: ModelConfig, weights: WeightStore):
 
 
 class _Block:
-    """Residual block: skip(x) + body(x), skip being the identity or a conv."""
+    """Residual block: skip(x) + body(x), skip being the identity or a conv.
+
+    The body's last conv adds its output into the skip buffer, so the sum is
+    never a separate array. With the identity skip that buffer is the block
+    input itself, which every graph node produces fresh and reads no more.
+    """
 
     def __init__(self, body: list, skip: _ConvStream | None):
-        self.body = body
+        *self.head, self.last = body
         self.skip = skip
 
     def feed(self, frames: np.ndarray, final: bool) -> np.ndarray:
-        h = _feed_streams(self.body, frames, final)
         skip = self.skip.feed(frames, final) if self.skip else frames
-        return skip + h
+        h = _feed_streams(self.head, frames, final)
+        return self.last.feed(h, final, into=skip)
 
 
 def _split_bands(stack: np.ndarray, keys) -> dict[str, np.ndarray]:
@@ -557,7 +542,8 @@ class _Inflow(_Branch):
 
     def feed(self, x: np.ndarray, final: bool) -> np.ndarray:
         stack = np.concatenate([self.bands[k] for k in self.node.keys], axis=0)
-        flow = silu(self.conv.feed(stack, final))
+        flow = self.conv.feed(stack, final)
+        _silu_inplace(flow)
         if x.shape[1] != flow.shape[1]:
             raise ShapeError(
                 f"backbone/wavelet rate mismatch at {self.node.name}: "
@@ -567,10 +553,11 @@ class _Inflow(_Branch):
 
 
 class _Outflow(_Branch):
-    """Passes x through; predicts ``bands`` as conv(act(x[:c_flow]))."""
+    """Passes x through; predicts ``bands`` as conv(act(x[:c_flow])), the
+    conv's prologue being the act."""
 
     def feed(self, x: np.ndarray, final: bool) -> np.ndarray:
-        out = self.conv.feed(silu(x[: self.node.spec.in_channels]), final)
+        out = self.conv.feed(x[: self.node.spec.in_channels], final)
         self.bands = _split_bands(out, self.node.keys)
         return x
 
@@ -592,8 +579,10 @@ class _EncoderStream:
         w2 = self.wave2.feed(w1["hhh"])
         w3 = _analyze_2d(w2["hhh"])
         self.inflow2.bands, self.inflow3.bands = w2, w3
+        # Popping the bands leaves the stacked copy as level 1's only one, and
+        # the chain frees that once the stem has read it.
         x = _feed_streams(
-            self.chain, np.concatenate([w1[k] for k in KEYS_3D], axis=0), final
+            self.chain, np.concatenate([w1.pop(k) for k in KEYS_3D], axis=0), final
         )
         chn = self.latent_channels
         return x[:chn], x[chn:], w2, w3

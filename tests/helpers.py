@@ -23,6 +23,7 @@ from wfcodec import (
     build_pyramid,
     causal_conv3d,
     frame_layernorm,
+    groupnorm_whole_clip,
     idwt2d,
     idwt3d,
     nearest_upsample,
@@ -246,7 +247,8 @@ def squared_l2(arr) -> float:
 # Whole-clip model oracle: the energy-flow graph wired by hand from public
 # whole-clip primitives, independent of the model's chunk executor. Conv
 # geometry comes from the weight shapes; only the two strided downsamplers
-# are named. Supports the per-frame layer norm.
+# are named. ``config.norm`` picks the norm: the per-frame layer norm, or the
+# group norm with whole-clip statistics, which direct mode (one chunk) takes.
 # ---------------------------------------------------------------------------
 
 _ORACLE_STRIDES = {"enc.down1": (2, 2, 2), "enc.down2": (1, 2, 2)}
@@ -262,17 +264,21 @@ def _oracle_conv(x, weights, name):
     return causal_conv3d(x, spec, weight, weights.get(f"{name}.bias"))
 
 
-def _oracle_norm_act(x, weights, name):
-    normed = frame_layernorm(x, weights.get(f"{name}.gain"), weights.get(f"{name}.bias"))
+def _oracle_norm_act(x, weights, name, config):
+    gain, bias = weights.get(f"{name}.gain"), weights.get(f"{name}.bias")
+    if config.norm == "groupnorm":
+        normed = groupnorm_whole_clip(x, config.groupnorm_groups, gain, bias)
+    else:
+        normed = frame_layernorm(x, gain, bias)
     return VideoTensor(silu(normed.data))
 
 
 def _oracle_stage(x, weights, prefix, config):
     for i in range(config.blocks_per_stage):
         p = f"{prefix}.block{i}"
-        h = _oracle_norm_act(x, weights, f"{p}.norm1")
+        h = _oracle_norm_act(x, weights, f"{p}.norm1", config)
         h = _oracle_conv(h, weights, f"{p}.conv1")
-        h = _oracle_norm_act(h, weights, f"{p}.norm2")
+        h = _oracle_norm_act(h, weights, f"{p}.norm2", config)
         h = _oracle_conv(h, weights, f"{p}.conv2")
         skip = x
         if h.channels != x.channels:
@@ -301,7 +307,7 @@ def oracle_encode(video, config, weights):
     x = _oracle_conv(x, weights, "enc.down2")
     x = _oracle_inflow(x, weights, "enc.inflow3", pyramid.level3.stack())
     x = _oracle_stage(x, weights, "enc.stage3", config)
-    x = _oracle_norm_act(x, weights, "enc.head.norm")
+    x = _oracle_norm_act(x, weights, "enc.head.norm", config)
     x = _oracle_conv(x, weights, "enc.head.conv").data
     chn = config.latent_channels
     return x[:chn], x[chn:], pyramid.level2.stack(), pyramid.level3.stack()
@@ -319,7 +325,7 @@ def oracle_decode(z, config, weights, original_t):
     w2 = w2.replace("hhh", VideoTensor(w2["hhh"].data + idwt2d(w3).data))
     x = _oracle_conv(nearest_upsample(x, (2, 2, 2)), weights, "dec.up1")
     x = _oracle_stage(x, weights, "dec.stage1", config)
-    x = _oracle_norm_act(x, weights, "dec.out.norm")
+    x = _oracle_norm_act(x, weights, "dec.out.norm", config)
     w1 = SubbandSet3D.from_stack(_oracle_conv(x, weights, "dec.out.conv"))
     contrib = idwt3d(w2, original_t=w1.time)
     w1 = w1.replace("hhh", VideoTensor(w1["hhh"].data + contrib.data))

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from wfcodec import (
     save_tensor,
 )
 from wfcodec.analysis import MAX_BINS
+from wfcodec import cli
 from wfcodec.cli import main
 
 from helpers import make_random, smooth_video, tear_writes, wfwt_bytes
@@ -81,6 +83,46 @@ class TestRoundtrip:
             )
             assert code == 0
             assert report["metrics"]["max_abs_error"] <= 1e-5
+
+
+class TestMaxAbs:
+    """The CLI's deviation measure is blocked, and equals the one-shot formula."""
+
+    @staticmethod
+    def _one_shot(a, b) -> float:
+        return float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
+
+    def test_equals_one_shot_across_blocks(self):
+        n = 3 * cli._DIFF_BLOCK + 5
+        a = Rng(21).normal((n,))
+        b = a + Rng(22).normal((n,), std=1e-3)
+        for worst_at in (0, cli._DIFF_BLOCK - 1, 2 * cli._DIFF_BLOCK + 1, n - 1):
+            c = b.copy()
+            c[worst_at] += 7.0
+            assert cli._max_abs(a, c) == self._one_shot(a, c)
+        shaped = a.reshape(1, n)
+        assert cli._max_abs(shaped, b.reshape(1, n)) == self._one_shot(a, b)
+        assert cli._max_abs(a[:0], b[:0]) == 0.0
+
+    def test_nan_in_any_block_is_nan(self):
+        n = 3 * cli._DIFF_BLOCK
+        a = np.zeros(n, np.float32)
+        for at in (0, cli._DIFF_BLOCK + 3, n - 1):
+            b = np.ones(n, np.float32)
+            b[at] = np.nan
+            assert np.isnan(cli._max_abs(a, b))
+
+    def test_transient_memory_is_one_block(self):
+        n = 8 * cli._DIFF_BLOCK
+        a, b = np.zeros(n, np.float32), np.ones(n, np.float32)
+        tracemalloc.start()
+        try:
+            assert cli._max_abs(a, b) == 1.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One float64 block, plus the ufunc's casting buffers.
+        assert peak <= 8 * cli._DIFF_BLOCK + (256 << 10)
 
 
 class TestAnalyze:

@@ -1,6 +1,8 @@
 """Autoencoder graph: shape laws, determinism, streamed/direct identity,
 recombination linearity, and weight-store round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from wfcodec import (
     preset_config,
     sample_latent,
 )
+from wfcodec import causal
 from wfcodec.model import PRESET_BASE_CHANNELS
 from wfcodec.wavelet import KEYS_3D, SubbandSet3D
 
@@ -37,6 +40,10 @@ from helpers import (
 
 TINY = ModelConfig(base_channels=8, c_flow=8, latent_channels=4, blocks_per_stage=1)
 TINY2 = ModelConfig(base_channels=8, c_flow=12, latent_channels=4, blocks_per_stage=2)
+TINY_GN = ModelConfig(
+    base_channels=8, c_flow=8, latent_channels=4, blocks_per_stage=1,
+    norm="groupnorm", groupnorm_groups=4,
+)
 
 
 @pytest.fixture(scope="module")
@@ -333,29 +340,68 @@ class TestEncodeShapes:
             )
 
 
+def _random_affine(config, weights, seed):
+    """Random gains and biases, so a swapped parameter shows."""
+    rng = Rng(seed)
+    for name, shape in parameter_manifest(config):
+        if name.endswith(".gain"):
+            weights.put(name, 1.0 + rng.normal(shape, std=0.1))
+        elif name.endswith(".bias"):
+            weights.put(name, rng.normal(shape, std=0.1))
+    return weights
+
+
 class TestWholeClipOracle:
-    def test_direct_matches_independent_wiring(self, tiny_video):
+    def _check(self, video, config, weights):
         """Direct encode/decode equal the hand-wired whole-clip oracle within
-        1e-6. Gains and biases are random so a swapped parameter shows."""
-        rng = Rng(91)
-        weights = init_weights(TINY, Rng(92))
-        for name, shape in parameter_manifest(TINY):
-            if name.endswith(".gain"):
-                weights.put(name, 1.0 + rng.normal(shape, std=0.1))
-            elif name.endswith(".bias"):
-                weights.put(name, rng.normal(shape, std=0.1))
-        enc = encode(tiny_video, TINY, weights)
-        mean, logvar, w2, w3 = oracle_encode(tiny_video, TINY, weights)
-        assert max_abs_diff(enc.latent.mean, mean) <= 1e-6
-        assert max_abs_diff(enc.latent.logvar, logvar) <= 1e-6
-        assert max_abs_diff(enc.w2.stack(), w2) <= 1e-6
-        assert max_abs_diff(enc.w3.stack(), w3) <= 1e-6
-        assert enc.latent_chunks == (5,)
-        dec = decode(enc.latent.mean, TINY, weights, original_t=17)
-        video, w2_hat, w3_hat = oracle_decode(enc.latent.mean, TINY, weights, 17)
-        assert max_abs_diff(dec.video, video) <= 1e-6
-        assert max_abs_diff(dec.w2_hat.stack(), w2_hat) <= 1e-6
-        assert max_abs_diff(dec.w3_hat.stack(), w3_hat) <= 1e-6
+        1e-6, and in fact bit for bit."""
+        enc = encode(video, config, weights)
+        expected = oracle_encode(video, config, weights)
+        for got, want in zip(
+            (enc.latent.mean.data, enc.latent.logvar.data, enc.w2.stack(), enc.w3.stack()),
+            expected,
+        ):
+            assert max_abs_diff(got, want) <= 1e-6
+            assert np.array_equal(got, want)
+        assert enc.latent_chunks == (config.latent_time(video.time),)
+        dec = decode(enc.latent.mean, config, weights, original_t=video.time)
+        expected = oracle_decode(enc.latent.mean, config, weights, video.time)
+        for got, want in zip(
+            (dec.video.data, dec.w2_hat.stack(), dec.w3_hat.stack()), expected
+        ):
+            assert max_abs_diff(got, want) <= 1e-6
+            assert np.array_equal(got, want)
+
+    def test_direct_matches_independent_wiring(self, tiny_video):
+        weights = _random_affine(TINY, init_weights(TINY, Rng(92)), 91)
+        self._check(tiny_video, TINY, weights)
+
+    def test_groupnorm_direct_matches_independent_wiring(self, tiny_video):
+        """Direct mode is one chunk, so the group norm's statistics span the clip."""
+        weights = _random_affine(TINY_GN, init_weights(TINY_GN, Rng(92)), 91)
+        self._check(tiny_video, TINY_GN, weights)
+
+    @pytest.mark.parametrize("config", [TINY, TINY_GN], ids=["layernorm", "groupnorm"])
+    def test_huge_activations_take_the_float64_norm(self, tiny_video, config, monkeypatch):
+        """Stage-1 activations above 1.8e19 overflow float32 squares, so their
+        norms fall back to float64 statistics, in the encoder and the decoder."""
+        weights = _random_affine(config, init_weights(config, Rng(93)), 94)
+        for name in ("enc.stem.weight", "dec.up1.weight"):
+            weights.put(name, weights.get(name) * np.float32(1e20))
+        wide = []
+
+        class Spy(causal._ChunkNorm):
+            def __init__(self, frames, *params):
+                super().__init__(frames, *params)
+                wide.append(bool(self.wide.any()))
+
+        monkeypatch.setattr(causal, "_ChunkNorm", Spy)
+        enc = encode(tiny_video, config, weights)
+        assert any(wide) and np.isfinite(enc.latent.mean.data).all()
+        wide.clear()
+        dec = decode(enc.latent.mean, config, weights, original_t=tiny_video.time)
+        assert any(wide) and np.isfinite(dec.video.data).all()
+        self._check(tiny_video, config, weights)
 
     def test_streamed_encode_reports_latent_chunks(self, tiny_weights, tiny_video):
         enc = encode(tiny_video, TINY, tiny_weights, mode=ChunkPlan.canonical(4))
@@ -363,6 +409,41 @@ class TestWholeClipOracle:
         plan = ChunkPlan.explicit([1, 2, 14])
         enc = encode(tiny_video, TINY, tiny_weights, mode=plan)
         assert enc.latent_chunks == (1, 0, 4)
+
+
+class TestExecutorMemory:
+    """A residual block holds two activations: the norm and SiLU are applied
+    as frames enter a conv's window, and the last conv adds into the skip."""
+
+    CONFIG = ModelConfig(base_channels=32, c_flow=8, latent_channels=4, blocks_per_stage=1)
+
+    @staticmethod
+    def _peak(run):
+        tracemalloc.start()
+        try:
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return out, peak
+
+    def test_direct_peak_is_two_activations_plus_conv_buffers(self):
+        config, t = self.CONFIG, 97
+        weights = init_weights(config, Rng(61))
+        video = make_random(62, (3, t, 64, 64))
+        # Stage 1 of both the encoder and the decoder: (c, t1, h1, w1).
+        c, t1, h1, w1 = config.base_channels, (t - 1) // 2 + 1, 32, 32
+        act = 4 * c * t1 * h1 * w1
+        col = min(causal._COL_TILE_BYTES, 4 * (27 * c) * h1 * w1)
+        window = 4 * c * 3 * (h1 + 2) * (w1 + 2)
+        # The level-2/3 subbands, the GEMM tile and small buffers: well under
+        # the third activation a block used to hold.
+        slack = act // 4
+        bound = 2 * act + col + window + slack
+        enc, peak = self._peak(lambda: encode(video, config, weights))
+        assert peak <= bound, f"encode peak {peak / 2**20:.2f} MiB > {bound / 2**20:.2f}"
+        _, peak = self._peak(lambda: decode(enc.latent.mean, config, weights, t))
+        assert peak <= bound, f"decode peak {peak / 2**20:.2f} MiB > {bound / 2**20:.2f}"
 
 
 class TestStreamingIdentity:
