@@ -11,7 +11,7 @@ Three pillars:
 See README.md for the CLI (``wfcodec --help``) and the acceptance suite.
 """
 
-from .analysis import SubbandStats, analyze_level, subband_energy, subband_entropy
+from .analysis import SubbandStats, subband_energy, subband_entropy
 from .causal import (
     CacheState,
     ChunkPlan,
@@ -67,9 +67,7 @@ from .wavelet import (
     dwt3d,
     idwt2d,
     idwt3d,
-    load_pyramid,
     reconstruct_pyramid,
-    save_pyramid,
 )
 
 __version__ = "0.1.0"

@@ -114,25 +114,6 @@ def subband_entropy(subbands, bins: int = DEFAULT_BINS) -> list[SubbandStats]:
     ]
 
 
-def analyze_level(subbands, bins: int = DEFAULT_BINS) -> list[SubbandStats]:
-    """Joint energy + entropy stats, one record per subband in canonical order."""
-    _check_bins(bins)
-    merged = []
-    for energy_stat, entropy_stat in zip(
-        subband_energy(subbands), subband_entropy(subbands, bins)
-    ):
-        merged.append(
-            SubbandStats(
-                key=energy_stat.key,
-                energy=energy_stat.energy,
-                energy_fraction=energy_stat.energy_fraction,
-                entropy_bits=entropy_stat.entropy_bits,
-                degenerate=energy_stat.degenerate,
-            )
-        )
-    return merged
-
-
 def analyze_pyramid(pyramid, bins: int = DEFAULT_BINS) -> list[dict]:
     """Flat JSON-ready records for all three pyramid levels."""
     records = []
@@ -141,15 +122,17 @@ def analyze_pyramid(pyramid, bins: int = DEFAULT_BINS) -> list[dict]:
         (2, pyramid.level2),
         (3, pyramid.level3),
     ):
-        for stat in analyze_level(subbands, bins):
+        for energy, entropy in zip(
+            subband_energy(subbands), subband_entropy(subbands, bins)
+        ):
             records.append(
                 {
                     "level": level,
-                    "key": stat.key,
-                    "energy": stat.energy,
-                    "energy_fraction": stat.energy_fraction,
-                    "entropy_bits": stat.entropy_bits,
-                    "degenerate": stat.degenerate,
+                    "key": energy.key,
+                    "energy": energy.energy,
+                    "energy_fraction": energy.energy_fraction,
+                    "entropy_bits": entropy.entropy_bits,
+                    "degenerate": energy.degenerate,
                 }
             )
     return records

@@ -26,7 +26,7 @@ it is provided purely as the documented negative control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -262,7 +262,6 @@ class CacheState:
     immutable; :func:`stream_conv3d` returns updated copies.
     """
 
-    chunk_index: int = 0
     frames_seen: int = 0
     next_window_start: int = 0
     cache: np.ndarray = field(default_factory=lambda: _EMPTY)
@@ -272,10 +271,6 @@ class CacheState:
     def occupancy(self) -> int:
         """Number of frames currently retained."""
         return 0 if self.cache.ndim != 4 else self.cache.shape[1]
-
-    def finalize(self) -> "CacheState":
-        """Mark the stream complete; any further chunk raises StateError."""
-        return replace(self, finalized=True)
 
 
 def _stream_conv_core(
@@ -357,7 +352,6 @@ def _stream_conv_core(
             else:
                 fill(cache[:, p - keep_from], p, buf)
     new_state = CacheState(
-        chunk_index=state.chunk_index + 1,
         frames_seen=new_seen,
         next_window_start=state.next_window_start + keep_from,
         cache=cache,

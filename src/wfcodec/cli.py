@@ -24,7 +24,7 @@ import os
 import resource
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -281,6 +281,9 @@ def cmd_encode(args) -> Report:
     plan = ChunkPlan.parse(args.plan)
     result = encode(video, config, weights, mode=plan)
     mean_path, logvar_path, manifest_path = _latent_paths(args.output)
+    # No old manifest may outlive an interrupted write of the new tensors.
+    with suppress(FileNotFoundError):
+        os.remove(manifest_path)
     save_tensor(result.latent.mean, mean_path)
     save_tensor(result.latent.logvar, logvar_path)
     manifest = {
@@ -370,6 +373,8 @@ def cmd_init_weights(args) -> Report:
 
 
 def cmd_loss_report(args) -> Report:
+    if bool(args.latent_mean) != bool(args.latent_logvar):
+        raise ParameterError("--latent-mean and --latent-logvar go together")
     original = load_tensor(args.input)
     recon = load_tensor(args.recon)
     weights = LossWeights(adv=args.lambda_adv, kl=args.lambda_kl, wl=args.lambda_wl)
@@ -387,7 +392,7 @@ def cmd_loss_report(args) -> Report:
         "input": tensor_digest(original)[:16],
         "recon": tensor_digest(recon)[:16],
     }
-    if args.latent_mean and args.latent_logvar:
+    if args.latent_mean:
         latent = GaussianLatent(
             load_tensor(args.latent_mean), load_tensor(args.latent_logvar)
         )

@@ -17,21 +17,17 @@ spatial padding.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
-from .tensor import VideoTensor, load_manifest, load_tensor, save_manifest, save_tensor
+from .errors import ShapeError
+from .tensor import VideoTensor
 
 INV_SQRT2 = 2.0**-0.5
 
 KEYS_3D = ("hhh", "hhg", "hgh", "ghh", "hgg", "ggh", "ghg", "ggg")
 KEYS_2D = ("hh", "hg", "gh", "gg")
-
-PADDING_RULE = "replicate-first-frame"
-
 
 # Budget of one block of the 3D kernels: the temporal butterflies of a block
 # write two (c, pairs, h, w) scratch arrays of at most this size each (at
@@ -251,43 +247,21 @@ def idwt2d(s: SubbandSet2D) -> VideoTensor:
     return VideoTensor(_synthesize_2d({key: band.data for key, band in s.items()}))
 
 
-def _half_time(t: int) -> int:
-    return (t + (t % 2)) // 2
-
-
 @dataclass(frozen=True)
 class WaveletPyramid:
     """Three-level decomposition: two 3D levels then one spatial 2D level.
 
     level2 is computed from level1's hhh band and level3 from level2's, giving
     an overall 4x8x8 (time x height x width) token compression for inputs with
-    time = 4k+1.
+    time = 4k+1. :func:`build_pyramid` is the constructor and makes the level
+    shapes agree; :func:`reconstruct_pyramid` raises ShapeError for levels
+    that do not.
     """
 
     level1: SubbandSet3D
     level2: SubbandSet3D
     level3: SubbandSet2D
     source_time: int
-
-    def __post_init__(self):
-        c1, t1, h1, w1 = self.level1.band_shape
-        c2, t2, h2, w2 = self.level2.band_shape
-        c3, t3, h3, w3 = self.level3.band_shape
-        if (c2, t2, h2, w2) != (c1, _half_time(t1), h1 // 2, w1 // 2):
-            raise ShapeError(
-                f"level2 shape {self.level2.band_shape} inconsistent with "
-                f"level1 {self.level1.band_shape}"
-            )
-        if (c3, t3, h3, w3) != (c2, t2, h2 // 2, w2 // 2):
-            raise ShapeError(
-                f"level3 shape {self.level3.band_shape} inconsistent with "
-                f"level2 {self.level2.band_shape}"
-            )
-        if _half_time(self.source_time) != t1:
-            raise ShapeError(
-                f"source_time {self.source_time} inconsistent with level1 "
-                f"time {t1}"
-            )
 
 
 def build_pyramid(v: VideoTensor) -> WaveletPyramid:
@@ -314,86 +288,6 @@ def reconstruct_pyramid(p: WaveletPyramid, original_t: int) -> VideoTensor:
     s1_hhh = idwt3d(level2, original_t=t1)
     level1 = p.level1.replace("hhh", s1_hhh)
     return idwt3d(level1, original_t=original_t)
-
-
-# ---------------------------------------------------------------------------
-# Pyramid serialization: one VTensor file per subband plus a JSON manifest.
-# ---------------------------------------------------------------------------
-
-_MANIFEST_NAME = "pyramid.json"
-
-
-def save_pyramid(p: WaveletPyramid, dirpath) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    levels = (("1", p.level1), ("2", p.level2), ("3", p.level3))
-    for lvl, subbands in levels:
-        for key, band in subbands.items():
-            save_tensor(band, os.path.join(dirpath, f"L{lvl}_{key}.wfvt"))
-    c1, t1, h1, w1 = p.level1.band_shape
-    manifest = {
-        "format": "wfcodec-pyramid",
-        "version": 1,
-        "levels": 3,
-        "original_shape": [c1, p.source_time, h1 * 2, w1 * 2],
-        "padding_rule": PADDING_RULE,
-    }
-    save_manifest(manifest, os.path.join(dirpath, _MANIFEST_NAME))
-
-
-def load_pyramid(dirpath) -> WaveletPyramid:
-    """Read a pyramid directory written by :func:`save_pyramid`.
-
-    Raises FormatError for any defect of the manifest or the subband files,
-    including subband shapes that disagree with each other or with the
-    manifest's ``original_shape``.
-    """
-    manifest_path = os.path.join(dirpath, _MANIFEST_NAME)
-    manifest = load_manifest(manifest_path)
-    if (
-        manifest.get("format") != "wfcodec-pyramid"
-        or manifest.get("version") != 1
-        or manifest.get("levels") != 3
-    ):
-        raise FormatError(f"{manifest_path}: not a v1 3-level pyramid manifest")
-    if manifest.get("padding_rule") != PADDING_RULE:
-        raise FormatError(
-            f"{manifest_path}: unknown padding rule {manifest.get('padding_rule')!r}"
-        )
-    shape = manifest.get("original_shape")
-    if not (
-        isinstance(shape, list)
-        and len(shape) == 4
-        and all(type(d) is int and d >= 1 for d in shape)
-    ):
-        raise FormatError(
-            f"{manifest_path}: original_shape must be 4 positive integers, "
-            f"got {shape!r}"
-        )
-
-    def load_level(cls, lvl):
-        return cls(
-            {
-                key: load_tensor(os.path.join(dirpath, f"L{lvl}_{key}.wfvt"))
-                for key in cls.KEYS
-            }
-        )
-
-    try:
-        pyramid = WaveletPyramid(
-            level1=load_level(SubbandSet3D, "1"),
-            level2=load_level(SubbandSet3D, "2"),
-            level3=load_level(SubbandSet2D, "3"),
-            source_time=shape[1],
-        )
-    except ShapeError as exc:
-        raise FormatError(f"{dirpath}: inconsistent pyramid ({exc})") from exc
-    c1, _, h1, w1 = pyramid.level1.band_shape
-    if (c1, 2 * h1, 2 * w1) != (shape[0], shape[2], shape[3]):
-        raise FormatError(
-            f"{manifest_path}: original_shape {shape} disagrees with level-1 "
-            f"subbands of shape {pyramid.level1.band_shape}"
-        )
-    return pyramid
 
 
 # ---------------------------------------------------------------------------

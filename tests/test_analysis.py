@@ -14,7 +14,6 @@ from wfcodec import (
     ParameterError,
     Rng,
     VideoTensor,
-    analyze_level,
     build_pyramid,
     dwt3d,
     new_tensor,
@@ -154,7 +153,7 @@ class TestSubbandEntropy:
         with pytest.raises(ParameterError):
             subband_entropy(_uniform_set(5), bins=1)
         with pytest.raises(ParameterError):
-            analyze_level(_uniform_set(5), bins=0)
+            analyze_pyramid(build_pyramid(new_tensor(1, 5, 8, 8, 1.0)), bins=0)
 
 
 _F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
@@ -244,3 +243,13 @@ class TestAnalyzePyramid:
             }
         level1 = {r["key"]: r for r in records if r["level"] == 1}
         assert level1["hhh"]["energy_fraction"] > 0.9
+
+    def test_records_join_energy_and_entropy(self):
+        p = build_pyramid(smooth_video(2, 9, 16, 16))
+        records = analyze_pyramid(p, bins=64)
+        expected = [
+            (level, e.key, e.energy, e.energy_fraction, h.entropy_bits, e.degenerate)
+            for level, bands in ((1, p.level1), (2, p.level2), (3, p.level3))
+            for e, h in zip(subband_energy(bands), subband_entropy(bands, 64))
+        ]
+        assert [tuple(r.values()) for r in records] == expected

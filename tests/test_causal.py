@@ -353,7 +353,7 @@ class TestStreamConv3d:
 
     def test_finalized_stream_rejects_chunks(self):
         spec, weight, bias = self._setup(33)
-        state = CacheState().finalize()
+        state = CacheState(finalized=True)
         with pytest.raises(StateError):
             stream_conv3d(state, new_tensor(2, 1, 4, 4, 0.0), spec, weight, bias)
 
@@ -369,7 +369,6 @@ class TestStreamConv3d:
         out, state = stream_conv3d(
             state, new_tensor(2, 1, 4, 4, 0.5), spec, weight, bias
         )
-        assert state.chunk_index == 1
         assert state.frames_seen == 1 + spec.temporal_pad
 
 

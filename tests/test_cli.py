@@ -453,21 +453,30 @@ class TestInputDigests:
 
 
 class TestAtomicOutputs:
-    def test_torn_latent_manifest_keeps_previous(
-        self, capsys, tmp_path, video_file, monkeypatch
+    """An interrupted encode leaves no manifest, so the prefix cannot be
+    decoded with a configuration that does not match its tensors."""
+
+    @pytest.mark.parametrize("torn", [".json", ".logvar.wfvt"])
+    def test_torn_encode_leaves_no_manifest(
+        self, capsys, tmp_path, video_file, monkeypatch, torn
     ):
         prefix = str(tmp_path / "latent")
         argv = ["encode", "--input", video_file, "--init-seed", "3",
                 "--output", prefix, *TINY_FLAGS]
         code, _, _ = run_cli(capsys, argv)
         assert code == 0
-        manifest = Path(prefix + ".json")
-        before = manifest.read_bytes()
-        tear_writes(monkeypatch, ".json")
-        code, report, err = run_cli(capsys, [*argv, "--plan", "canonical:4"])
+        with monkeypatch.context() as m:
+            tear_writes(m, torn)
+            code, report, err = run_cli(capsys, [*argv, "--blocks", "2"])
         assert_input_error(code, report, err, "OSError")
-        assert manifest.read_bytes() == before
+        assert not Path(prefix + ".json").exists()
         assert not list(tmp_path.glob("*.tmp.*"))
+        code, report, err = run_cli(
+            capsys,
+            ["decode", "--latent", prefix, "--init-seed", "3",
+             "--output", str(tmp_path / "recon.wfvt")],
+        )
+        assert_input_error(code, report, err, "FormatError")
 
 
 class TestInputErrors:
@@ -648,6 +657,15 @@ class TestLossReport:
         assert report is None
         assert json.loads(err)["error"] == "ParameterError"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--latent-mean", "--latent-logvar"])
+    def test_one_latent_file_exits_2(self, capsys, tmp_path, video_file, flag):
+        code, report, err = run_cli(
+            capsys,
+            ["loss-report", "--input", video_file, "--recon", video_file,
+             flag, str(tmp_path / "absent.wfvt")],
+        )
+        assert_input_error(code, report, err, "ParameterError")
 
     def test_nonfinite_kl_exits_2(self, capsys, tmp_path, video_file):
         mean_path = tmp_path / "m.wfvt"

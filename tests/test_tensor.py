@@ -16,14 +16,12 @@ from wfcodec import (
     ShapeError,
     VideoTensor,
     WeightStore,
-    build_pyramid,
     load_tensor,
     new_tensor,
     random_normal,
-    save_pyramid,
     save_tensor,
 )
-from wfcodec.tensor import load_manifest, tensor_digest
+from wfcodec.tensor import load_manifest, save_manifest, tensor_digest
 
 from helpers import make_random, tear_writes
 
@@ -319,9 +317,9 @@ class TestAtomicWrites:
         other = WeightStore({"a": np.zeros(5), "b": np.ones((2, 2))})
         self._check_torn(monkeypatch, path, lambda: other.save(path))
 
-    def test_pyramid_manifest(self, tmp_path, monkeypatch):
-        save_pyramid(build_pyramid(make_random(1, (1, 5, 8, 8))), tmp_path)
-        other = build_pyramid(make_random(2, (1, 3, 8, 8)))
+    def test_manifest(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.json"
+        save_manifest({"version": 1}, path)
         self._check_torn(
-            monkeypatch, tmp_path / "pyramid.json", lambda: save_pyramid(other, tmp_path)
+            monkeypatch, path, lambda: save_manifest({"version": 2, "x": [1]}, path)
         )

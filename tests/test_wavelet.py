@@ -1,8 +1,8 @@
 """Filter bank and pyramid tests: exact values, an independent 3D oracle,
-perfect reconstruction, orthonormality, causality, streamed/direct agreement,
-and pyramid file defects."""
+perfect reconstruction, orthonormality, causality and streamed/direct
+agreement."""
 
-import json
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfcodec import (
-    FormatError,
     Rng,
     ShapeError,
     SubbandSet2D,
@@ -22,10 +21,8 @@ from wfcodec import (
     dwt3d,
     idwt2d,
     idwt3d,
-    load_pyramid,
     new_tensor,
     reconstruct_pyramid,
-    save_pyramid,
 )
 from wfcodec import wavelet
 from wfcodec.wavelet import KEYS_2D, KEYS_3D, Dwt3dStream, Idwt3dStream
@@ -321,6 +318,25 @@ class TestPyramid:
         with pytest.raises(ShapeError):
             reconstruct_pyramid(p, 12)
 
+    @pytest.mark.parametrize(
+        "levels, other_shape",
+        [
+            (("level3",), (1, 9, 32, 32)),
+            (("level3",), (2, 9, 16, 16)),
+            (("level2", "level3"), (1, 17, 16, 16)),
+            (("level2", "level3"), (1, 9, 32, 32)),
+        ],
+        ids=["level3-space", "level3-channels", "level2-time", "level2-space"],
+    )
+    def test_hand_built_mismatch_rejected(self, levels, other_shape):
+        """build_pyramid is the only checked constructor; levels spliced
+        from another pyramid fail in reconstruct_pyramid."""
+        p = build_pyramid(make_random(6, (1, 9, 16, 16)))
+        other = build_pyramid(make_random(7, other_shape))
+        spliced = dataclasses.replace(p, **{k: getattr(other, k) for k in levels})
+        with pytest.raises(ShapeError):
+            reconstruct_pyramid(spliced, 9)
+
     def test_first_frame_causality_through_pyramid(self):
         base = make_random(301, (2, 9, 16, 16))
         perturbed = base.data.copy()
@@ -332,91 +348,6 @@ class TestPyramid:
             assert np.array_equal(p0.level2[key].data[:, 0], p1.level2[key].data[:, 0])
         for key in KEYS_2D:
             assert np.array_equal(p0.level3[key].data[:, 0], p1.level3[key].data[:, 0])
-
-
-@pytest.fixture(scope="module")
-def pyramid_dir(tmp_path_factory):
-    target = tmp_path_factory.mktemp("pyramid") / "pyr"
-    save_pyramid(build_pyramid(make_random(12, (1, 5, 8, 8))), target)
-    return target
-
-
-class TestPyramidSerialization:
-    def test_roundtrip(self, tmp_path):
-        p = build_pyramid(make_random(12, (2, 5, 16, 16)))
-        target = tmp_path / "pyr"
-        save_pyramid(p, target)
-        loaded = load_pyramid(target)
-        for lvl_a, lvl_b in (
-            (p.level1, loaded.level1),
-            (p.level2, loaded.level2),
-            (p.level3, loaded.level3),
-        ):
-            for key, band in lvl_a.items():
-                assert np.array_equal(band.data, lvl_b[key].data)
-        assert loaded.source_time == 5
-
-    def test_bad_manifest(self, tmp_path):
-        target = tmp_path / "pyr"
-        save_pyramid(build_pyramid(make_random(12, (1, 5, 8, 8))), target)
-        (target / "pyramid.json").write_text("{}")
-        with pytest.raises(FormatError):
-            load_pyramid(target)
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda m: {k: v for k, v in m.items() if k != "original_shape"},
-            lambda m: {**m, "original_shape": "x"},
-            lambda m: {**m, "original_shape": [1]},
-            lambda m: {**m, "original_shape": [1, "5", 8, 8]},
-            lambda m: {**m, "original_shape": [1, 5.0, 8, 8]},
-            lambda m: {**m, "original_shape": [1, 9, 8, 8]},  # time vs bands
-            lambda m: {**m, "original_shape": [2, 5, 8, 8]},  # channels vs bands
-            lambda m: {**m, "original_shape": [1, 5, 8, 16]},  # width vs bands
-            lambda m: {**m, "levels": 4},
-            lambda m: [m],
-        ],
-        ids=[
-            "no-shape", "shape-str", "shape-short", "time-str", "time-float",
-            "time-mismatch", "channel-mismatch", "width-mismatch", "levels",
-            "not-object",
-        ],
-    )
-    def test_manifest_defect_is_format_error(self, pyramid_dir, edit):
-        path = pyramid_dir / "pyramid.json"
-        raw = path.read_bytes()
-        try:
-            path.write_text(json.dumps(edit(json.loads(raw))))
-            with pytest.raises(FormatError):
-                load_pyramid(pyramid_dir)
-        finally:
-            path.write_bytes(raw)
-        assert load_pyramid(pyramid_dir).source_time == 5
-
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(name=st.sampled_from(["pyramid.json", "L1_ghg.wfvt"]), data=st.data())
-    def test_prefix_or_byte_flip_is_format_error(self, pyramid_dir, name, data):
-        path = pyramid_dir / name
-        raw = path.read_bytes()
-        # Cutting only the manifest's trailing newline leaves the same JSON
-        # document, so prefixes are taken of the document itself.
-        doc = raw.rstrip() if name.endswith(".json") else raw
-        try:
-            cut = data.draw(st.integers(0, len(doc) - 1), label="cut")
-            path.write_bytes(doc[:cut])
-            with pytest.raises(FormatError):
-                load_pyramid(pyramid_dir)
-            pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
-            flipped = bytearray(raw)
-            flipped[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]))
-            path.write_bytes(bytes(flipped))
-            try:
-                load_pyramid(pyramid_dir)
-            except FormatError:
-                pass
-        finally:
-            path.write_bytes(raw)
 
 
 def _stream_dwt(v: VideoTensor, sizes) -> dict:
