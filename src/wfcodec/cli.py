@@ -44,7 +44,8 @@ from .model import (
     preset_config,
 )
 from .tensor import (
-    Rng, load_manifest, load_tensor, save_manifest, save_tensor, tensor_digest,
+    Rng, VideoTensor, load_manifest, load_tensor, save_manifest, save_tensor,
+    tensor_digest,
 )
 from .wavelet import build_pyramid, dwt3d, idwt3d, reconstruct_pyramid
 
@@ -310,6 +311,17 @@ def cmd_encode(args) -> Report:
     )
 
 
+def _load_latent(path: str, shape: list[int], manifest_path: str) -> VideoTensor:
+    """A latent tensor whose shape must be the one its manifest records."""
+    tensor = load_tensor(path)
+    if list(tensor.shape) != shape:
+        raise FormatError(
+            f"{path}: shape {list(tensor.shape)} disagrees with "
+            f"{manifest_path}'s latent_shape {shape}"
+        )
+    return tensor
+
+
 def cmd_decode(args) -> Report:
     mean_path, logvar_path, manifest_path = _latent_paths(args.latent)
     manifest = load_manifest(manifest_path)
@@ -321,18 +333,26 @@ def cmd_decode(args) -> Report:
             raise FormatError(f"{manifest_path}: unexpected config fields {names}")
         config = ModelConfig(**manifest["config"])
         original_t = manifest["original_shape"][1]
+        latent_shape = manifest["latent_shape"]
     except (KeyError, IndexError, TypeError, ParameterError) as exc:
         raise FormatError(f"{manifest_path}: bad latent manifest ({exc!r})") from exc
     if type(original_t) is not int:
         raise FormatError(
             f"{manifest_path}: frame count {original_t!r} is not an integer"
         )
+    if not (
+        type(latent_shape) is list and len(latent_shape) == 4
+        and all(type(n) is int for n in latent_shape)
+    ):
+        raise FormatError(
+            f"{manifest_path}: latent_shape {latent_shape!r} is not 4 integers"
+        )
     if args.frames is not None:
         original_t = args.frames
-    mean = load_tensor(mean_path)
+    mean = _load_latent(mean_path, latent_shape, manifest_path)
     weights, weight_info = _load_or_init_weights(args, config)
     if args.sample_seed is not None:
-        logvar = load_tensor(logvar_path)
+        logvar = _load_latent(logvar_path, latent_shape, manifest_path)
         from .model import sample_latent
 
         z = sample_latent(GaussianLatent(mean, logvar), Rng(args.sample_seed))

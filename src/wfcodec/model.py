@@ -483,7 +483,7 @@ def _stream(node: _Node, config: ModelConfig, weights: WeightStore):
     if node.kind == "block":
         body = [_stream(child, config, weights) for child in node.body]
         skip = _stream(node.skip, config, weights) if node.skip else None
-        return _Block(body, skip)
+        return _Block(body, skip, whole_chunk=config.norm == NORM_GROUPNORM)
     prologue = None
     if node.norm:
         # Group norm, the negative control, takes its statistics over the chunk.
@@ -507,19 +507,34 @@ def _stream(node: _Node, config: ModelConfig, weights: WeightStore):
 class _Block:
     """Residual block: skip(x) + body(x), skip being the identity or a conv.
 
-    The body's last conv adds its output into the skip buffer, so the sum is
-    never a separate array. With the identity skip that buffer is the block
-    input itself, which every graph node produces fresh and reads no more.
+    The body runs one frame at a time. Slice k of the chunk goes through the
+    head convs, whose caches carry the frames before it; every body conv has
+    time stride 1, so the last conv emits exactly frame k and adds it into
+    frame k of the skip buffer. The body's intermediate activation is never
+    held for the whole chunk, and the sum is never a separate array. With the
+    identity skip that buffer is the block input itself, which every graph
+    node produces fresh and reads no more: frame k of it has been read, and
+    cached where a later window needs it, before the sum lands there.
+
+    Group norm, the negative control, takes its statistics over the chunk, so
+    with ``whole_chunk`` the body is fed the chunk as one slice.
     """
 
-    def __init__(self, body: list, skip: _ConvStream | None):
+    def __init__(self, body: list, skip: _ConvStream | None, whole_chunk: bool):
         *self.head, self.last = body
         self.skip = skip
+        self.whole_chunk = whole_chunk
 
     def feed(self, frames: np.ndarray, final: bool) -> np.ndarray:
         skip = self.skip.feed(frames, final) if self.skip else frames
-        h = _feed_streams(self.head, frames, final)
-        return self.last.feed(h, final, into=skip)
+        n = frames.shape[1]
+        step = max(n, 1) if self.whole_chunk else 1
+        # A chunk of no frames still makes one feed, so final reaches every cache.
+        for k in range(0, max(n, 1), step):
+            last = final and k + step >= n
+            h = _feed_streams(self.head, frames[:, k : k + step], last)
+            self.last.feed(h, last, into=skip[:, k : k + step])
+        return skip
 
 
 def _split_bands(stack: np.ndarray, keys) -> dict[str, np.ndarray]:

@@ -10,6 +10,7 @@ import builtins
 import errno
 import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as st
@@ -84,6 +85,18 @@ def ramp_video(
         + x[None, None, None, :]
     )
     return VideoTensor(grid.astype(np.float32))
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: the call's result and the peak bytes traced while it
+    ran. Memory allocated before the call is not counted."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def max_abs_diff(a, b) -> float:

@@ -5,7 +5,6 @@ cache_len is checked against the sliding-window simulation, and the
 vectorized convolution against a plain nested-loop reference.
 """
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,7 +35,9 @@ from wfcodec import (
 from wfcodec import causal
 from wfcodec.model import _ConvStream
 
-from helpers import conv3d_loop_oracle, draw_chunk_sizes, make_random, max_abs_diff
+from helpers import (
+    conv3d_loop_oracle, draw_chunk_sizes, make_random, max_abs_diff, traced_peak,
+)
 
 
 def norm64(x, groups, gain, bias, eps=1e-5):
@@ -707,12 +708,7 @@ class TestConvMemory:
     @staticmethod
     def _transient_bytes(run, x: np.ndarray) -> int:
         """Traced peak of ``run(x)`` minus its output; x predates the trace."""
-        tracemalloc.start()
-        try:
-            out = run(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: run(x))
         return peak - out.nbytes
 
     def _growth(self, run, shape, times) -> float:

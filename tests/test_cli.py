@@ -10,7 +10,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from wfcodec.analysis import MAX_BINS
 from wfcodec import cli
 from wfcodec.cli import main
 
-from helpers import make_random, smooth_video, tear_writes, wfwt_bytes
+from helpers import make_random, smooth_video, tear_writes, traced_peak, wfwt_bytes
 
 TINY_FLAGS = ["--base-channels", "8", "--c-flow", "8", "--blocks", "1"]
 
@@ -115,12 +114,8 @@ class TestMaxAbs:
     def test_transient_memory_is_one_block(self):
         n = 8 * cli._DIFF_BLOCK
         a, b = np.zeros(n, np.float32), np.ones(n, np.float32)
-        tracemalloc.start()
-        try:
-            assert cli._max_abs(a, b) == 1.0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        worst, peak = traced_peak(lambda: cli._max_abs(a, b))
+        assert worst == 1.0
         # One float64 block, plus the ufunc's casting buffers.
         assert peak <= 8 * cli._DIFF_BLOCK + (256 << 10)
 
@@ -518,10 +513,14 @@ class TestInputErrors:
             lambda m: m["config"].update(blocks_per_stage=1.5),
             lambda m: m["config"].update(latent_channels=4.0),
             lambda m: m["original_shape"].__setitem__(1, float("inf")),
+            lambda m: m.pop("latent_shape"),
+            lambda m: m["latent_shape"].pop(),
+            lambda m: m["latent_shape"].__setitem__(0, 4.0),
         ],
         ids=["unknown-key", "missing-config-key", "no-config", "no-shape",
              "zero-groups", "fractional-blocks", "float-latent-channels",
-             "infinite-frames"],
+             "infinite-frames", "no-latent-shape", "three-dim-latent-shape",
+             "float-latent-shape"],
     )
     def test_bad_latent_manifest_exits_2(self, capsys, tmp_path, video_file, edit):
         def write(path):
@@ -532,6 +531,35 @@ class TestInputErrors:
                 json.dump(manifest, fh)
 
         result = self._decode_edited_manifest(capsys, tmp_path, video_file, write)
+        assert_input_error(*result, "FormatError")
+
+    @pytest.mark.parametrize(
+        "suffix, flags",
+        [(".mean.wfvt", []), (".logvar.wfvt", ["--sample-seed", "1"])],
+        ids=["mean", "sampled-logvar"],
+    )
+    def test_latent_disagreeing_with_manifest_exits_2(
+        self, capsys, tmp_path, suffix, flags
+    ):
+        """A tensor of another latent, copied over this one's, is refused
+        rather than decoded at the shape it happens to have."""
+        prefixes = []
+        for size in (16, 32):
+            video = tmp_path / f"video{size}.wfvt"
+            save_tensor(make_random(5, (3, 9, size, size)), video)
+            prefixes.append(str(tmp_path / f"latent{size}"))
+            code, _, _ = run_cli(
+                capsys,
+                ["encode", "--input", str(video), "--init-seed", "3",
+                 "--output", prefixes[-1], *TINY_FLAGS],
+            )
+            assert code == 0
+        shutil.copyfile(prefixes[1] + suffix, prefixes[0] + suffix)
+        result = run_cli(
+            capsys,
+            ["decode", "--latent", prefixes[0], "--init-seed", "3",
+             "--output", str(tmp_path / "out.wfvt"), *flags],
+        )
         assert_input_error(*result, "FormatError")
 
     def test_non_utf8_latent_manifest_exits_2(self, capsys, tmp_path, video_file):

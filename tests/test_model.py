@@ -1,8 +1,6 @@
 """Autoencoder graph: shape laws, determinism, streamed/direct identity,
 recombination linearity, and weight-store round trips."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,13 +27,13 @@ from wfcodec import (
     preset_config,
     sample_latent,
 )
-from wfcodec import causal
+from wfcodec import causal, model
 from wfcodec.model import PRESET_BASE_CHANNELS
 from wfcodec.wavelet import KEYS_3D, SubbandSet3D
 
 from helpers import (
     draw_chunk_sizes, make_random, max_abs_diff, oracle_decode, oracle_encode,
-    wfwt_bytes,
+    traced_peak, wfwt_bytes,
 )
 
 TINY = ModelConfig(base_channels=8, c_flow=8, latent_channels=4, blocks_per_stage=1)
@@ -412,38 +410,48 @@ class TestWholeClipOracle:
 
 
 class TestExecutorMemory:
-    """A residual block holds two activations: the norm and SiLU are applied
-    as frames enter a conv's window, and the last conv adds into the skip."""
+    """A residual block holds one activation: it feeds its body one frame at a
+    time, each conv applies the norm and SiLU as frames enter its window, and
+    the last conv adds into the skip. The direct peak is then dec.up1's: its
+    input, its output and its conv buffers."""
 
     CONFIG = ModelConfig(base_channels=32, c_flow=8, latent_channels=4, blocks_per_stage=1)
 
-    @staticmethod
-    def _peak(run):
-        tracemalloc.start()
-        try:
-            out = run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return out, peak
-
-    def test_direct_peak_is_two_activations_plus_conv_buffers(self):
+    def test_direct_peak_is_one_activation_plus_up1_buffers(self):
         config, t = self.CONFIG, 97
         weights = init_weights(config, Rng(61))
         video = make_random(62, (3, t, 64, 64))
         # Stage 1 of both the encoder and the decoder: (c, t1, h1, w1).
         c, t1, h1, w1 = config.base_channels, (t - 1) // 2 + 1, 32, 32
         act = 4 * c * t1 * h1 * w1
-        col = min(causal._COL_TILE_BYTES, 4 * (27 * c) * h1 * w1)
-        window = 4 * c * 3 * (h1 + 2) * (w1 + 2)
+        # dec.up1 reads stage 2, (2c, t2, h1 / 2, w1 / 2), and writes stage 1.
+        t2 = (t1 - 1) // 2 + 1
+        up1_in = 4 * 2 * c * t2 * (h1 // 2) * (w1 // 2)
+        col = min(causal._COL_TILE_BYTES, 4 * (27 * 2 * c) * h1 * w1)
+        window = 4 * 2 * c * 3 * (h1 + 2) * (w1 + 2)
         # The level-2/3 subbands, the GEMM tile and small buffers: well under
-        # the third activation a block used to hold.
+        # the second stage-1 activation a block used to hold.
         slack = act // 4
-        bound = 2 * act + col + window + slack
-        enc, peak = self._peak(lambda: encode(video, config, weights))
+        bound = act + up1_in + col + window + slack
+        enc, peak = traced_peak(lambda: encode(video, config, weights))
         assert peak <= bound, f"encode peak {peak / 2**20:.2f} MiB > {bound / 2**20:.2f}"
-        _, peak = self._peak(lambda: decode(enc.latent.mean, config, weights, t))
+        _, peak = traced_peak(lambda: decode(enc.latent.mean, config, weights, t))
         assert peak <= bound, f"decode peak {peak / 2**20:.2f} MiB > {bound / 2**20:.2f}"
+
+    def test_block_transient_flat_in_time(self):
+        """A block's own buffers do not grow with the frames it is fed."""
+        config = self.CONFIG
+        weights = init_weights(config, Rng(63))
+        node = next(n for n in model._graph(config)[0] if n.kind == "block")
+        assert (node.body[0].spec.in_channels, node.skip) == (32, None)
+        peaks = []
+        for t in (9, 65):
+            x = Rng(64).normal((32, t, 32, 32))
+            block = model._stream(node, config, weights)
+            out, peak = traced_peak(lambda: block.feed(x, final=True))
+            assert out is x  # the sum lands in the input: no output buffer
+            peaks.append(peak)
+        assert peaks[1] / peaks[0] < 1.1, [p / 2**20 for p in peaks]
 
 
 class TestStreamingIdentity:

@@ -3,7 +3,6 @@
 import hashlib
 import os
 import struct
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +22,7 @@ from wfcodec import (
 )
 from wfcodec.tensor import load_manifest, save_manifest, tensor_digest
 
-from helpers import make_random, tear_writes
+from helpers import make_random, tear_writes, traced_peak
 
 
 class TestNewTensor:
@@ -82,12 +81,7 @@ class TestVideoTensor:
         arr = np.random.default_rng(0).standard_normal(
             (1, 64, 256, 256), dtype=np.float32
         )
-        tracemalloc.start()
-        try:
-            VideoTensor(arr)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: VideoTensor(arr))
         assert peak < 1 << 20
 
     def test_rejects_wrong_rank(self):
@@ -261,15 +255,14 @@ class TestFileFormat:
     def test_writes_and_digests_copy_no_array(self, tmp_path):
         tensor = make_random(4, (1, 16, 256, 256))  # 4 MiB payload
         weights = WeightStore({"w": tensor.data})
-        tracemalloc.start()
-        try:
+
+        def write_and_digest():
             save_tensor(tensor, tmp_path / "t.wfvt")
             tensor_digest(tensor)
             weights.save(tmp_path / "w.wfwt")
             weights.digest()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(write_and_digest)
         assert peak < 1 << 20
 
 
