@@ -106,7 +106,7 @@ _COL_TILE_BYTES = 8 << 20
 
 def _conv3d_core(
     fill, length: int, shape, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec,
-    scratch: int = 0, into: np.ndarray | None = None,
+    scratch: int = 0,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Window engine for every convolution path: one im2col GEMM per tile.
 
@@ -123,9 +123,7 @@ def _conv3d_core(
     A tile is a band of output rows of one output frame. Its column rows are
     ordered (c, dt, dy, dx), the order of the stored weight, so the GEMM
     takes ``weight.reshape(cout, -1)`` without a copy and writes straight
-    into the output. With ``into`` the output is added to that array
-    instead, tile by tile: ``into + (matmul + bias)``, the same float adds
-    as adding the finished output to it.
+    into the output.
 
     Returns the output and the last window's k_t frames without their
     border, or None when no window fit.
@@ -143,14 +141,7 @@ def _conv3d_core(
     ho = (hp - kh) // sh + 1
     wo = (wp - kw) // sw + 1
     to = max(0, (length - kt) // st + 1)
-    if into is None:
-        out = np.empty((cout, to, ho, wo), dtype=np.float32)
-    elif into.shape == (cout, to, ho, wo):
-        out = into
-    else:
-        raise ShapeError(
-            f"conv output {(cout, to, ho, wo)} cannot add into {into.shape}"
-        )
+    out = np.empty((cout, to, ho, wo), dtype=np.float32)
     if to == 0:
         return out, None
     k = cin * kt * kh * kw
@@ -158,10 +149,7 @@ def _conv3d_core(
     rows = -(-ho // -(-ho // rows))  # balance the bands of one frame
     wmat = weight.reshape(cout, k)
     col_buf = np.empty(max(k * rows * wo, scratch), dtype=np.float32)
-    if into is None:
-        out_rows = out.reshape(cout, to, ho * wo)
-    else:
-        tile_buf = np.empty(cout * rows * wo, dtype=np.float32)
+    out_rows = out.reshape(cout, to, ho * wo)
     window = np.zeros((cin, kt, hp, wp), dtype=np.float32)
     inner = window[:, :, ph : ph + h, pw : pw + w]
     kept = 0  # window frames carried over from the previous output frame
@@ -180,18 +168,11 @@ def _conv3d_core(
                 band = window[:, :, ys : ys + sh * (r - 1) + 1 : sh]
                 for dx in range(kw):
                     col[:, :, dy, dx] = band[..., dx : dx + sw * (wo - 1) + 1 : sw]
-            if into is None:
-                np.matmul(
-                    wmat, col.reshape(k, r * wo),
-                    out=out_rows[:, t, y0 * wo : (y0 + r) * wo],
-                )
-            else:
-                tile = tile_buf[: cout * r * wo].reshape(cout, r * wo)
-                np.matmul(wmat, col.reshape(k, r * wo), out=tile)
-                tile += bias[:, None]
-                out[:, t, y0 : y0 + r] += tile.reshape(cout, r, wo)
-    if into is None:
-        out += bias[:, None, None, None]
+            np.matmul(
+                wmat, col.reshape(k, r * wo),
+                out=out_rows[:, t, y0 * wo : (y0 + r) * wo],
+            )
+    out += bias[:, None, None, None]
     return out, inner
 
 
@@ -282,7 +263,6 @@ def _stream_conv_core(
     final: bool = False,
     factors: tuple[int, int, int] = (1, 1, 1),
     prologue: _Prologue | None = None,
-    into: np.ndarray | None = None,
 ) -> tuple[np.ndarray, CacheState]:
     """Convolve one chunk against the cache; ``final`` ends the stream.
 
@@ -292,10 +272,9 @@ def _stream_conv_core(
     makes the conv read the chunk through a nearest upsample with the causal
     time rule of :func:`nearest_upsample`; the upsampled chunk is never made
     either. Likewise ``prologue`` is applied to each chunk frame as it enters
-    the window. The cache keeps conv-input frames (after the prologue,
-    before the spatial border); the final chunk keeps none and returns a
-    finalized state. ``into`` is an array the output is added to, see
-    :func:`_conv3d_core`.
+    the window; a conv reads through one of the two, never both. The cache
+    keeps conv-input frames (after the prologue or upsample, before the
+    spatial border); the final chunk keeps none and returns a finalized state.
     """
     if state.finalized:
         raise StateError("chunk fed after the stream was finalized")
@@ -317,7 +296,6 @@ def _stream_conv_core(
     if offset < 0:
         raise StateError("cache lost frames still needed by the next window")
     length = max(head + n - offset, 0)
-    upsampled = factors != (1, 1, 1)
     scratch = 0 if apply is None else 2 * c * h * w
 
     def fill(dst: np.ndarray, p: int, buf: np.ndarray) -> None:
@@ -329,16 +307,15 @@ def _stream_conv_core(
         else:
             q = 0 if p < head else p - head + offset  # replicate: chunk frame 0
             j = (q + drop) // ft
-            if apply is not None and not upsampled:
-                apply(j, dst, buf)  # its last division writes the window
+            if apply is not None:
+                apply(j, dst, buf)
                 return
-            src = frames[:, j] if apply is None else apply(j, None, buf)
             for y in range(fh):
                 for x in range(fw):
-                    dst[:, y::fh, x::fw] = src
+                    dst[:, y::fh, x::fw] = frames[:, j]
 
     shape = (c, h * fh, w * fw)
-    out, last = _conv3d_core(fill, length, shape, weight, bias, spec, scratch, into)
+    out, last = _conv3d_core(fill, length, shape, weight, bias, spec, scratch)
     keep_from = out.shape[1] * st
     if final or keep_from >= length:
         cache = _EMPTY
@@ -399,7 +376,7 @@ def silu(x: np.ndarray) -> np.ndarray:
 
 
 def _silu_into(x: np.ndarray, dst: np.ndarray, tmp: np.ndarray) -> None:
-    """dst = silu(x), the float ops of :func:`silu`; ``dst`` may be ``x``.
+    """dst = silu(x), the float ops of :func:`silu`.
 
     exp runs on the contiguous ``tmp``: numpy's vectorized float32 exp and
     its strided fallback can differ in the last bit.
@@ -411,40 +388,6 @@ def _silu_into(x: np.ndarray, dst: np.ndarray, tmp: np.ndarray) -> None:
     np.divide(x, tmp, out=dst)
 
 
-def _silu_inplace(x: np.ndarray) -> None:
-    """x = silu(x) for (c, t, h, w) frames, with one frame of scratch."""
-    tmp = np.empty((x.shape[0],) + x.shape[2:], dtype=np.float32)
-    for t in range(x.shape[1]):
-        _silu_into(x[:, t], x[:, t], tmp)
-
-
-# Byte budget of the float32 squares behind one block of norm statistics.
-_SQUARES_BYTES = 1 << 20
-
-
-def _mean_square(x: np.ndarray, axes: tuple[int, ...], kept: int) -> np.ndarray:
-    """``np.mean(np.square(x), axis=axes, keepdims=True, dtype=np.float64)``
-    without squaring all of ``x`` at once.
-
-    The squares are reduced in blocks along ``kept``, the one axis not in
-    ``axes``. Every block but a single-index chunk spans at least two indices:
-    numpy then sums each statistic in the order it uses for the whole array,
-    bit for bit, while a one-index block would coalesce its axes and sum in
-    another order.
-    """
-    n = x.shape[kept]
-    out = np.empty(tuple(1 if a in axes else s for a, s in enumerate(x.shape)))
-    step = max(2, _SQUARES_BYTES // (4 * (x.size // n)))
-    bounds = [*range(0, max(n - 1, 1), step), n]
-    for i, j in zip(bounds, bounds[1:]):
-        block = (slice(None),) * kept + (slice(i, j),)
-        with np.errstate(over="ignore"):
-            out[block] = np.mean(
-                np.square(x[block]), axis=axes, keepdims=True, dtype=np.float64
-            )
-    return out
-
-
 class _ChunkNorm:
     """A norm layer's statistics over one chunk, applied frame by frame: the
     frame is normalized, scaled by ``gain`` and shifted by ``bias``.
@@ -453,8 +396,9 @@ class _ChunkNorm:
     statistic crosses the time axis, so the layer is stream-safe. ``groups``
     g normalizes each of g channel groups over the whole chunk, whose
     statistics then depend on where chunk boundaries fall (the negative
-    control). Float64 accumulators, float32 arithmetic. A slice whose float32
-    squares overflow (|x| above about 1.8e19) is normalized in float64
+    control). Float64 accumulators, float32 arithmetic; the chunk is squared
+    at once, which in a residual block's body is one frame. A slice whose
+    float32 squares overflow (|x| above about 1.8e19) is normalized in float64
     instead; every other slice keeps the float32 result, bit for bit.
     Statistics are held per (channel, frame), broadcast over whichever axis
     they do not span.
@@ -466,10 +410,9 @@ class _ChunkNorm:
     ):
         c, t, h, w = frames.shape
         if groups:
-            x = frames.reshape(groups, c // groups, t, h, w)
-            axes, kept = (1, 2, 3, 4), 0
+            x, axes = frames.reshape(groups, c // groups, t, h, w), (1, 2, 3, 4)
         else:
-            x, axes, kept = frames, (0, 2, 3), 1
+            x, axes = frames, (0, 2, 3)
 
         def per_frame(a: np.ndarray) -> np.ndarray:
             if not groups:
@@ -478,7 +421,8 @@ class _ChunkNorm:
             return np.broadcast_to(per_channel, (c, t, 1, 1))
 
         mean = x.mean(axis=axes, keepdims=True, dtype=np.float64)
-        ex2 = _mean_square(x, axes, kept)
+        with np.errstate(over="ignore"):
+            ex2 = np.mean(np.square(x), axis=axes, keepdims=True, dtype=np.float64)
         wide = ~np.isfinite(ex2)
         var = np.maximum(ex2 - np.square(mean), 0.0)
         # Scale is 0 on the wide slices; a zero shift there keeps x * 0 finite.
@@ -518,23 +462,21 @@ class _Prologue:
 
     def bind(self, frames: np.ndarray):
         """``apply(j, dst, buf)`` for a non-empty chunk: writes the prologue
-        of chunk frame ``j`` into ``dst`` and returns it. The work is done in
-        two contiguous scratch frames at the start of ``buf``, and only the
-        final division writes ``dst``; ``dst`` None means the first of them."""
+        of chunk frame ``j`` into ``dst``. The work is done in two contiguous
+        scratch frames at the start of ``buf``, and only the final division
+        writes ``dst``."""
         c, _, h, w = frames.shape
         stats = None
         if self.gain is not None:
             stats = _ChunkNorm(frames, self.gain, self.bias, self.groups)
 
-        def apply(j: int, dst: np.ndarray | None, buf: np.ndarray) -> np.ndarray:
+        def apply(j: int, dst: np.ndarray, buf: np.ndarray) -> None:
             normed, tmp = buf[: 2 * c * h * w].reshape(2, c, h, w)
             src = frames[:, j]
             if stats is not None:
                 stats.apply(src, j, normed)
                 src = normed
-            dst = normed if dst is None else dst
             _silu_into(src, dst, tmp)
-            return dst
 
         return apply
 

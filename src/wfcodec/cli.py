@@ -223,10 +223,12 @@ def _load_or_init_weights(args, config: ModelConfig) -> tuple[WeightStore, dict]
 
 def cmd_verify_stream(args) -> Report:
     tol = _tolerance(args)
+    plans = [ChunkPlan.parse(text) for text in (args.plan or ["canonical:4"])]
+    if not all(plan.is_streaming for plan in plans):
+        raise ParameterError("verify-stream plans must be streaming plans")
     video = load_tensor(args.input)
     config = _config_from_args(args)
     weights, weight_info = _load_or_init_weights(args, config)
-    plans = [ChunkPlan.parse(text) for text in (args.plan or ["canonical:4"])]
     direct_enc = encode(video, config, weights)
     direct_dec = decode(
         direct_enc.latent.mean, config, weights, original_t=video.time
@@ -234,8 +236,6 @@ def cmd_verify_stream(args) -> Report:
     plan_reports = []
     worst = 0.0
     for plan in plans:
-        if not plan.is_streaming:
-            raise ParameterError("verify-stream plans must be streaming plans")
         enc_s = encode(video, config, weights, plan)
         enc_dev = max(
             _max_abs(enc_s.latent.mean.data, direct_enc.latent.mean.data),

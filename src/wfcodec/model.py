@@ -40,8 +40,8 @@ from .causal import (
     ConvSpec,
     _Prologue,
     _iter_chunks,
-    _silu_inplace,
     _stream_conv_core,
+    silu,
 )
 from .errors import FormatError, ParameterError, ShapeError, WeightError
 from .tensor import Rng, VideoTensor, read_f32, sha256_hex, write_atomic
@@ -467,13 +467,10 @@ class _ConvStream:
         self.prologue = prologue
         self.state = CacheState()
 
-    def feed(
-        self, frames: np.ndarray, final: bool, into: np.ndarray | None = None
-    ) -> np.ndarray:
-        """The conv of the chunk, or ``into`` with it added when given."""
+    def feed(self, frames: np.ndarray, final: bool) -> np.ndarray:
         out, self.state = _stream_conv_core(
             self.state, frames, self.spec, self.weight, self.bias, final,
-            self.factors, self.prologue, into,
+            self.factors, self.prologue,
         )
         return out
 
@@ -508,20 +505,22 @@ class _Block:
     """Residual block: skip(x) + body(x), skip being the identity or a conv.
 
     The body runs one frame at a time. Slice k of the chunk goes through the
-    head convs, whose caches carry the frames before it; every body conv has
-    time stride 1, so the last conv emits exactly frame k and adds it into
-    frame k of the skip buffer. The body's intermediate activation is never
-    held for the whole chunk, and the sum is never a separate array. With the
-    identity skip that buffer is the block input itself, which every graph
-    node produces fresh and reads no more: frame k of it has been read, and
-    cached where a later window needs it, before the sum lands there.
+    body convs, whose caches carry the frames before it; every body conv has
+    time stride 1, so the body emits exactly frame k, and the block adds that
+    one frame into frame k of the skip buffer. The body's intermediate
+    activation is never held for the whole chunk, and the sum is never a
+    separate array. With the identity skip that buffer is the block input
+    itself, which every graph node produces fresh and reads no more: frame k
+    of it has been read, and cached where a later window needs it, before the
+    sum lands there.
 
     Group norm, the negative control, takes its statistics over the chunk, so
-    with ``whole_chunk`` the body is fed the chunk as one slice.
+    with ``whole_chunk`` the body is fed the chunk as one slice, and its
+    whole output is held before the add.
     """
 
     def __init__(self, body: list, skip: _ConvStream | None, whole_chunk: bool):
-        *self.head, self.last = body
+        self.body = body
         self.skip = skip
         self.whole_chunk = whole_chunk
 
@@ -532,8 +531,9 @@ class _Block:
         # A chunk of no frames still makes one feed, so final reaches every cache.
         for k in range(0, max(n, 1), step):
             last = final and k + step >= n
-            h = _feed_streams(self.head, frames[:, k : k + step], last)
-            self.last.feed(h, last, into=skip[:, k : k + step])
+            skip[:, k : k + step] += _feed_streams(
+                self.body, frames[:, k : k + step], last
+            )
         return skip
 
 
@@ -557,8 +557,7 @@ class _Inflow(_Branch):
 
     def feed(self, x: np.ndarray, final: bool) -> np.ndarray:
         stack = np.concatenate([self.bands[k] for k in self.node.keys], axis=0)
-        flow = self.conv.feed(stack, final)
-        _silu_inplace(flow)
+        flow = silu(self.conv.feed(stack, final))
         if x.shape[1] != flow.shape[1]:
             raise ShapeError(
                 f"backbone/wavelet rate mismatch at {self.node.name}: "

@@ -422,26 +422,6 @@ class TestFrameLayernorm:
         assert np.array_equal(out[:, 1:], alone)
 
 
-class TestMeanSquare:
-    """The norms' blocked mean of squares equals numpy's one-shot reduction
-    bit for bit, for both layouts and for strided chunk views."""
-
-    @pytest.mark.parametrize("budget", [1, 4096, 1 << 20])
-    @pytest.mark.parametrize("shape", [(8, 9, 16, 16), (3, 5, 7, 9), (16, 2, 4, 4), (5, 1, 3, 3)])
-    def test_equals_one_shot(self, monkeypatch, budget, shape):
-        monkeypatch.setattr(causal, "_SQUARES_BYTES", budget)
-        c, t, h, w = shape
-        clip = Rng(46).normal((c, t + 3, h, w), std=30.0)
-        for x in (clip[:, :t].copy(), clip[:, 2 : 2 + t]):
-            for g in (0, 1, c):
-                view, axes = (
-                    (x.reshape(g, c // g, t, h, w), (1, 2, 3, 4)) if g else (x, (0, 2, 3))
-                )
-                one_shot = np.mean(np.square(view), axis=axes, keepdims=True, dtype=np.float64)
-                blocked = causal._mean_square(view, axes, 0 if g else 1)
-                assert np.array_equal(blocked, one_shot)
-
-
 class TestGroupnormWholeClip:
     def test_single_frame_equals_frame_layernorm(self):
         x = make_random(51, (4, 1, 8, 8))
@@ -628,13 +608,12 @@ class TestFusedUpsample:
 
 
 class TestFusedPrologueAndResidual:
-    """A conv reading through silu(norm(x)), or adding into a skip buffer,
-    equals the layers run one after another, bit for bit."""
+    """A conv reading through silu(norm(x)) equals the layers run one after
+    another, bit for bit."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         groups=st.sampled_from([None, 0, 1, 2]),
-        factors=st.sampled_from([(1, 1, 1), (1, 2, 2), (2, 2, 2)]),
         kernel_t=st.sampled_from([1, 3]),
         kernel_s=st.sampled_from([1, 3]),
         stride_t=st.integers(1, 2),
@@ -642,7 +621,7 @@ class TestFusedPrologueAndResidual:
         seed=st.integers(0, 2**16),
     )
     def test_stream_equals_norm_act_then_conv(
-        self, groups, factors, kernel_t, kernel_s, stride_t, sizes, seed
+        self, groups, kernel_t, kernel_s, stride_t, sizes, seed
     ):
         """``groups`` None is SiLU alone, read from a channel slice as the
         decoder's outflow branches do."""
@@ -663,7 +642,7 @@ class TestFusedPrologueAndResidual:
             chunk = VideoTensor(x[:, start : start + size])
             out, state = causal._stream_conv_core(
                 state, x[:, start : start + size], spec, weight, bias,
-                final=i == len(sizes) - 1, factors=factors, prologue=prologue,
+                final=i == len(sizes) - 1, prologue=prologue,
             )
             pieces.append(out)
             # Group statistics span the chunk: the negative control's rule.
@@ -675,28 +654,9 @@ class TestFusedPrologueAndResidual:
                 normed = frame_layernorm(chunk, gain, shift)
             acts.append(silu(normed.data))
             start += size
-        act = nearest_upsample(VideoTensor(np.concatenate(acts, axis=1)), factors)
+        act = VideoTensor(np.concatenate(acts, axis=1))
         expected = causal_conv3d(act, spec, weight, bias)
         assert np.array_equal(np.concatenate(pieces, axis=1), expected.data)
-
-    def test_into_adds_the_output_to_the_skip(self):
-        spec = ConvSpec(4, 4, (3, 3, 3), (1, 1, 1), (1, 1))
-        rng = Rng(82)
-        x = rng.normal((4, 5, 6, 6))
-        skip = rng.normal((4, 5, 6, 6))
-        weight = rng.normal(spec.weight_shape(), std=0.5)
-        bias = rng.normal((4,), std=0.1)
-        expected = skip + causal_conv3d(VideoTensor(x), spec, weight, bias).data
-        into = skip.copy()
-        out, _ = causal._stream_conv_core(
-            CacheState(), x, spec, weight, bias, final=True, into=into
-        )
-        assert out is into
-        assert np.array_equal(out, expected)
-        with pytest.raises(ShapeError):
-            causal._stream_conv_core(
-                CacheState(), x, spec, weight, bias, final=True, into=skip[:, :4]
-            )
 
 
 class TestConvMemory:

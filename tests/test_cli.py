@@ -248,6 +248,21 @@ class TestVerifyStream:
         assert code == 2
         assert "ParameterError" in err
 
+    @pytest.mark.parametrize("plans", [["direct"], ["canonical:4", "direct"]])
+    def test_direct_plan_rejected_before_model_work(
+        self, capsys, video_file, monkeypatch, plans
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("model work before the plans were checked")
+
+        monkeypatch.setattr(cli, "init_weights", refuse)
+        monkeypatch.setattr(cli, "encode", refuse)
+        argv = ["verify-stream", "--input", video_file, *TINY_FLAGS]
+        for plan in plans:
+            argv += ["--plan", plan]
+        code, report, err = run_cli(capsys, argv)
+        assert_input_error(code, report, err, "ParameterError")
+
 
 class TestEncodeDecode:
     def test_encode_decode_cycle(self, capsys, tmp_path, video_file):

@@ -33,3 +33,47 @@ def test_module_imports_are_used():
         if names - used:
             unused[str(path.relative_to(ROOT))] = sorted(names - used)
     assert not unused, f"unused imports: {unused}"
+
+
+def _private_definitions(tree):
+    """Module-level private names a module defines: functions, classes and
+    assignment targets, each with the statement that defines it."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            targets = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            nodes = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            targets = [
+                n.id for t in nodes for n in ast.walk(t)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            ]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, stmt
+
+
+def test_private_names_are_used_in_src():
+    """Every module-level private name in the package is read somewhere in
+    ``src/`` outside its own definition: a helper that only tests (or
+    nothing) call is dead code."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in ROOT.glob("src/wfcodec/*.py")}
+    defined = {
+        (path, name, stmt) for path, tree in trees.items()
+        for name, stmt in _private_definitions(tree)
+    }
+    # Each read is (name, the module-level statement that contains it).
+    reads = set()
+    for tree in trees.values():
+        for stmt in tree.body:
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    reads.add((n.id, stmt))
+                elif isinstance(n, ast.Attribute):
+                    reads.add((n.attr, stmt))
+    unused = sorted(
+        f"{path.name}:{name}" for path, name, stmt in defined
+        if not any(read == name and where is not stmt for read, where in reads)
+    )
+    assert not unused, f"private names nothing in src/ reads: {unused}"

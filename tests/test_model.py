@@ -412,8 +412,8 @@ class TestWholeClipOracle:
 class TestExecutorMemory:
     """A residual block holds one activation: it feeds its body one frame at a
     time, each conv applies the norm and SiLU as frames enter its window, and
-    the last conv adds into the skip. The direct peak is then dec.up1's: its
-    input, its output and its conv buffers."""
+    the block adds the body's output frame into the skip. The direct peak is
+    then dec.up1's: its input, its output and its conv buffers."""
 
     CONFIG = ModelConfig(base_channels=32, c_flow=8, latent_channels=4, blocks_per_stage=1)
 
