@@ -106,17 +106,22 @@ _COL_TILE_BYTES = 8 << 20
 
 def _conv3d_core(
     fill, length: int, shape, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec,
-    scratch: int = 0,
+    scratch: int = 0, up: tuple[int, int] = (1, 1),
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Window engine for every convolution path: one im2col GEMM per tile.
 
     The conv input is a virtual sequence of ``length`` frames of ``shape``
-    (c, h, w), already padded in time (causal lead or cached frames);
+    (c, h, w), already padded in time (causal lead or cached frames), read
+    through a nearest spatial upsample by ``up`` = (fh, fw);
     ``fill(dst, p, buf)`` writes its frame ``p`` into ``dst`` and may use the
     first ``scratch`` floats of ``buf``, the column buffer, which is idle
-    while the window fills. One zero-bordered window of k_t padded frames
-    slides over the sequence: each output frame shifts the window down by
-    s_t and fills the s_t newest frames, so no buffer grows with the chunk.
+    while the window fills. One zero-bordered window of k_t frames slides
+    over the sequence: each output frame shifts the window down by s_t and
+    fills the s_t newest frames, so no buffer grows with the chunk. The
+    window holds frames at source resolution, with a border of
+    ceil(ph / fh) rows and ceil(pw / fw) columns; an upsampling conv expands
+    only the rows one tile reads into a reused band, where padded upsampled
+    row Y is window row (Y - ph) // fh + ceil(ph / fh), and columns alike.
     Emits every window that fits, i.e. (length - k_t) // s_t + 1 output
     frames, or none when length < k_t.
 
@@ -133,7 +138,13 @@ def _conv3d_core(
     kt, kh, kw = spec.kernel
     st, sh, sw = spec.stride
     ph, pw = spec.spatial_pad
-    hp, wp = h + 2 * ph, w + 2 * pw
+    fh, fw = up
+    upsampled = fh > 1 or fw > 1
+    if upsampled and (sh, sw) != (1, 1):
+        raise ParameterError(
+            f"spatial upsampling {up} needs spatial stride 1, got {(sh, sw)}"
+        )
+    hp, wp = fh * h + 2 * ph, fw * w + 2 * pw
     if hp < kh or wp < kw:
         raise ShapeError(
             f"spatial extent ({hp}, {wp}) smaller than kernel ({kh}, {kw})"
@@ -150,8 +161,15 @@ def _conv3d_core(
     wmat = weight.reshape(cout, k)
     col_buf = np.empty(max(k * rows * wo, scratch), dtype=np.float32)
     out_rows = out.reshape(cout, to, ho * wo)
-    window = np.zeros((cin, kt, hp, wp), dtype=np.float32)
-    inner = window[:, :, ph : ph + h, pw : pw + w]
+    qh, qw = -(-ph // fh), -(-pw // fw)
+    window = np.zeros((cin, kt, h + 2 * qh, w + 2 * qw), dtype=np.float32)
+    inner = window[:, :, qh : qh + h, qw : qw + w]
+    if upsampled:
+        band_buf = np.empty((cin, kt, rows + kh - 1, wp), dtype=np.float32)
+        # Band columns j, j + fw, ... are the m window columns from x on.
+        col_phases = [
+            (j, (j - pw) // fw + qw, len(range(j, wp, fw))) for j in range(fw)
+        ]
     kept = 0  # window frames carried over from the previous output frame
     for t in range(to):
         for dt in range(kt):
@@ -163,9 +181,17 @@ def _conv3d_core(
         for y0 in range(0, ho, rows):
             r = min(rows, ho - y0)
             col = col_buf[: k * r * wo].reshape(cin, kt, kh, kw, r, wo)
+            src, base = window, y0 * sh
+            if upsampled:
+                src, base = band_buf[:, :, : r + kh - 1], 0
+                for i in range(fh):  # band rows i, i + fh, ...: window rows y on
+                    y = (y0 + i - ph) // fh + qh
+                    n = len(range(i, r + kh - 1, fh))
+                    for j, x, m in col_phases:
+                        src[:, :, i::fh, j::fw] = window[:, :, y : y + n, x : x + m]
             for dy in range(kh):
-                ys = y0 * sh + dy
-                band = window[:, :, ys : ys + sh * (r - 1) + 1 : sh]
+                ys = base + dy
+                band = src[:, :, ys : ys + sh * (r - 1) + 1 : sh]
                 for dx in range(kw):
                     col[:, :, dy, dx] = band[..., dx : dx + sw * (wo - 1) + 1 : sw]
             np.matmul(
@@ -270,11 +296,14 @@ def _stream_conv_core(
     (first chunk only), then the chunk. Its frames are written straight into
     the conv window, so the padded input is never assembled. ``factors``
     makes the conv read the chunk through a nearest upsample with the causal
-    time rule of :func:`nearest_upsample`; the upsampled chunk is never made
-    either. Likewise ``prologue`` is applied to each chunk frame as it enters
-    the window; a conv reads through one of the two, never both. The cache
-    keeps conv-input frames (after the prologue or upsample, before the
-    spatial border); the final chunk keeps none and returns a finalized state.
+    time rule of :func:`nearest_upsample`: time doubling repeats a frame's
+    index in the sequence, and the window keeps source-resolution frames that
+    :func:`_conv3d_core` expands a row band at a time, so neither the
+    upsampled chunk nor an upsampled frame is made. Likewise ``prologue`` is
+    applied to each chunk frame as it enters the window; a conv reads through
+    one of the two, never both. The cache keeps conv-input frames after the
+    prologue, before the upsample and the spatial border; the final chunk
+    keeps none and returns a finalized state.
     """
     if state.finalized:
         raise StateError("chunk fed after the stream was finalized")
@@ -309,13 +338,13 @@ def _stream_conv_core(
             j = (q + drop) // ft
             if apply is not None:
                 apply(j, dst, buf)
-                return
-            for y in range(fh):
-                for x in range(fw):
-                    dst[:, y::fh, x::fw] = frames[:, j]
+            else:
+                dst[...] = frames[:, j]
 
-    shape = (c, h * fh, w * fw)
-    out, last = _conv3d_core(fill, length, shape, weight, bias, spec, scratch)
+    shape = (c, h, w)
+    out, last = _conv3d_core(
+        fill, length, shape, weight, bias, spec, scratch, (fh, fw)
+    )
     keep_from = out.shape[1] * st
     if final or keep_from >= length:
         cache = _EMPTY

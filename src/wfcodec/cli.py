@@ -276,10 +276,10 @@ def _latent_paths(prefix: str) -> tuple[str, str, str]:
 
 
 def cmd_encode(args) -> Report:
+    plan = ChunkPlan.parse(args.plan)
     video = load_tensor(args.input)
     config = _config_from_args(args)
     weights, weight_info = _load_or_init_weights(args, config)
-    plan = ChunkPlan.parse(args.plan)
     result = encode(video, config, weights, mode=plan)
     mean_path, logvar_path, manifest_path = _latent_paths(args.output)
     # No old manifest may outlive an interrupted write of the new tensors.
@@ -323,6 +323,7 @@ def _load_latent(path: str, shape: list[int], manifest_path: str) -> VideoTensor
 
 
 def cmd_decode(args) -> Report:
+    plan = ChunkPlan.parse(args.plan)
     mean_path, logvar_path, manifest_path = _latent_paths(args.latent)
     manifest = load_manifest(manifest_path)
     try:
@@ -358,7 +359,6 @@ def cmd_decode(args) -> Report:
         z = sample_latent(GaussianLatent(mean, logvar), Rng(args.sample_seed))
     else:
         z = mean
-    plan = ChunkPlan.parse(args.plan)
     result = decode(z, config, weights, original_t=original_t, mode=plan)
     save_tensor(result.video, args.output)
     return Report(

@@ -572,6 +572,18 @@ class TestStreamProperties:
 class TestFusedUpsample:
     """A conv that reads through nearest factors equals upsample-then-conv."""
 
+    @staticmethod
+    def _stream(x, spec, weight, bias, factors, sizes):
+        state, pieces, start = CacheState(), [], 0
+        for i, size in enumerate(sizes):
+            out, state = causal._stream_conv_core(
+                state, x[:, start : start + size], spec, weight, bias,
+                final=i == len(sizes) - 1, factors=factors,
+            )
+            pieces.append(out)
+            start += size
+        return np.concatenate(pieces, axis=1)
+
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
         factors=st.sampled_from([(1, 2, 2), (2, 2, 2)]),
@@ -596,15 +608,62 @@ class TestFusedUpsample:
         expected = causal_conv3d(
             nearest_upsample(VideoTensor(x), factors), spec, weight, bias
         )
-        state, pieces, start = CacheState(), [], 0
-        for i, size in enumerate(sizes):
-            out, state = causal._stream_conv_core(
-                state, x[:, start : start + size], spec, weight, bias,
-                final=i == len(sizes) - 1, factors=factors,
+        streamed = self._stream(x, spec, weight, bias, factors, sizes)
+        assert np.array_equal(streamed, expected.data)
+
+    # (factors, spec, source frame (c, h, w), output rows per band). Each case
+    # has several bands and a short last one; the budget set from ``rows``
+    # survives the kernel's band balancing unchanged.
+    BAND_CASES = [
+        # 10 rows in bands of 3: bands start on odd rows 3 and 9; the last is 1 row.
+        ((1, 2, 2), ConvSpec(2, 3, (3, 3, 3), (1, 1, 1), (1, 1)), (2, 5, 3), 3),
+        # Kernel 5, pad 2 = fh: the border is a whole source row.
+        ((2, 2, 2), ConvSpec(2, 3, (3, 5, 5), (1, 1, 1), (2, 2), "zeros"), (2, 5, 3), 3),
+        # Kernel 7, pad 3 > fh: bands of 4, 4 and 2 rows, each starting on an
+        # odd padded source phase.
+        ((1, 2, 2), ConvSpec(2, 2, (2, 7, 7), (2, 1, 1), (3, 3)), (2, 5, 3), 4),
+        # Height factor 3, width factor 1: bands of 2 rows, the last is 1 row.
+        ((1, 3, 1), ConvSpec(2, 2, (1, 3, 3), (1, 1, 1), (1, 1)), (2, 3, 4), 2),
+    ]
+
+    @staticmethod
+    def _bands_of(monkeypatch, spec, factors, frame, rows):
+        """Shrink the tile budget to ``rows`` output rows of the upsampled frame."""
+        c, h, w = frame
+        (ph, pw), (kh, kw) = spec.spatial_pad, spec.kernel[1:]
+        ho = factors[1] * h + 2 * ph - kh + 1
+        wo = factors[2] * w + 2 * pw - kw + 1
+        k = c * int(np.prod(spec.kernel))
+        monkeypatch.setattr(causal, "_COL_TILE_BYTES", 4 * k * wo * rows)
+        assert ho > rows and ho % rows
+
+    @pytest.mark.parametrize("factors,spec,frame,rows", BAND_CASES)
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(sizes=_explicit_sizes(max_frames=7), seed=st.integers(0, 2**16))
+    def test_row_bands_equal_upsample_then_conv(
+        self, factors, spec, frame, rows, sizes, seed
+    ):
+        rng = Rng(seed)
+        x = rng.normal((frame[0], sum(sizes)) + frame[1:])
+        weight = rng.normal(spec.weight_shape(), std=0.5)
+        bias = rng.normal((spec.out_channels,), std=0.1)
+        with pytest.MonkeyPatch.context() as mp:
+            self._bands_of(mp, spec, factors, frame, rows)
+            expected = causal_conv3d(
+                nearest_upsample(VideoTensor(x), factors), spec, weight, bias
             )
-            pieces.append(out)
-            start += size
-        assert np.array_equal(np.concatenate(pieces, axis=1), expected.data)
+            for plan in ([sum(sizes)], sizes):
+                streamed = self._stream(x, spec, weight, bias, factors, plan)
+                assert np.array_equal(streamed, expected.data)
+
+    @pytest.mark.parametrize("stride", [(1, 2, 2), (1, 1, 2)])
+    def test_spatial_factors_need_spatial_stride_1(self, stride):
+        spec = ConvSpec(2, 2, (1, 3, 3), stride, (1, 1))
+        rng = Rng(9)
+        x = rng.normal((2, 3, 4, 4))
+        weight = rng.normal(spec.weight_shape())
+        with pytest.raises(ParameterError):
+            self._stream(x, spec, weight, np.zeros(2, np.float32), (1, 2, 2), [3])
 
 
 class TestFusedPrologueAndResidual:
@@ -696,6 +755,29 @@ class TestConvMemory:
             return _ConvStream(self.SPEC, weight, bias, (2, 2, 2)).feed(x, True)
 
         assert self._growth(run, (8, 16, 16), (5, 33)) < 1.1
+
+    def test_upsampling_conv_window_is_source_resolution(self, monkeypatch):
+        """The window holds source frames; a tile expands only the upsampled
+        rows it reads, into one reused band."""
+        c, t, h, w, rows = 32, 5, 16, 16, 4  # 32x32 upsampled: 8 bands of 4 rows
+        spec = ConvSpec(c, 8, (3, 3, 3), (1, 1, 1), (1, 1))
+        k = c * 27
+        monkeypatch.setattr(causal, "_COL_TILE_BYTES", 4 * k * 2 * w * rows)
+        rng = Rng(74)
+        weight = rng.normal(spec.weight_shape(), std=0.1)
+        x = rng.normal((c, t, h, w))
+        conv = _ConvStream(spec, weight, np.zeros(8, np.float32), (1, 2, 2))
+        out, peak = traced_peak(lambda: conv.feed(x, True))
+        col = 4 * k * rows * 2 * w
+        window = 4 * c * 3 * (h + 2) * (w + 2)
+        band = 4 * c * 3 * (rows + 2) * (2 * w + 2)
+        # The window shift copies one frame through a temporary: numpy sees
+        # two views of one buffer. Then 32 KiB for small objects.
+        shift = 4 * c * h * w
+        bound = out.nbytes + col + window + band + shift + (32 << 10)
+        # A window of upsampled frames alone would already break the bound.
+        assert out.nbytes + col + 4 * c * 3 * (2 * h + 2) * (2 * w + 2) > bound
+        assert peak <= bound, (peak, bound)
 
 
 class TestChunkPlan:

@@ -501,6 +501,30 @@ class TestInputErrors:
         )
         assert_input_error(code, report, err, "ParameterError")
 
+    @pytest.mark.parametrize("command", ["encode", "decode"])
+    def test_unparsable_plan_exits_before_loading(
+        self, capsys, tmp_path, monkeypatch, video_file, command
+    ):
+        prefix = str(tmp_path / "latent")
+        code, _, _ = run_cli(
+            capsys,
+            ["encode", "--input", video_file, "--init-seed", "3",
+             "--output", prefix, *TINY_FLAGS],
+        )
+        assert code == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("input or weights loaded before the plan was parsed")
+
+        for name in ("init_weights", "load_tensor", "load_manifest"):
+            monkeypatch.setattr(cli, name, refuse)
+        if command == "encode":
+            argv = ["encode", "--input", video_file, "--output", prefix, *TINY_FLAGS]
+        else:
+            argv = ["decode", "--latent", prefix, "--output", str(tmp_path / "v.wfvt")]
+        code, report, err = run_cli(capsys, [*argv, "--plan", "canonical:x"])
+        assert_input_error(code, report, err, "ParameterError")
+
     @staticmethod
     def _decode_edited_manifest(capsys, tmp_path, video_file, write, flags=()):
         prefix = str(tmp_path / "latent")

@@ -428,6 +428,9 @@ class TestExecutorMemory:
         t2 = (t1 - 1) // 2 + 1
         up1_in = 4 * 2 * c * t2 * (h1 // 2) * (w1 // 2)
         col = min(causal._COL_TILE_BYTES, 4 * (27 * 2 * c) * h1 * w1)
+        # dec.up1's one column tile spans the frame here, so its one row band
+        # is all kt upsampled padded frames; its source-resolution window (a
+        # quarter of that) comes out of the slack.
         window = 4 * 2 * c * 3 * (h1 + 2) * (w1 + 2)
         # The level-2/3 subbands, the GEMM tile and small buffers: well under
         # the second stage-1 activation a block used to hold.
@@ -452,6 +455,19 @@ class TestExecutorMemory:
             assert out is x  # the sum lands in the input: no output buffer
             peaks.append(peak)
         assert peaks[1] / peaks[0] < 1.1, [p / 2**20 for p in peaks]
+
+    def test_upsampling_convs_cache_source_frames(self, tiny_weights, tiny_video):
+        """dec.up2 and dec.up1 cache their input before it is upsampled."""
+        z = encode(tiny_video, TINY, tiny_weights).latent.mean.data
+        stream = model._DecoderStream(TINY, tiny_weights)
+        stream.feed(z[:, :2], final=False)
+        convs = dict(zip((n.name for n in model._graph(TINY)[1]), stream.chain))
+        _, w1, w2 = TINY.stage_widths
+        h, w = z.shape[2:]
+        for name, frame in (("dec.up2", (w2, h, w)), ("dec.up1", (w1, 2 * h, 2 * w))):
+            cache = convs[name].state.cache
+            assert cache.ndim == 4 and cache.shape[1] > 0, name
+            assert (cache.shape[0], *cache.shape[2:]) == frame, name
 
 
 class TestStreamingIdentity:
