@@ -19,13 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import wavelet
 from .errors import ParameterError
 
 DEFAULT_BINS = 256
 # Each histogram block allocates ``bins + 1`` counts, 8 bytes each; the cap
 # keeps that near 512 KiB, far above any useful entropy resolution.
 MAX_BINS = 1 << 16
-# Values binned per pass; the float64 and index scratch stay near 512 KiB each.
+# Values binned per pass, divided among the worker threads that bin bands at
+# once, so their float64 and index scratch together stay near 512 KiB each.
 _BLOCK = 1 << 16
 
 
@@ -48,9 +50,12 @@ def subband_energy(subbands) -> list[SubbandStats]:
     """Energy and within-level energy fraction for every subband.
 
     An all-zero level has no defined fractions; every stat is then flagged
-    ``degenerate`` with fractions set to 0.
+    ``degenerate`` with fractions set to 0. Bands are spread over
+    :func:`wavelet.worker_count` threads; each band is summed by one.
     """
-    energies = [(key, _band_energy(band.data)) for key, band in subbands.items()]
+    arrays = [band.data for _, band in subbands.items()]
+    values = wavelet._on_threads(wavelet.worker_count(), _band_energy, arrays)
+    energies = list(zip(subbands.keys(), values))
     total = sum(e for _, e in energies)
     degenerate = total == 0.0
     return [
@@ -64,24 +69,28 @@ def subband_energy(subbands) -> list[SubbandStats]:
     ]
 
 
-def _histogram(values: np.ndarray, bins: int, lo: float, hi: float) -> np.ndarray:
+def _histogram(
+    values: np.ndarray, bins: int, lo: float, hi: float, workers: int = 1
+) -> np.ndarray:
     """Counts of the 1-D ``values`` in ``bins`` equal-width bins over [lo, hi].
 
     ``lo < hi`` must bound ``values``. Each value goes to bin
     ``min(int((v - lo) / width), bins - 1)`` with ``width = (hi - lo) / bins``,
     all in float64. Float64 rounding is monotone, so an index never exceeds
     that of ``hi``, which is at most ``bins``; slot ``bins`` is folded into
-    the last bin.
+    the last bin. Values are binned ``_BLOCK // workers`` at a time, where
+    ``workers`` is the number of histograms that may run at once.
     """
+    block = max(1, _BLOCK // workers)
     width = (hi - lo) / bins
     counts = np.zeros(bins + 1, dtype=np.intp)
-    n = min(values.size, _BLOCK)
+    n = min(values.size, block)
     scaled = np.empty(n, dtype=np.float64)
     index = np.empty(n, dtype=np.intp)
-    for start in range(0, values.size, _BLOCK):
-        block = values[start:start + _BLOCK]
-        f, idx = scaled[:block.size], index[:block.size]
-        np.subtract(block, lo, out=f, dtype=np.float64)
+    for start in range(0, values.size, block):
+        part = values[start:start + block]
+        f, idx = scaled[:part.size], index[:part.size]
+        np.subtract(part, lo, out=f, dtype=np.float64)
         f /= width
         np.copyto(idx, f, casting="unsafe")  # truncates; every value is >= 0
         counts += np.bincount(idx, minlength=bins + 1)
@@ -89,12 +98,12 @@ def _histogram(values: np.ndarray, bins: int, lo: float, hi: float) -> np.ndarra
     return counts[:bins]
 
 
-def _band_entropy(arr: np.ndarray, bins: int) -> float:
+def _band_entropy(arr: np.ndarray, bins: int, workers: int) -> float:
     values = arr.ravel()
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         return 0.0
-    counts = _histogram(values, bins, lo, hi)
+    counts = _histogram(values, bins, lo, hi, workers)
     probs = counts[counts > 0] / values.size
     return float(-np.sum(probs * np.log2(probs)))
 
@@ -106,11 +115,20 @@ def _check_bins(bins: int) -> None:
 
 
 def subband_entropy(subbands, bins: int = DEFAULT_BINS) -> list[SubbandStats]:
-    """Histogram entropy in bits for every subband; single-valued bands give 0."""
+    """Histogram entropy in bits for every subband; single-valued bands give 0.
+
+    Bands are spread over :func:`wavelet.worker_count` threads; each band is
+    binned by one.
+    """
     _check_bins(bins)
+    workers = wavelet.worker_count()
+    arrays = [band.data for _, band in subbands.items()]
+    entropies = wavelet._on_threads(
+        workers, lambda arr: _band_entropy(arr, bins, workers), arrays
+    )
     return [
-        SubbandStats(key=key, entropy_bits=_band_entropy(band.data, bins))
-        for key, band in subbands.items()
+        SubbandStats(key=key, entropy_bits=bits)
+        for key, bits in zip(subbands.keys(), entropies)
     ]
 
 

@@ -5,9 +5,11 @@ stderr, and the exit code is 0 exactly when the report verdict is "pass"
 (1 for a failed verdict, 2 for usage/input errors). Every report embeds the
 tolerances it used, so verdicts can be recomputed from the metrics alone,
 and carries the command's wall time (``elapsed_s``) and the process's peak
-resident memory (``peak_rss_mib``, from ``getrusage``). Input digests are the
-first 16 hex digits of the input file's SHA-256, computed from the data the
-command loaded, not by reading the file again. Output files are written
+resident memory (``peak_rss_mib``, from ``getrusage``). ``roundtrip`` and
+``analyze`` also carry ``workers``, the thread count of their Haar kernels and
+subband statistics; their output bits do not depend on it. Input digests are
+the first 16 hex digits of the input file's SHA-256, computed from the data
+the command loaded, not by reading the file again. Output files are written
 atomically.
 
 ``WFCODEC_THREADS`` caps BLAS worker parallelism for the duration of a
@@ -47,7 +49,7 @@ from .tensor import (
     Rng, VideoTensor, load_manifest, load_tensor, save_manifest, save_tensor,
     tensor_digest,
 )
-from .wavelet import build_pyramid, dwt3d, idwt3d, reconstruct_pyramid
+from .wavelet import build_pyramid, dwt3d, idwt3d, reconstruct_pyramid, worker_count
 
 DEFAULT_ROUNDTRIP_TOL = 1e-5
 DEFAULT_STREAM_TOL = 1e-6
@@ -163,7 +165,11 @@ def cmd_roundtrip(args) -> Report:
     return Report(
         command="roundtrip",
         inputs={"input": tensor_digest(video)[:16], "shape": list(video.shape)},
-        metrics={"levels": args.levels, "max_abs_error": error},
+        metrics={
+            "levels": args.levels,
+            "max_abs_error": error,
+            "workers": worker_count(),
+        },
         tolerances={"max_abs_error": tol},
         verdict="pass" if error <= tol else "fail",
     )
@@ -177,7 +183,12 @@ def cmd_analyze(args) -> Report:
     return Report(
         command="analyze",
         inputs={"input": tensor_digest(video)[:16], "shape": list(video.shape)},
-        metrics={"bins": args.bins, "degenerate": degenerate, "subbands": records},
+        metrics={
+            "bins": args.bins,
+            "degenerate": degenerate,
+            "subbands": records,
+            "workers": worker_count(),
+        },
         tolerances={},
         verdict="pass",
     )

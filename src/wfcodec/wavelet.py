@@ -17,6 +17,10 @@ spatial padding.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +41,77 @@ KEYS_2D = ("hh", "hg", "gh", "gg")
 # these small reused buffers. On a (3,129,256,256) pyramid round trip any
 # budget from 128 KiB to 4 MiB ran equally fast and 16 MiB was slower. The
 # block depends on the frame geometry alone, never on a chunk's length, and
-# every element sees the same float32 operations in any block.
+# every element sees the same float32 operations in any block. A call that
+# spans several blocks divides this scratch among its worker threads: each
+# holds the work arrays of only its own range of rows.
 _BLOCK_BYTES = 1 << 20
+# Runs of blocks a split call cuts its time axis into, so that threads share
+# out tiles as they finish instead of waiting on the slowest (``_over_tiles``).
+_SEGMENTS = 4
+
+
+def worker_count() -> int:
+    """Threads the multi-block Haar kernels and the subband statistics use:
+    the CPUs this process may run on. Their output bits never depend on it."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _on_threads(workers: int, fn, items) -> list:
+    """``[fn(item) for item in items]`` on ``workers`` threads made for this call.
+
+    Each item runs in a copy of the caller's context, so numpy's error state
+    carries over, with 1/workers of the caller's ufunc buffer size: the
+    threads together hold no more iterator buffers than one call does.
+    """
+    bufsize = max(16, np.getbufsize() // workers // 16 * 16)  # numpy wants 16s
+
+    def call(item):
+        np.setbufsize(bufsize)
+        return fn(item)
+
+    contexts = [contextvars.copy_context() for _ in items]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(lambda ctx, item: ctx.run(call, item), contexts, items))
+
+
+def _over_tiles(rows: int, blocks: int, split: bool, scratch, run) -> None:
+    """Call ``run(band_rows, block_range, work)`` on tiles that cover band rows
+    0:rows and blocks 0:blocks once each; ``scratch(n)`` makes work arrays
+    for ``n`` band rows.
+
+    Unless ``split``, one tile covers everything on the calling thread, with
+    one scratch set for every row. Otherwise the rows are cut into up to
+    :func:`worker_count` contiguous ranges, one per thread, and the blocks
+    into up to ``_SEGMENTS`` runs. Each thread takes the next tile when it
+    finishes one, so a thread on a slower CPU delays the call by at most one
+    tile. A tile works in one of the threads' scratch sets for one range of
+    rows; together they are the one serial set, give or take a row each.
+    """
+    workers = min(worker_count(), rows) if split else 1
+    if workers <= 1:
+        run(slice(0, rows), range(blocks), scratch(rows))
+        return
+    bounds = [rows * i // workers for i in range(workers + 1)]
+    step = -(-blocks // min(blocks, _SEGMENTS))  # a split call has blocks >= 1
+    tiles = [
+        (slice(a, b), range(start, min(start + step, blocks)))
+        for start in range(0, blocks, step)
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put(scratch(-(-rows // workers)))
+
+    def run_tile(tile):
+        work = free.get()
+        try:
+            run(*tile, work)
+        finally:
+            free.put(work)
+
+    _on_threads(workers, run_tile, tiles)
 
 
 def _block_pairs(c: int, h: int, w: int) -> int:
@@ -283,11 +356,10 @@ def reconstruct_pyramid(p: WaveletPyramid, original_t: int) -> VideoTensor:
             f"cannot restore {original_t} frames from a pyramid built on "
             f"{p.source_time}"
         )
-    s2_hhh = idwt2d(p.level3)
-    level2 = p.level2.replace("hhh", s2_hhh)
-    s1_hhh = idwt3d(level2, original_t=t1)
-    level1 = p.level1.replace("hhh", s1_hhh)
-    return idwt3d(level1, original_t=original_t)
+    # Nested so the level-2 hhh band and its replaced set die before the
+    # level-1 synthesis allocates its output.
+    s1_hhh = idwt3d(p.level2.replace("hhh", idwt2d(p.level3)), original_t=t1)
+    return idwt3d(p.level1.replace("hhh", s1_hhh), original_t=original_t)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +381,9 @@ class Dwt3dStream:
     and filled block by block (see ``_BLOCK_BYTES``). A chunk's first pair
     may start with a leading frame that is not in the chunk, either the
     replicated frame 0 or the odd frame carried over from the last chunk; it
-    is paired in place, never concatenated onto the chunk.
+    is paired in place, never concatenated onto the chunk. A chunk of more
+    than one block is split into tiles of band rows and blocks that threads
+    share out (``_over_tiles``); the leading pair goes with the first block.
     """
 
     def __init__(self, pad_first: bool):
@@ -336,18 +410,32 @@ class Dwt3dStream:
         first = 0 if lead is None else 1
         bands = _empty_bands(KEYS_3D, c, first + pairs, h // 2, w // 2)
         size = min(_block_pairs(c, h, w), max(first + pairs, 1))
-        scratch = _scratch(c, size, (h, w), (h, w), (h // 2, w), (h // 2, w))
-        if lead is not None:
-            _analyze_pair_block(lead, frames[:, :1], bands, 0, scratch)
-        for start in range(0, pairs, size):
-            stop = min(start + size, pairs)
-            _analyze_pair_block(
-                rest[:, 2 * start : 2 * stop : 2],
-                rest[:, 2 * start + 1 : 2 * stop : 2],
-                bands,
-                first + start,
-                scratch,
-            )
+        blocks = -(-pairs // size)
+
+        def analyze_tile(band_rows: slice, block_range: range, work) -> None:
+            full = slice(2 * band_rows.start, 2 * band_rows.stop)
+            work = _first_rows(work, band_rows.stop - band_rows.start)
+            part = {key: band[:, :, band_rows] for key, band in bands.items()}
+            src = rest[:, :, full]
+            if lead is not None and block_range.start == 0:
+                _analyze_pair_block(lead[:, :, full], frames[:, :1, full], part, 0, work)
+            for block in block_range:
+                start, stop = block * size, min(block * size + size, pairs)
+                _analyze_pair_block(
+                    src[:, 2 * start : 2 * stop : 2],
+                    src[:, 2 * start + 1 : 2 * stop : 2],
+                    part,
+                    first + start,
+                    work,
+                )
+
+        _over_tiles(
+            h // 2,
+            blocks,
+            first + pairs > size,
+            lambda n: _scratch(c, size, (2 * n, w), (2 * n, w), (n, w), (n, w)),
+            analyze_tile,
+        )
         self._carry = rest[:, 2 * pairs :].copy() if rest.shape[1] % 2 else None
         return bands
 
@@ -361,7 +449,8 @@ class Idwt3dStream:
     Frame-blocked kernel: the output frames are allocated once per chunk and
     each block's even and odd frames are written straight into them. The
     dropped duplicate of frame 0 is never computed, so the result is one
-    contiguous array.
+    contiguous array. A chunk of more than one block is split into tiles of
+    band rows and blocks that threads share out (``_over_tiles``).
     """
 
     def __init__(self, drop_first: bool):
@@ -374,21 +463,40 @@ class Idwt3dStream:
         self._started = self._started or n > 0
         out = np.empty((c, 2 * n - drop, 2 * h, 2 * w), dtype=np.float32)
         size = min(_block_pairs(c, 2 * h, 2 * w), max(n, 1))
-        frame_shape, row_shape = (2 * h, 2 * w), (h, 2 * w)
-        scratch = _scratch(c, size, frame_shape, frame_shape, row_shape, row_shape)
-        for start in range(0, n, size):
-            stop = min(start + size, n)
-            low, high, *rows = (a[:, : stop - start] for a in scratch)
-            _synthesize_2d_into(bands, "h", slice(start, stop), low, rows)
-            _synthesize_2d_into(bands, "g", slice(start, stop), high, rows)
-            # Pair p becomes frames 2p - drop (even) and 2p + 1 - drop (odd).
-            frame = 2 * start - drop
-            if frame < 0:
-                _butterfly(low[:, :1], high[:, :1], None, out[:, :1])
-                low, high, frame = low[:, 1:], high[:, 1:], 1
-            end = frame + 2 * low.shape[1]
-            _butterfly(low, high, out[:, frame:end:2], out[:, frame + 1 : end : 2])
+
+        def synthesize_tile(band_rows: slice, block_range: range, work) -> None:
+            full = slice(2 * band_rows.start, 2 * band_rows.stop)
+            work = _first_rows(work, band_rows.stop - band_rows.start)
+            part = {key: bands[key][:, :, band_rows] for key in KEYS_3D}
+            dest = out[:, :, full]
+            for block in block_range:
+                start, stop = block * size, min(block * size + size, n)
+                low, high, *rows = (a[:, : stop - start] for a in work)
+                _synthesize_2d_into(part, "h", slice(start, stop), low, rows)
+                _synthesize_2d_into(part, "g", slice(start, stop), high, rows)
+                # Pair p becomes frames 2p - drop (even) and 2p + 1 - drop (odd).
+                frame = 2 * start - drop
+                if frame < 0:
+                    _butterfly(low[:, :1], high[:, :1], None, dest[:, :1])
+                    low, high, frame = low[:, 1:], high[:, 1:], 1
+                end = frame + 2 * low.shape[1]
+                _butterfly(low, high, dest[:, frame:end:2], dest[:, frame + 1 : end : 2])
+
+        _over_tiles(
+            h,
+            -(-n // size),
+            n > size,
+            lambda m: _scratch(c, size, (2 * m, 2 * w), (2 * m, 2 * w), (m, 2 * w), (m, 2 * w)),
+            synthesize_tile,
+        )
         return out
+
+
+def _first_rows(work, rows: int) -> list[np.ndarray]:
+    """Views of a 3D kernel's four work arrays for ``rows`` band rows: the
+    first ``2 * rows`` rows of the two full-resolution ones and the first
+    ``rows`` of the two half-height ones."""
+    return [a[:, :, : 2 * rows] for a in work[:2]] + [a[:, :, :rows] for a in work[2:]]
 
 
 def _analyze_pair_block(even, odd, bands, start: int, scratch) -> None:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wfcodec import analysis
+from wfcodec import analysis, wavelet
 from wfcodec import (
     ParameterError,
     Rng,
@@ -23,7 +23,7 @@ from wfcodec import (
 from wfcodec.analysis import analyze_pyramid
 from wfcodec.wavelet import KEYS_3D, SubbandSet2D
 
-from helpers import make_random, noise_video, smooth_video, squared_l2
+from helpers import make_random, noise_video, smooth_video, squared_l2, traced_peak
 
 
 def histogram_loop_oracle(values, bins, lo, hi):
@@ -253,3 +253,39 @@ class TestAnalyzePyramid:
             for e, h in zip(subband_energy(bands), subband_entropy(bands, 64))
         ]
         assert [tuple(r.values()) for r in records] == expected
+
+
+class TestWorkerCount:
+    """Bands are spread over worker threads; records do not depend on how many."""
+
+    @staticmethod
+    def _at_workers(workers, fn):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wavelet, "worker_count", lambda: workers)
+            return fn()
+
+    @pytest.mark.parametrize("block", [97, analysis._BLOCK])
+    def test_stats_equal_across_worker_counts(self, block):
+        """A 97-value block makes every band span several histogram blocks."""
+        p = build_pyramid(make_random(77, (2, 17, 24, 16)))
+
+        def stats():
+            with mock.patch.object(analysis, "_BLOCK", block):
+                return (
+                    [subband_energy(s) for s in (p.level1, p.level2, p.level3)],
+                    [subband_entropy(s, 64) for s in (p.level1, p.level2, p.level3)],
+                    analyze_pyramid(p, bins=64),
+                )
+
+        serial = self._at_workers(1, stats)
+        for workers in (2, 3, 5):
+            assert self._at_workers(workers, stats) == serial, workers
+
+    def test_concurrent_histograms_add_no_scratch(self):
+        """At 4 workers analyze_pyramid's traced peak stays within 128 KiB of
+        one worker's: concurrent histograms and ufunc buffers divide one
+        call's scratch among them."""
+        p = build_pyramid(make_random(78, (3, 17, 128, 128)))
+        one = self._at_workers(1, lambda: traced_peak(lambda: analyze_pyramid(p))[1])
+        four = self._at_workers(4, lambda: traced_peak(lambda: analyze_pyramid(p))[1])
+        assert four - one <= 128 << 10, (one, four)

@@ -419,6 +419,16 @@ class TestRunStats:
             assert metrics["elapsed_s"] > 0, argv[0]
             assert metrics["peak_rss_mib"] > 0, argv[0]
 
+    def test_wavelet_reports_carry_workers(self, capsys, monkeypatch, video_file):
+        """roundtrip and analyze name the thread count their kernels used:
+        the CPUs the process may run on."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        for argv in (["roundtrip", video_file], ["analyze", video_file]):
+            code, report, _ = run_cli(capsys, argv)
+            assert code == 0, argv[0]
+            assert report["metrics"]["workers"] == 3, argv[0]
+            assert "elapsed_s" in report["metrics"], argv[0]
+
 
 def _file_hash(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]

@@ -4,6 +4,7 @@ agreement."""
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,17 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfcodec import (
+    ModelConfig,
     Rng,
     ShapeError,
     SubbandSet2D,
     SubbandSet3D,
     VideoTensor,
     build_pyramid,
+    decode,
     dwt2d,
     dwt3d,
+    encode,
     idwt2d,
     idwt3d,
+    init_weights,
     new_tensor,
+    random_normal,
     reconstruct_pyramid,
 )
 from wfcodec import wavelet
@@ -34,6 +40,7 @@ from helpers import (
     max_abs_diff,
     ramp_video,
     squared_l2,
+    traced_peak,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -337,6 +344,19 @@ class TestPyramid:
         with pytest.raises(ShapeError):
             reconstruct_pyramid(spliced, 9)
 
+    def test_reconstruct_peak_holds_no_level2_band(self):
+        """The level-1 synthesis runs after the level-2 hhh band and its
+        replaced level-2 set have died: the traced peak is the output, the
+        rebuilt level-1 hhh band and the level-1 scratch, plus less than half
+        of one level-2 band (ufunc buffers and small objects)."""
+        c, t, h, w = 3, 129, 128, 128
+        p = build_pyramid(make_random(310, (c, t, h, w)))
+        _, peak = traced_peak(lambda: reconstruct_pyramid(p, t))
+        size = min(wavelet._block_pairs(c, h, w), p.level1.time)
+        scratch = 3 * c * size * h * w * 4  # two full-resolution arrays, two half
+        floor = c * t * h * w * 4 + p.level1["hhh"].data.nbytes + scratch
+        assert peak - floor < p.level2["hhh"].data.nbytes // 2, (peak, floor)
+
     def test_first_frame_causality_through_pyramid(self):
         base = make_random(301, (2, 9, 16, 16))
         perturbed = base.data.copy()
@@ -434,3 +454,168 @@ class TestStreamingTransforms:
             mp.setattr(wavelet, "_BLOCK_BYTES", _blocks_of(block, 2, 4, 6))
             got = _stream_idwt(bands, sizes, drop_first)
         assert np.array_equal(got, whole)
+
+
+def _at_workers(mp, workers: int) -> None:
+    """Make the kernels see ``workers`` usable CPUs, whatever the host has."""
+    mp.setattr(wavelet, "worker_count", lambda: workers)
+
+
+_WORKERS = [2, 3, 5]
+
+
+class TestWorkerSplit:
+    """Tiles of band rows and blocks shared out to threads: bits equal to one
+    worker at any count.
+
+    Two pairs per block, so every T >= 5 spans several blocks and T = 9..11
+    several runs of them. h = 10 gives 5 band rows, split unevenly 3 ways;
+    h = 2 gives one band row, fewer than any worker count."""
+
+    @staticmethod
+    def _dwt(v, workers, block=2):
+        c, _, h, w = v.shape
+        with pytest.MonkeyPatch.context() as mp:
+            _at_workers(mp, workers)
+            mp.setattr(wavelet, "_BLOCK_BYTES", _blocks_of(block, c, h, w))
+            return dwt3d(v)
+
+    @pytest.mark.parametrize("h", [10, 2])
+    @pytest.mark.parametrize("t", [1, 2, 9, 10, 11])
+    def test_dwt3d_and_idwt3d_bits_equal_any_worker_count(self, h, t):
+        v = make_random(900 + t, (2, t, h, 6))
+        serial = self._dwt(v, 1)
+        restored = idwt3d(serial, t)
+        for workers in _WORKERS:
+            bands = self._dwt(v, workers)
+            for key in KEYS_3D:
+                assert np.array_equal(bands[key].data, serial[key].data), (workers, key)
+            with pytest.MonkeyPatch.context() as mp:
+                _at_workers(mp, workers)
+                mp.setattr(wavelet, "_BLOCK_BYTES", _blocks_of(2, 2, h, 6))
+                assert np.array_equal(idwt3d(serial, t).data, restored.data), workers
+
+    def test_multi_block_call_covers_every_row(self):
+        """A split that handled only some rows would leave np.empty garbage."""
+        v = make_random(910, (2, 11, 10, 6))
+        for workers in [1, *_WORKERS]:
+            bands = self._dwt(v, workers)
+            expected = haar3d_oracle(v.data)
+            for key in KEYS_3D:
+                assert max_abs_diff(bands[key], expected[key]) <= 1e-5, (workers, key)
+
+    def test_pyramid_bits_equal_any_worker_count(self):
+        v = make_random(920, (2, 17, 24, 16))
+
+        def roundtrip(workers):
+            with pytest.MonkeyPatch.context() as mp:
+                _at_workers(mp, workers)
+                mp.setattr(wavelet, "_BLOCK_BYTES", _blocks_of(1, 2, 24, 16))
+                p = build_pyramid(v)
+                return p, reconstruct_pyramid(p, v.time)
+
+        p1, r1 = roundtrip(1)
+        for workers in _WORKERS:
+            p, r = roundtrip(workers)
+            for level in ("level1", "level2", "level3"):
+                for key, band in getattr(p, level).items():
+                    assert np.array_equal(band.data, getattr(p1, level)[key].data), (
+                        workers, level, key)
+            assert np.array_equal(r.data, r1.data), workers
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        sizes=_CHUNKINGS,
+        workers=st.sampled_from(_WORKERS),
+        h=st.sampled_from([2, 10]),
+        block=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_dwt_stream_any_chunking_and_worker_count(self, sizes, workers, h, block, seed):
+        """pad_first follows the total length, so both ways are drawn."""
+        v = make_random(seed, (2, sum(sizes), h, 6))
+        serial = self._dwt(v, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            _at_workers(mp, workers)
+            mp.setattr(wavelet, "_BLOCK_BYTES", _blocks_of(block, 2, h, 6))
+            got = _stream_dwt(v, sizes)
+        for key in KEYS_3D:
+            assert np.array_equal(got[key], serial[key].data), key
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        sizes=_CHUNKINGS,
+        drop_first=st.booleans(),
+        workers=st.sampled_from(_WORKERS),
+        h=st.sampled_from([1, 5]),
+        block=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_idwt_stream_any_chunking_and_worker_count(
+        self, sizes, drop_first, workers, h, block, seed
+    ):
+        rng = Rng(seed)
+        bands = {k: rng.normal((2, sum(sizes), h, 3)) for k in KEYS_3D}
+        with pytest.MonkeyPatch.context() as mp:
+            _at_workers(mp, 1)
+            serial = Idwt3dStream(drop_first=drop_first).feed(bands)
+            _at_workers(mp, workers)
+            mp.setattr(wavelet, "_BLOCK_BYTES", _blocks_of(block, 2, 2 * h, 6))
+            got = _stream_idwt(bands, sizes, drop_first)
+        assert np.array_equal(got, serial)
+
+    def test_more_workers_than_cores_with_fast_switching(self):
+        """Threads that share the outputs and pass scratch sets along never
+        touch each other's tiles, even when the interpreter switches every
+        microsecond: a stray write would change some band or frame."""
+        v = make_random(940, (2, 11, 10, 6))
+        serial = self._dwt(v, 1)
+        restored = idwt3d(serial, 11)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                with pytest.MonkeyPatch.context() as mp:
+                    _at_workers(mp, 5)
+                    mp.setattr(wavelet, "_BLOCK_BYTES", _blocks_of(1, 2, 10, 6))
+                    bands = dwt3d(v)
+                    frames = idwt3d(serial, 11)
+                for key in KEYS_3D:
+                    assert np.array_equal(bands[key].data, serial[key].data), key
+                assert np.array_equal(frames.data, restored.data)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_single_block_calls_start_no_thread(self, monkeypatch):
+        """Every Haar call of a (3,33,64,64) encode and decode fits in one
+        block, so it runs on the calling thread even with many workers."""
+
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a single-block Haar call started a thread")
+
+        _at_workers(monkeypatch, 4)
+        monkeypatch.setattr(wavelet, "ThreadPoolExecutor", no_threads)
+        config = ModelConfig(base_channels=8, c_flow=8, latent_channels=4, blocks_per_stage=1)
+        weights = init_weights(config, Rng(42))
+        video = random_normal(Rng(1), (3, 33, 64, 64))
+        latent = encode(video, config, weights).latent
+        assert decode(latent.mean, config, weights, video.time).video.shape == video.shape
+
+    def test_split_adds_no_scratch(self):
+        """At 4 workers the traced peaks of multi-block stream calls stay
+        within 128 KiB of one worker's: the threads divide one scratch set."""
+        c, t, h, w = 3, 17, 128, 128  # 5 pairs per 1 MiB block, so 2+ blocks
+        v = make_random(930, (c, t, h, w))
+        bands = dwt3d(v)
+        arrays = {key: bands[key].data for key in KEYS_3D}
+
+        def peaks(workers):
+            with pytest.MonkeyPatch.context() as mp:
+                _at_workers(mp, workers)
+                _, analysis = traced_peak(lambda: Dwt3dStream(pad_first=True).feed(v.data))
+                _, synthesis = traced_peak(
+                    lambda: Idwt3dStream(drop_first=True).feed(arrays))
+            return analysis, synthesis
+
+        for one, four in zip(peaks(1), peaks(4)):
+            assert four - one <= 128 << 10, (one, four)
