@@ -3,8 +3,10 @@
 Energy is the sum of squared coefficients; fractions are taken within one
 transform level. Entropy is the Shannon entropy (base 2) of an equal-width
 histogram over each subband's own [min, max] range, which makes it invariant
-under affine rescaling of the coefficients. The histogram bin count is a
-convention (default 256), not a property of the transform.
+under affine rescaling of the coefficients. The range is the one the band's
+:class:`~wfcodec.tensor.VideoTensor` carries (``value_range``), taken when the
+band was written, so the statistics do not scan a band for it. The histogram
+bin count is a convention (default 256), not a property of the transform.
 
 The bin rule is computed in float64: with ``width = (hi - lo) / bins``, a
 value ``v`` goes to bin ``min(int((v - lo) / width), bins - 1)``, so the
@@ -21,6 +23,7 @@ import numpy as np
 
 from . import wavelet
 from .errors import ParameterError
+from .tensor import VideoTensor
 
 DEFAULT_BINS = 256
 # Each histogram block allocates ``bins + 1`` counts, 8 bytes each; the cap
@@ -98,9 +101,9 @@ def _histogram(
     return counts[:bins]
 
 
-def _band_entropy(arr: np.ndarray, bins: int, workers: int) -> float:
-    values = arr.ravel()
-    lo, hi = float(values.min()), float(values.max())
+def _band_entropy(band: VideoTensor, bins: int, workers: int) -> float:
+    values = band.data.ravel()
+    lo, hi = band.value_range
     if lo == hi:
         return 0.0
     counts = _histogram(values, bins, lo, hi, workers)
@@ -122,9 +125,9 @@ def subband_entropy(subbands, bins: int = DEFAULT_BINS) -> list[SubbandStats]:
     """
     _check_bins(bins)
     workers = wavelet.worker_count()
-    arrays = [band.data for _, band in subbands.items()]
+    bands = [band for _, band in subbands.items()]
     entropies = wavelet._on_threads(
-        workers, lambda arr: _band_entropy(arr, bins, workers), arrays
+        workers, lambda band: _band_entropy(band, bins, workers), bands
     )
     return [
         SubbandStats(key=key, entropy_bits=bits)

@@ -13,9 +13,13 @@ the command loaded, not by reading the file again. Output files are written
 atomically.
 
 ``WFCODEC_THREADS`` caps BLAS worker parallelism for the duration of a
-command. The cap needs ``threadpoolctl`` and an integer value; when either is
-missing, the command runs uncapped and writes one JSON warning line
-(``{"warning": "thread_cap_not_applied", ...}``) to stderr before its report.
+command: the CLI sets the count in numpy's OpenBLAS (:mod:`wfcodec.blas`) and
+restores the old count afterwards. When the value is not an integer or no
+thread setter is found, the command runs uncapped and writes one JSON warning
+line (``{"warning": "thread_cap_not_applied", ...}``) to stderr before its
+report. Every report carries ``threads``: the count ``requested`` (null when
+unset or not an integer), whether the cap was ``applied``, and the count
+``in_effect`` as the library reports it (null when it reports none).
 """
 
 from __future__ import annotations
@@ -26,12 +30,13 @@ import os
 import resource
 import sys
 import time
-from contextlib import nullcontext, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .analysis import MAX_BINS, _check_bins, analyze_pyramid
+from .blas import blas_threads, set_blas_threads
 from .causal import ChunkPlan, _check_cache_args, cache_len, cache_len_by_simulation
 from .errors import FormatError, ParameterError, WfcodecError
 from .losses import LossComponents, LossWeights, kl_divergence, l1_recon, total_loss, wl_loss
@@ -552,33 +557,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _thread_limit_context():
-    """Cap BLAS threads at ``WFCODEC_THREADS``; say on stderr when the cap cannot apply."""
+@contextmanager
+def _thread_cap():
+    """Cap BLAS threads at ``WFCODEC_THREADS`` for the command and restore the
+    old count after it; say on stderr when the cap cannot apply. Yields the
+    report's ``threads`` record."""
     limit = os.environ.get("WFCODEC_THREADS")
-    if not limit:
-        return nullcontext()
+    threads = {"requested": None, "applied": False, "in_effect": None}
+    previous = None
+    if limit:
+        try:
+            threads["requested"] = max(1, int(limit))
+        except ValueError:
+            _cap_not_applied(limit, "value is not an integer")
+        else:
+            previous = set_blas_threads(threads["requested"])
+            threads["applied"] = previous is not None
+            if previous is None:
+                _cap_not_applied(limit, "no BLAS thread setter found")
+    threads["in_effect"] = blas_threads()
     try:
-        threads = max(1, int(limit))
-    except ValueError:
-        return _cap_not_applied(limit, "value is not an integer")
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return _cap_not_applied(limit, "threadpoolctl is not installed")
-    return threadpool_limits(limits=threads)
+        yield threads
+    finally:
+        if previous is not None:
+            set_blas_threads(previous)
 
 
-def _cap_not_applied(limit: str, reason: str):
+def _cap_not_applied(limit: str, reason: str) -> None:
     warning = {"warning": "thread_cap_not_applied", "reason": reason, "value": limit}
     print(json.dumps(warning), file=sys.stderr)
-    return nullcontext()
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        with _thread_limit_context():
+        with _thread_cap() as threads:
             t0 = time.perf_counter()
             report = args.func(args)
             elapsed = time.perf_counter() - t0
@@ -586,7 +600,9 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
-    report.metrics.update(elapsed_s=elapsed, peak_rss_mib=peak_kib / 1024)
+    report.metrics.update(
+        elapsed_s=elapsed, peak_rss_mib=peak_kib / 1024, threads=threads
+    )
     print(report.to_json())
     print(f"wfcodec {report.command}: {report.verdict}", file=sys.stderr)
     return 0 if report.verdict == "pass" else 1

@@ -38,6 +38,11 @@ DTYPE_F32 = 0
 
 _HEADER = struct.Struct("<4sIII4I")
 
+# Block size of a checked payload read that inspects each block
+# (:func:`read_f32`): small enough that the block is still in cache when it is
+# inspected.
+_READ_BYTES = 1 << 20
+
 # Largest per-axis extent the file header accepts. Keeps dims * 4 bytes well
 # inside the u32 payload arithmetic.
 MAX_DIM = 2**31 - 1
@@ -47,28 +52,38 @@ class VideoTensor:
     """Immutable (channels, time, height, width) float32 tensor.
 
     Wraps a C-contiguous, write-protected numpy array. All public operations
-    in this package produce tensors whose values are finite.
+    in this package produce tensors whose values are finite. A tensor also
+    carries :attr:`value_range`, the exact min and max of its elements:
+    ``VideoTensor(arr)`` scans ``arr`` once for them, which is its finiteness
+    check, and code that writes a tensor block by block (:func:`load_tensor`,
+    the 3D Haar kernels) takes them in that pass and wraps the result with
+    :func:`_with_range`, so it is not scanned again.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "_lo", "_hi")
 
     def __init__(self, data):
-        arr = np.asarray(data, dtype=np.float32)
-        if arr.ndim != 4:
-            raise ShapeError(f"expected 4 dimensions (c,t,h,w), got {arr.ndim}")
-        if min(arr.shape) < 1:
-            raise ShapeError(f"all dimensions must be >= 1, got shape {arr.shape}")
-        # min and max propagate NaN and +-inf, and allocate nothing.
-        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        arr = _checked_shape(np.asarray(data, dtype=np.float32))
+        self._wrap(arr, *_scan(arr))
+
+    def _wrap(self, arr: np.ndarray, lo, hi) -> None:
+        lo, hi = float(lo), float(hi)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ShapeError("tensor contains NaN or Inf values")
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         self._data = arr
+        self._lo, self._hi = lo, hi
 
     @property
     def data(self) -> np.ndarray:
         """Read-only view of the underlying float32 array."""
         return self._data
+
+    @property
+    def value_range(self) -> tuple[float, float]:
+        """The exact (min, max) of the elements, both finite."""
+        return self._lo, self._hi
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -100,6 +115,44 @@ class VideoTensor:
     def __repr__(self) -> str:
         c, t, h, w = self.shape
         return f"VideoTensor(c={c}, t={t}, h={h}, w={w})"
+
+
+def _checked_shape(arr: np.ndarray) -> np.ndarray:
+    if arr.ndim != 4:
+        raise ShapeError(f"expected 4 dimensions (c,t,h,w), got {arr.ndim}")
+    if min(arr.shape) < 1:
+        raise ShapeError(f"all dimensions must be >= 1, got shape {arr.shape}")
+    return arr
+
+
+def _scan(arr: np.ndarray):
+    """(min, max) of every element of ``arr``: the whole-array pass that
+    ``VideoTensor(arr)`` makes. min and max propagate NaN and +-inf, and
+    allocate nothing."""
+    return arr.min(), arr.max()
+
+
+def _widen(bounds, lo, hi):
+    """The smallest (min, max) that covers ``bounds`` (None for no values
+    yet) and [lo, hi]. A NaN bound stays NaN, so a non-finite value in any
+    block reaches the range."""
+    if bounds is None:
+        return lo, hi
+    return np.minimum(bounds[0], lo), np.maximum(bounds[1], hi)
+
+
+def _with_range(arr: np.ndarray, lo, hi) -> VideoTensor:
+    """Wrap the float32 array ``arr`` as a :class:`VideoTensor` without
+    scanning it, for a producer that took its range while writing it.
+
+    Invariant, which the caller guarantees: ``lo`` and ``hi`` are the exact
+    min and max of every element of ``arr`` (a NaN anywhere makes one of
+    them NaN). A non-finite bound raises ShapeError, as ``VideoTensor(arr)``
+    would.
+    """
+    tensor = VideoTensor.__new__(VideoTensor)
+    tensor._wrap(_checked_shape(arr), lo, hi)
+    return tensor
 
 
 class Rng:
@@ -186,18 +239,28 @@ def sha256_hex(blobs) -> str:
     return hasher.hexdigest()
 
 
-def read_f32(fh, dims, total: int, what: str) -> np.ndarray:
+def read_f32(fh, dims, total: int, what: str, each=None) -> np.ndarray:
     """Read a float32 array of shape ``dims`` from ``fh`` of ``total`` bytes.
 
-    Corrupt dims must not become a huge array, so the size is checked first."""
+    Corrupt dims must not become a huge array, so the size is checked first.
+    With ``each``, the payload is read in blocks of ``_READ_BYTES`` and
+    ``each(block)`` sees every flat block as soon as it is read, while it is
+    still in cache; without it, the payload is read in one call."""
     nbytes = 4 * math.prod(dims)
     left = total - fh.tell()
     if nbytes > left:
         raise FormatError(f"{what}: truncated payload ({left} bytes, need {nbytes})")
     values = np.empty(dims, dtype="<f4")
-    got = fh.readinto(values)
-    if got != nbytes:
-        raise FormatError(f"{what}: truncated payload ({got} bytes, need {nbytes})")
+    flat = values.reshape(-1)
+    step = _READ_BYTES // 4 if each is not None else max(flat.size, 1)
+    for start in range(0, flat.size, step):
+        block = flat[start : start + step]
+        got = fh.readinto(block)
+        if got != block.nbytes:
+            got += 4 * start
+            raise FormatError(f"{what}: truncated payload ({got} bytes, need {nbytes})")
+        if each is not None:
+            each(block)
     return values
 
 
@@ -236,7 +299,13 @@ def tensor_digest(tensor: VideoTensor) -> str:
 
 
 def load_tensor(path) -> VideoTensor:
-    """Read a VTensor file; raises FormatError on any structural defect."""
+    """Read a VTensor file; raises FormatError on any structural defect.
+
+    The payload is read in ``_READ_BYTES`` blocks through :func:`read_f32`,
+    and each block's min and max are taken while it is still in cache: a
+    NaN or infinity raises FormatError at the first block that holds one, and
+    the tensor is wrapped with the payload's exact range, never scanned again.
+    """
     with open(path, "rb") as fh:
         total = os.fstat(fh.fileno()).st_size
         head = fh.read(_HEADER.size)
@@ -257,10 +326,13 @@ def load_tensor(path) -> VideoTensor:
         trailing = total - _HEADER.size - 4 * math.prod(dims)
         if trailing > 0:
             raise FormatError(f"{path}: {trailing} trailing bytes")
-        values = read_f32(fh, dims, total, path)
-    try:
-        return VideoTensor(values)
-    except ShapeError as exc:
-        # The dims passed the checks above, so VideoTensor's one remaining
-        # check failed: the payload is not finite.
-        raise FormatError(f"{path}: payload contains non-finite values") from exc
+        bounds = None
+
+        def widen(block):
+            nonlocal bounds
+            bounds = _widen(bounds, block.min(), block.max())
+            if not (np.isfinite(bounds[0]) and np.isfinite(bounds[1])):
+                raise FormatError(f"{path}: payload contains non-finite values")
+
+        values = read_f32(fh, dims, total, path, widen)
+    return _with_range(values, *bounds)

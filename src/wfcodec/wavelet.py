@@ -20,13 +20,14 @@ from __future__ import annotations
 import contextvars
 import os
 import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import VideoTensor
+from .tensor import VideoTensor, _widen, _with_range
 
 INV_SQRT2 = 2.0**-0.5
 
@@ -114,6 +115,25 @@ def _over_tiles(rows: int, blocks: int, split: bool, scratch, run) -> None:
     _on_threads(workers, run_tile, tiles)
 
 
+class _Ranges(dict):
+    """Exact (min, max) per key, widened part by part from any thread: the
+    running range of each array a kernel writes, two scalars per array.
+    :func:`dwt3d`, :func:`idwt3d`, :func:`dwt2d` and :func:`idwt2d` wrap their
+    outputs with these ranges instead of scanning them again; the streams'
+    public ``feed``, which the model calls per chunk, takes none."""
+
+    __slots__ = ("_lock",)
+
+    def __init__(self):
+        super().__init__()
+        self._lock = threading.Lock()
+
+    def widen(self, key: str, part: np.ndarray) -> None:
+        lo, hi = part.min(), part.max()
+        with self._lock:
+            self[key] = _widen(self.get(key), lo, hi)
+
+
 def _block_pairs(c: int, h: int, w: int) -> int:
     """Temporal pairs per block for (c, h, w) full-resolution frames."""
     return max(1, _BLOCK_BYTES // (4 * c * h * w))
@@ -129,31 +149,31 @@ def _butterfly(x, y, low, high) -> None:
         high *= INV_SQRT2
 
 
-def _analyze_2d_into(frames, bands, prefix: str, where: slice, rows) -> None:
-    """Spatial analysis of (c, t, h, w) frames into bands[prefix+hh..gg][:, where].
+def _analyze_2d_into(frames, bands, prefix: str, where, row) -> None:
+    """Spatial analysis of (c, t, h, w) frames into bands[prefix+hh..gg][where].
 
-    Height first, then width; ``rows`` is two (c, t, h/2, w) scratch arrays.
+    Height, then width, for the low and then the high height-pass output,
+    each made in ``row``, one (c, t, h/2, w) scratch array.
     """
-    low, high = rows
-    _butterfly(frames[:, :, 0::2], frames[:, :, 1::2], low, high)
-    for hkey, harr in (("h", low), ("g", high)):
+    for hkey, low, high in (("h", row, None), ("g", None, row)):
+        _butterfly(frames[:, :, 0::2], frames[:, :, 1::2], low, high)
         _butterfly(
-            harr[..., 0::2],
-            harr[..., 1::2],
-            bands[prefix + hkey + "h"][:, where],
-            bands[prefix + hkey + "g"][:, where],
+            row[..., 0::2],
+            row[..., 1::2],
+            bands[prefix + hkey + "h"][where],
+            bands[prefix + hkey + "g"][where],
         )
 
 
-def _synthesize_2d_into(bands, prefix: str, where: slice, out, rows) -> None:
-    """Exact inverse of :func:`_analyze_2d_into`: bands[...][:, where] -> out.
+def _synthesize_2d_into(bands, prefix: str, where, out, rows) -> None:
+    """Exact inverse of :func:`_analyze_2d_into`: bands[...][where] -> out.
 
     ``out`` is (c, t, 2h, 2w); ``rows`` is two (c, t, h, 2w) scratch arrays.
     """
     for hkey, row in zip("hg", rows):
         _butterfly(
-            bands[prefix + hkey + "h"][:, where],
-            bands[prefix + hkey + "g"][:, where],
+            bands[prefix + hkey + "h"][where],
+            bands[prefix + hkey + "g"][where],
             row[..., 0::2],
             row[..., 1::2],
         )
@@ -167,10 +187,10 @@ def _empty_bands(keys, c: int, t: int, h: int, w: int) -> dict[str, np.ndarray]:
 def _scratch(c: int, t: int, *frame_shapes) -> list[np.ndarray]:
     """Uninitialized (c, t, *frame_shape) float32 work arrays.
 
-    The 3D kernels take four per chunk and reuse them for every block: the
-    temporal butterfly's low and high outputs, then the two height-pass
-    outputs of the spatial transform. A block of ``n`` pairs uses the first
-    ``n`` frames of each.
+    The 3D kernels take them once per chunk and reuse them for every block:
+    the temporal butterfly's low and high outputs, then the height-pass
+    output of the spatial transform (one for analysis, two for synthesis).
+    A block of ``n`` pairs uses the first ``n`` frames of each.
     """
     return [np.empty((c, t, *shape), dtype=np.float32) for shape in frame_shapes]
 
@@ -182,24 +202,32 @@ def _common_shape(bands, keys) -> tuple[int, ...]:
     return shapes.pop()
 
 
-def _analyze_2d(arr: np.ndarray, prefix: str = "") -> dict[str, np.ndarray]:
-    """Spatial analysis of (c, t, h, w) frames into bands keyed prefix+hh..gg."""
+def _analyze_2d(arr: np.ndarray, prefix: str = "", ranges=None) -> dict[str, np.ndarray]:
+    """Spatial analysis of (c, t, h, w) frames into bands keyed prefix+hh..gg;
+    ``ranges`` (a :class:`_Ranges`) receives each band's exact (min, max)."""
     arr = np.asarray(arr, dtype=np.float32)
     c, t, h, w = arr.shape
     if h % 2 or w % 2:
         raise ShapeError(f"height and width must be even, got ({h}, {w})")
     bands = _empty_bands([prefix + k for k in KEYS_2D], c, t, h // 2, w // 2)
-    rows = _scratch(c, t, (h // 2, w), (h // 2, w))
-    _analyze_2d_into(arr, bands, prefix, slice(None), rows)
+    (row,) = _scratch(c, t, (h // 2, w))
+    _analyze_2d_into(arr, bands, prefix, ..., row)
+    if ranges is not None:
+        for key, band in bands.items():
+            ranges.widen(key, band)
     return bands
 
 
-def _synthesize_2d(bands, prefix: str = "") -> np.ndarray:
-    """Exact inverse of :func:`_analyze_2d` for the bands keyed prefix+hh..gg."""
+def _synthesize_2d(bands, prefix: str = "", ranges=None) -> np.ndarray:
+    """Exact inverse of :func:`_analyze_2d` for the bands keyed prefix+hh..gg;
+    ``ranges`` (a :class:`_Ranges`) receives the output's exact (min, max)
+    under ``prefix``."""
     c, t, h, w = _common_shape(bands, [prefix + k for k in KEYS_2D])
     out = np.empty((c, t, 2 * h, 2 * w), dtype=np.float32)
     rows = _scratch(c, t, (h, 2 * w), (h, 2 * w))
-    _synthesize_2d_into(bands, prefix, slice(None), out, rows)
+    _synthesize_2d_into(bands, prefix, ..., out, rows)
+    if ranges is not None:
+        ranges.widen(prefix, out)
     return out
 
 
@@ -291,9 +319,12 @@ def dwt3d(v: VideoTensor) -> SubbandSet3D:
 
     Applies the causal odd-length rule on time, then separable 1D analysis
     along time, height, and width (in that order). Preserves the squared L2
-    norm of the padded input. Runs as a one-chunk :class:`Dwt3dStream`.
+    norm of the padded input. Runs as a one-chunk :class:`Dwt3dStream`, whose
+    tiles take each band's range as they write it.
     """
-    return SubbandSet3D(Dwt3dStream(pad_first=v.time % 2 == 1).feed(v.data))
+    ranges = _Ranges()
+    bands = Dwt3dStream(pad_first=v.time % 2 == 1)._feed(v.data, ranges)
+    return SubbandSet3D({key: _with_range(bands[key], *ranges[key]) for key in KEYS_3D})
 
 
 def idwt3d(s: SubbandSet3D, original_t: int) -> VideoTensor:
@@ -303,8 +334,10 @@ def idwt3d(s: SubbandSet3D, original_t: int) -> VideoTensor:
         raise ShapeError(
             f"cannot restore {original_t} frames from {s.time} temporal coefficients"
         )
+    ranges = _Ranges()
     bands = {key: band.data for key, band in s.items()}
-    return VideoTensor(Idwt3dStream(drop_first=pad == 1).feed(bands))
+    out = Idwt3dStream(drop_first=pad == 1)._feed(bands, ranges)
+    return _with_range(out, *ranges[""])
 
 
 def dwt2d(v: VideoTensor) -> SubbandSet2D:
@@ -312,12 +345,16 @@ def dwt2d(v: VideoTensor) -> SubbandSet2D:
 
     Height and width must be even (ShapeError otherwise).
     """
-    return SubbandSet2D(_analyze_2d(v.data))
+    ranges = _Ranges()
+    bands = _analyze_2d(v.data, ranges=ranges)
+    return SubbandSet2D({key: _with_range(bands[key], *ranges[key]) for key in KEYS_2D})
 
 
 def idwt2d(s: SubbandSet2D) -> VideoTensor:
     """Exact inverse of :func:`dwt2d`."""
-    return VideoTensor(_synthesize_2d({key: band.data for key, band in s.items()}))
+    ranges = _Ranges()
+    out = _synthesize_2d({key: band.data for key, band in s.items()}, ranges=ranges)
+    return _with_range(out, *ranges[""])
 
 
 @dataclass(frozen=True)
@@ -392,6 +429,11 @@ class Dwt3dStream:
         self._started = False
 
     def feed(self, frames: np.ndarray) -> dict[str, np.ndarray]:
+        return self._feed(frames, None)
+
+    def _feed(self, frames: np.ndarray, ranges: _Ranges | None) -> dict[str, np.ndarray]:
+        """:meth:`feed`; ``ranges`` receives each band's exact (min, max),
+        which every tile takes from the band rows it wrote, on its thread."""
         frames = np.asarray(frames, dtype=np.float32)
         if frames.ndim != 4:
             raise ShapeError("expected (c, n, h, w) frames")
@@ -415,25 +457,33 @@ class Dwt3dStream:
         def analyze_tile(band_rows: slice, block_range: range, work) -> None:
             full = slice(2 * band_rows.start, 2 * band_rows.stop)
             work = _first_rows(work, band_rows.stop - band_rows.start)
-            part = {key: band[:, :, band_rows] for key, band in bands.items()}
             src = rest[:, :, full]
             if lead is not None and block_range.start == 0:
-                _analyze_pair_block(lead[:, :, full], frames[:, :1, full], part, 0, work)
+                _analyze_pair_block(
+                    lead[:, :, full], frames[:, :1, full], bands, 0, band_rows, work
+                )
             for block in block_range:
                 start, stop = block * size, min(block * size + size, pairs)
                 _analyze_pair_block(
                     src[:, 2 * start : 2 * stop : 2],
                     src[:, 2 * start + 1 : 2 * stop : 2],
-                    part,
+                    bands,
                     first + start,
+                    band_rows,
                     work,
                 )
+            if ranges is not None:
+                # The band frames this tile wrote, the leading pair included.
+                start = 0 if block_range.start == 0 else first + block_range.start * size
+                written = slice(start, first + min(block_range.stop * size, pairs))
+                for key, band in bands.items():
+                    ranges.widen(key, band[:, written, band_rows])
 
         _over_tiles(
             h // 2,
             blocks,
             first + pairs > size,
-            lambda n: _scratch(c, size, (2 * n, w), (2 * n, w), (n, w), (n, w)),
+            lambda n: _scratch(c, size, (2 * n, w), (2 * n, w), (n, w)),
             analyze_tile,
         )
         self._carry = rest[:, 2 * pairs :].copy() if rest.shape[1] % 2 else None
@@ -458,6 +508,12 @@ class Idwt3dStream:
         self._started = False
 
     def feed(self, bands: dict[str, np.ndarray]) -> np.ndarray:
+        return self._feed(bands, None)
+
+    def _feed(self, bands: dict[str, np.ndarray], ranges: _Ranges | None) -> np.ndarray:
+        """:meth:`feed`; ``ranges`` receives the output's exact (min, max)
+        under ``""``, which every tile takes from each block of frames it
+        writes, while the block is still in cache."""
         c, n, h, w = _common_shape(bands, KEYS_3D)
         drop = n > 0 and self.drop_first and not self._started
         self._started = self._started or n > 0
@@ -467,20 +523,23 @@ class Idwt3dStream:
         def synthesize_tile(band_rows: slice, block_range: range, work) -> None:
             full = slice(2 * band_rows.start, 2 * band_rows.stop)
             work = _first_rows(work, band_rows.stop - band_rows.start)
-            part = {key: bands[key][:, :, band_rows] for key in KEYS_3D}
             dest = out[:, :, full]
             for block in block_range:
                 start, stop = block * size, min(block * size + size, n)
                 low, high, *rows = (a[:, : stop - start] for a in work)
-                _synthesize_2d_into(part, "h", slice(start, stop), low, rows)
-                _synthesize_2d_into(part, "g", slice(start, stop), high, rows)
+                where = (slice(None), slice(start, stop), band_rows)
+                _synthesize_2d_into(bands, "h", where, low, rows)
+                _synthesize_2d_into(bands, "g", where, high, rows)
                 # Pair p becomes frames 2p - drop (even) and 2p + 1 - drop (odd).
                 frame = 2 * start - drop
+                written = max(frame, 0)
                 if frame < 0:
                     _butterfly(low[:, :1], high[:, :1], None, dest[:, :1])
                     low, high, frame = low[:, 1:], high[:, 1:], 1
                 end = frame + 2 * low.shape[1]
                 _butterfly(low, high, dest[:, frame:end:2], dest[:, frame + 1 : end : 2])
+                if ranges is not None:
+                    ranges.widen("", dest[:, written:end])
 
         _over_tiles(
             h,
@@ -493,17 +552,18 @@ class Idwt3dStream:
 
 
 def _first_rows(work, rows: int) -> list[np.ndarray]:
-    """Views of a 3D kernel's four work arrays for ``rows`` band rows: the
-    first ``2 * rows`` rows of the two full-resolution ones and the first
-    ``rows`` of the two half-height ones."""
+    """Views of a 3D kernel's work arrays for ``rows`` band rows: the first
+    ``2 * rows`` rows of the two full-resolution ones and the first ``rows``
+    of the half-height ones."""
     return [a[:, :, : 2 * rows] for a in work[:2]] + [a[:, :, :rows] for a in work[2:]]
 
 
-def _analyze_pair_block(even, odd, bands, start: int, scratch) -> None:
-    """Analyze the frame pairs (even[:, i], odd[:, i]) into bands[:, start + i]."""
+def _analyze_pair_block(even, odd, bands, start: int, band_rows: slice, scratch) -> None:
+    """Analyze the frame pairs (even[:, i], odd[:, i]) into the band rows
+    ``band_rows`` of bands[:, start + i]."""
     n = even.shape[1]
-    low, high, *rows = (a[:, :n] for a in scratch)
-    where = slice(start, start + n)
+    low, high, row = (a[:, :n] for a in scratch)
+    where = (slice(None), slice(start, start + n), band_rows)
     _butterfly(even, odd, low, high)
-    _analyze_2d_into(low, bands, "h", where, rows)
-    _analyze_2d_into(high, bands, "g", where, rows)
+    _analyze_2d_into(low, bands, "h", where, row)
+    _analyze_2d_into(high, bands, "g", where, row)

@@ -2,7 +2,6 @@
 errors surfaced with exit code 2."""
 
 import hashlib
-import importlib.util
 import io
 import json
 import os
@@ -28,7 +27,8 @@ from wfcodec import (
     save_tensor,
 )
 from wfcodec.analysis import MAX_BINS
-from wfcodec import cli
+from wfcodec import blas, cli
+from wfcodec.blas import blas_threads
 from wfcodec.cli import main
 
 from helpers import make_random, smooth_video, tear_writes, traced_peak, wfwt_bytes
@@ -393,7 +393,13 @@ def assert_input_error(code, report, err, name):
 class TestRunStats:
     """Every command reports its wall time and the peak resident memory."""
 
-    def test_reports_carry_elapsed_and_peak_rss(self, capsys, tmp_path, video_file):
+    def test_reports_carry_elapsed_and_peak_rss(
+        self, capsys, monkeypatch, tmp_path, video_file
+    ):
+        """Every report also carries ``threads``; with no cap asked for, the
+        count in effect is the library's own."""
+        monkeypatch.delenv("WFCODEC_THREADS", raising=False)
+        uncapped = {"requested": None, "applied": False, "in_effect": blas_threads()}
         prefix = str(tmp_path / "latent")
         runs = [
             ["roundtrip", video_file],
@@ -418,6 +424,7 @@ class TestRunStats:
             metrics = report["metrics"]
             assert metrics["elapsed_s"] > 0, argv[0]
             assert metrics["peak_rss_mib"] > 0, argv[0]
+            assert metrics["threads"] == uncapped, argv[0]
 
     def test_wavelet_reports_carry_workers(self, capsys, monkeypatch, video_file):
         """roundtrip and analyze name the thread count their kernels used:
@@ -785,6 +792,8 @@ class TestProcessEntry:
         assert "pass" in proc.stderr
 
     def test_thread_cap_env(self, tmp_path):
+        """With ``WFCODEC_THREADS=1`` the child's BLAS runs one thread, read
+        back from the library; where no setter is found, it says so."""
         path = tmp_path / "v.wfvt"
         save_tensor(make_random(5, (1, 5, 16, 16)), path)
         proc = subprocess.run(
@@ -794,19 +803,23 @@ class TestProcessEntry:
             env=child_env(WFCODEC_THREADS="1"),
         )
         assert proc.returncode == 0
-        assert json.loads(proc.stdout)["verdict"] == "pass"
+        report = json.loads(proc.stdout)
+        assert report["verdict"] == "pass"
         warnings = [
             json.loads(line) for line in proc.stderr.splitlines()
             if "thread_cap_not_applied" in line
         ]
-        if importlib.util.find_spec("threadpoolctl") is None:
+        if blas_threads() is None:
             assert warnings == [{
                 "warning": "thread_cap_not_applied",
-                "reason": "threadpoolctl is not installed",
+                "reason": "no BLAS thread setter found",
                 "value": "1",
             }]
         else:
             assert warnings == []
+            assert report["metrics"]["threads"] == {
+                "requested": 1, "applied": True, "in_effect": 1,
+            }
 
 
 class TestThreadCapWarning:
@@ -831,14 +844,31 @@ class TestThreadCapWarning:
         }
         assert lines[1:] == ["wfcodec cache-table: pass"]
 
-    def test_missing_threadpoolctl_warns_and_keeps_verdict(self, capsys, monkeypatch):
+    def test_missing_blas_setter_warns_and_keeps_verdict(self, capsys, monkeypatch):
         monkeypatch.setenv("WFCODEC_THREADS", "1")
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import raises ImportError
+        monkeypatch.setattr(blas, "_controls", lambda: None)
         code, report, err = run_cli(capsys, self.CACHE_TABLE)
         assert code == 0 and report["verdict"] == "pass"
         lines = err.splitlines()
-        assert json.loads(lines[0])["reason"] == "threadpoolctl is not installed"
+        assert json.loads(lines[0])["reason"] == "no BLAS thread setter found"
         assert lines[1:] == ["wfcodec cache-table: pass"]
+        assert report["metrics"]["threads"] == {
+            "requested": 1, "applied": False, "in_effect": None,
+        }
+
+    @pytest.mark.skipif(blas_threads() is None, reason="no BLAS thread control found")
+    def test_cap_is_read_back_and_restored(self, capsys, monkeypatch):
+        """The report reads the cap back from the library, and the count the
+        process had comes back after the command."""
+        before = blas_threads()
+        cap = 1 if before != 1 else 2
+        monkeypatch.setenv("WFCODEC_THREADS", str(cap))
+        code, report, _ = run_cli(capsys, self.CACHE_TABLE)
+        assert code == 0
+        assert report["metrics"]["threads"] == {
+            "requested": cap, "applied": True, "in_effect": cap,
+        }
+        assert blas_threads() == before
 
 
 # ---------------------------------------------------------------------------

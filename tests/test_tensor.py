@@ -1,13 +1,17 @@
 """Tensor core: construction, RNG determinism, and file-format round trips."""
 
 import hashlib
+import math
 import os
 import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wfcodec import tensor as tensor_module
 from wfcodec import (
     FormatError,
     ParameterError,
@@ -83,6 +87,10 @@ class TestVideoTensor:
         )
         _, peak = traced_peak(lambda: VideoTensor(arr))
         assert peak < 1 << 20
+
+    def test_carries_exact_range(self):
+        arr = make_random(3, (2, 3, 4, 5)).data
+        assert VideoTensor(arr).value_range == (float(arr.min()), float(arr.max()))
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ShapeError):
@@ -230,12 +238,51 @@ class TestFileFormat:
             load_tensor(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_payload_is_format_error(self, tmp_path, value):
+    def test_non_finite_payload_is_format_error(self, tmp_path, monkeypatch, value):
+        """In a one-block payload, and at the first and the last element of
+        every read block of a payload read 4 values at a time, whose last
+        block is short (30 values)."""
         path = tmp_path / "nan.wfvt"
         header = struct.pack("<4sIII4I", b"WFVT", 1, 0, 4, 1, 1, 1, 2)
         path.write_bytes(header + np.array([1.0, value], dtype="<f4").tobytes())
         with pytest.raises(FormatError, match="non-finite"):
             load_tensor(path)
+        monkeypatch.setattr(tensor_module, "_READ_BYTES", 16)
+        shape = (2, 1, 3, 5)
+        size = math.prod(shape)
+        for first in range(0, size, 4):
+            for where in (first, min(first + 3, size - 1)):
+                payload = make_random(where, shape).data.copy()
+                payload.reshape(-1)[where] = value
+                save_tensor_bytes(path, payload)
+                with pytest.raises(FormatError, match="non-finite"):
+                    load_tensor(path)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(*[st.integers(1, 4)] * 4),
+        block=st.sampled_from([1, 3, 4, 7, 256, None]),
+        spike=st.floats(0, 1, exclude_max=True),
+        sign=st.sampled_from([-1.0, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_loaded_tensor_carries_exact_range(
+        self, tmp_path_factory, shape, block, spike, sign, seed
+    ):
+        """The range load_tensor takes block by block equals the loaded
+        values' min and max, for payloads of one block, of several, and of a
+        length that is no multiple of the block (``block`` values per read;
+        None keeps the 1 MiB default)."""
+        payload = Rng(seed).normal(shape)
+        payload.reshape(-1)[int(spike * payload.size)] = sign * 50.0
+        path = tmp_path_factory.mktemp("range") / "range.wfvt"
+        save_tensor_bytes(path, payload)
+        with pytest.MonkeyPatch.context() as mp:
+            if block:
+                mp.setattr(tensor_module, "_READ_BYTES", 4 * block)
+            loaded = load_tensor(path)
+        assert np.array_equal(loaded.data, payload)
+        assert loaded.value_range == (float(payload.min()), float(payload.max()))
 
     def test_roundtrip_many_seeds(self, tmp_path):
         for seed in range(5):
@@ -316,3 +363,10 @@ class TestAtomicWrites:
         self._check_torn(
             monkeypatch, path, lambda: save_manifest({"version": 2, "x": [1]}, path)
         )
+
+
+def save_tensor_bytes(path, payload: np.ndarray) -> None:
+    """Write ``payload`` as a ``.wfvt`` file without wrapping it first, so a
+    non-finite payload can be planted."""
+    header = struct.pack("<4sIII4I", b"WFVT", 1, 0, 4, *payload.shape)
+    path.write_bytes(header + payload.astype("<f4").tobytes())

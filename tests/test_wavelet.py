@@ -5,6 +5,7 @@ agreement."""
 import dataclasses
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -26,11 +27,15 @@ from wfcodec import (
     idwt2d,
     idwt3d,
     init_weights,
+    load_tensor,
     new_tensor,
     random_normal,
     reconstruct_pyramid,
+    save_tensor,
 )
+from wfcodec import tensor as tensor_module
 from wfcodec import wavelet
+from wfcodec.analysis import analyze_pyramid
 from wfcodec.wavelet import KEYS_2D, KEYS_3D, Dwt3dStream, Idwt3dStream
 
 from helpers import (
@@ -619,3 +624,139 @@ class TestWorkerSplit:
 
         for one, four in zip(peaks(1), peaks(4)):
             assert four - one <= 128 << 10, (one, four)
+
+
+def _exact_range(tensor: VideoTensor) -> bool:
+    return tensor.value_range == (float(tensor.data.min()), float(tensor.data.max()))
+
+
+class TestCarriedRanges:
+    """Every tensor dwt3d, idwt3d, build_pyramid and reconstruct_pyramid
+    return carries the exact min and max of its elements, which the kernels'
+    tiles take as they write: at any worker count, for odd and even T, in
+    single- and multi-block calls. A spike planted at any frame and row must
+    reach the range, so a tile that skipped its rows would be caught."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        t=st.integers(1, 12),
+        h=st.sampled_from([2, 10]),
+        workers=st.sampled_from([1, 2, 3, 5]),
+        block=st.sampled_from([1, 2, None]),
+        spike=st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
+        sign=st.sampled_from([-1.0, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_dwt3d_and_idwt3d(self, t, h, workers, block, spike, sign, seed):
+        """``block=None`` keeps the 1 MiB default: one block, one tile."""
+        arr = Rng(seed).normal((2, t, h, 6))
+        arr[1, int(spike[0] * t), int(spike[1] * h), 3] = sign * 100.0
+        with pytest.MonkeyPatch.context() as mp:
+            _at_workers(mp, workers)
+            if block:
+                mp.setattr(wavelet, "_BLOCK_BYTES", _blocks_of(block, 2, h, 6))
+            bands = dwt3d(VideoTensor(arr))
+            restored = idwt3d(bands, t)
+        for key, band in bands.items():
+            assert _exact_range(band), key
+        assert _exact_range(restored)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        t=st.integers(1, 11),
+        workers=st.sampled_from([1, 2, 3, 5]),
+        block=st.sampled_from([1, None]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_pyramid(self, t, workers, block, seed):
+        v = make_random(seed, (2, t, 16, 8))
+        with pytest.MonkeyPatch.context() as mp:
+            _at_workers(mp, workers)
+            if block:
+                mp.setattr(wavelet, "_BLOCK_BYTES", _blocks_of(block, 2, 16, 8))
+            p = build_pyramid(v)
+            restored = reconstruct_pyramid(p, t)
+        for level in (p.level1, p.level2, p.level3):
+            for key, band in level.items():
+                assert _exact_range(band), key
+        assert _exact_range(restored)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_overflow_in_a_tiles_last_row_is_shape_error(self, workers):
+        """Two frames near the float32 maximum overflow their sum in the
+        last band row of every tile in turn (h = 10: 5 band rows, cut into
+        up to ``workers`` ranges), in a multi-block call."""
+        big = np.finfo(np.float32).max / 2 ** 0.25
+        bounds = [5 * i // min(workers, 5) for i in range(min(workers, 5) + 1)]
+        for row in {b - 1 for b in bounds[1:]}:
+            arr = Rng(workers).normal((2, 9, 10, 6))
+            arr[0, 5:7, 2 * row] = big  # frames 5 and 6 are one pair at T = 9
+            quiet = np.errstate(over="ignore", invalid="ignore")
+            with pytest.MonkeyPatch.context() as mp, quiet:
+                _at_workers(mp, workers)
+                mp.setattr(wavelet, "_BLOCK_BYTES", _blocks_of(1, 2, 10, 6))
+                with pytest.raises(ShapeError, match="NaN or Inf"):
+                    dwt3d(VideoTensor(arr))
+                bands = {key: np.zeros((2, 5, 5, 3), np.float32) for key in KEYS_3D}
+                for band in bands.values():
+                    band[0, 2, row, 1] = big
+                with pytest.raises(ShapeError, match="NaN or Inf"):
+                    idwt3d(SubbandSet3D(bands), 9)
+
+    def test_pipeline_makes_no_wrap_scan(self, tmp_path, monkeypatch):
+        """load_tensor -> build_pyramid -> reconstruct_pyramid and
+        analyze_pyramid never scan a whole tensor for its range: every wrap
+        takes the range its producer computed. The clip spans several read
+        blocks and several Haar blocks, and the kernels run on 2 workers."""
+        path = tmp_path / "clip.wfvt"
+        save_tensor(make_random(5, (2, 9, 16, 8)), path)
+        scans = []
+        real_scan = tensor_module._scan
+        monkeypatch.setattr(
+            tensor_module, "_scan", lambda arr: scans.append(arr.shape) or real_scan(arr)
+        )
+        monkeypatch.setattr(tensor_module, "_READ_BYTES", 1000)
+        monkeypatch.setattr(wavelet, "_BLOCK_BYTES", _blocks_of(1, 2, 16, 8))
+        _at_workers(monkeypatch, 2)
+        video = load_tensor(path)
+        pyramid = build_pyramid(video)
+        reconstruct_pyramid(pyramid, video.time)
+        analyze_pyramid(pyramid)
+        assert scans == []
+        VideoTensor(video.data)  # the public constructor still scans
+        assert scans == [video.shape]
+
+    def test_concurrent_widening_loses_no_update(self):
+        """Tiles widen one shared range from their threads. Five threads
+        widen with interleaved, growing values while the interpreter switches
+        every microsecond: an update lost between reading and writing the
+        range would leave a smaller maximum than the last one written."""
+        threads, steps = 5, 400
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                ranges = wavelet._Ranges()
+
+                def widen(k):
+                    for j in range(steps):
+                        value = j * threads + k
+                        ranges.widen("x", np.array([value, -value], np.float32))
+
+                workers = [threading.Thread(target=widen, args=(k,)) for k in range(threads)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=30)
+                assert not any(worker.is_alive() for worker in workers)
+                top = steps * threads - 1
+                assert ranges["x"] == (-top, top)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_clip_near_float32_max_is_shape_error(self):
+        v = new_tensor(3, 9, 16, 16, float(np.finfo(np.float32).max) * 0.9)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ShapeError, match="NaN or Inf"
+        ):
+            build_pyramid(v)
