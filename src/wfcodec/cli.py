@@ -49,6 +49,7 @@ from .model import (
     encode,
     init_weights,
     preset_config,
+    sample_latent,
 )
 from .tensor import (
     Rng, VideoTensor, load_manifest, load_tensor, save_manifest, save_tensor,
@@ -364,14 +365,10 @@ def cmd_decode(args) -> Report:
         raise FormatError(
             f"{manifest_path}: latent_shape {latent_shape!r} is not 4 integers"
         )
-    if args.frames is not None:
-        original_t = args.frames
     mean = _load_latent(mean_path, latent_shape, manifest_path)
     weights, weight_info = _load_or_init_weights(args, config)
     if args.sample_seed is not None:
         logvar = _load_latent(logvar_path, latent_shape, manifest_path)
-        from .model import sample_latent
-
         z = sample_latent(GaussianLatent(mean, logvar), Rng(args.sample_seed))
     else:
         z = mean
@@ -527,7 +524,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default=None)
     p.add_argument("--init-seed", type=int, default=42)
     p.add_argument("--plan", default="direct")
-    p.add_argument("--frames", type=int, default=None, help="override original frames")
     p.add_argument(
         "--sample-seed",
         type=int,

@@ -38,9 +38,8 @@ DTYPE_F32 = 0
 
 _HEADER = struct.Struct("<4sIII4I")
 
-# Block size of a checked payload read that inspects each block
-# (:func:`read_f32`): small enough that the block is still in cache when it is
-# inspected.
+# Block size of a checked payload read (:func:`read_f32`): small enough that
+# a block is still in cache when a caller inspects it.
 _READ_BYTES = 1 << 20
 
 # Largest per-axis extent the file header accepts. Keeps dims * 4 bytes well
@@ -243,16 +242,16 @@ def read_f32(fh, dims, total: int, what: str, each=None) -> np.ndarray:
     """Read a float32 array of shape ``dims`` from ``fh`` of ``total`` bytes.
 
     Corrupt dims must not become a huge array, so the size is checked first.
-    With ``each``, the payload is read in blocks of ``_READ_BYTES`` and
-    ``each(block)`` sees every flat block as soon as it is read, while it is
-    still in cache; without it, the payload is read in one call."""
+    The payload is read in blocks of ``_READ_BYTES``; ``each(block)``, if
+    given, sees every flat block as soon as it is read, while it is still in
+    cache."""
     nbytes = 4 * math.prod(dims)
     left = total - fh.tell()
     if nbytes > left:
         raise FormatError(f"{what}: truncated payload ({left} bytes, need {nbytes})")
     values = np.empty(dims, dtype="<f4")
     flat = values.reshape(-1)
-    step = _READ_BYTES // 4 if each is not None else max(flat.size, 1)
+    step = _READ_BYTES // 4
     for start in range(0, flat.size, step):
         block = flat[start : start + step]
         got = fh.readinto(block)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import contextvars
 import os
 import queue
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -77,10 +76,11 @@ def _on_threads(workers: int, fn, items) -> list:
         return list(pool.map(lambda ctx, item: ctx.run(call, item), contexts, items))
 
 
-def _over_tiles(rows: int, blocks: int, split: bool, scratch, run) -> None:
-    """Call ``run(band_rows, block_range, work)`` on tiles that cover band rows
-    0:rows and blocks 0:blocks once each; ``scratch(n)`` makes work arrays
-    for ``n`` band rows.
+def _over_tiles(rows: int, blocks: int, split: bool, scratch, run) -> list:
+    """The results of ``run(band_rows, block_range, work)`` on tiles that
+    cover band rows 0:rows and blocks 0:blocks once each; ``scratch(n)``
+    makes a 3D kernel's work arrays for ``n`` band rows, and ``work`` is
+    cut to the tile's rows (:func:`_first_rows`).
 
     Unless ``split``, one tile covers everything on the calling thread, with
     one scratch set for every row. Otherwise the rows are cut into up to
@@ -92,8 +92,7 @@ def _over_tiles(rows: int, blocks: int, split: bool, scratch, run) -> None:
     """
     workers = min(worker_count(), rows) if split else 1
     if workers <= 1:
-        run(slice(0, rows), range(blocks), scratch(rows))
-        return
+        return [run(slice(0, rows), range(blocks), scratch(rows))]
     bounds = [rows * i // workers for i in range(workers + 1)]
     step = -(-blocks // min(blocks, _SEGMENTS))  # a split call has blocks >= 1
     tiles = [
@@ -106,32 +105,31 @@ def _over_tiles(rows: int, blocks: int, split: bool, scratch, run) -> None:
         free.put(scratch(-(-rows // workers)))
 
     def run_tile(tile):
+        band_rows, _ = tile
         work = free.get()
         try:
-            run(*tile, work)
+            return run(*tile, _first_rows(work, band_rows.stop - band_rows.start))
         finally:
             free.put(work)
 
-    _on_threads(workers, run_tile, tiles)
+    return _on_threads(workers, run_tile, tiles)
 
 
-class _Ranges(dict):
-    """Exact (min, max) per key, widened part by part from any thread: the
-    running range of each array a kernel writes, two scalars per array.
-    :func:`dwt3d`, :func:`idwt3d`, :func:`dwt2d` and :func:`idwt2d` wrap their
-    outputs with these ranges instead of scanning them again; the streams'
-    public ``feed``, which the model calls per chunk, takes none."""
+def _first_rows(work, rows: int) -> list[np.ndarray]:
+    """Views of a 3D kernel's work arrays for ``rows`` band rows: the first
+    ``2 * rows`` rows of the two full-resolution ones and the first ``rows``
+    of the half-height ones."""
+    return [a[:, :, : 2 * rows] for a in work[:2]] + [a[:, :, :rows] for a in work[2:]]
 
-    __slots__ = ("_lock",)
 
-    def __init__(self):
-        super().__init__()
-        self._lock = threading.Lock()
-
-    def widen(self, key: str, part: np.ndarray) -> None:
-        lo, hi = part.min(), part.max()
-        with self._lock:
-            self[key] = _widen(self.get(key), lo, hi)
+def _union(ranges):
+    """The smallest (min, max) that covers every range in ``ranges``, where
+    None stands for no values; None when all are None."""
+    bounds = None
+    for part in ranges:
+        if part is not None:
+            bounds = _widen(bounds, *part)
+    return bounds
 
 
 def _block_pairs(c: int, h: int, w: int) -> int:
@@ -202,9 +200,8 @@ def _common_shape(bands, keys) -> tuple[int, ...]:
     return shapes.pop()
 
 
-def _analyze_2d(arr: np.ndarray, prefix: str = "", ranges=None) -> dict[str, np.ndarray]:
-    """Spatial analysis of (c, t, h, w) frames into bands keyed prefix+hh..gg;
-    ``ranges`` (a :class:`_Ranges`) receives each band's exact (min, max)."""
+def _analyze_2d(arr: np.ndarray, prefix: str = "") -> dict[str, np.ndarray]:
+    """Spatial analysis of (c, t, h, w) frames into bands keyed prefix+hh..gg."""
     arr = np.asarray(arr, dtype=np.float32)
     c, t, h, w = arr.shape
     if h % 2 or w % 2:
@@ -212,22 +209,15 @@ def _analyze_2d(arr: np.ndarray, prefix: str = "", ranges=None) -> dict[str, np.
     bands = _empty_bands([prefix + k for k in KEYS_2D], c, t, h // 2, w // 2)
     (row,) = _scratch(c, t, (h // 2, w))
     _analyze_2d_into(arr, bands, prefix, ..., row)
-    if ranges is not None:
-        for key, band in bands.items():
-            ranges.widen(key, band)
     return bands
 
 
-def _synthesize_2d(bands, prefix: str = "", ranges=None) -> np.ndarray:
-    """Exact inverse of :func:`_analyze_2d` for the bands keyed prefix+hh..gg;
-    ``ranges`` (a :class:`_Ranges`) receives the output's exact (min, max)
-    under ``prefix``."""
+def _synthesize_2d(bands, prefix: str = "") -> np.ndarray:
+    """Exact inverse of :func:`_analyze_2d` for the bands keyed prefix+hh..gg."""
     c, t, h, w = _common_shape(bands, [prefix + k for k in KEYS_2D])
     out = np.empty((c, t, 2 * h, 2 * w), dtype=np.float32)
     rows = _scratch(c, t, (h, 2 * w), (h, 2 * w))
     _synthesize_2d_into(bands, prefix, ..., out, rows)
-    if ranges is not None:
-        ranges.widen(prefix, out)
     return out
 
 
@@ -322,9 +312,9 @@ def dwt3d(v: VideoTensor) -> SubbandSet3D:
     norm of the padded input. Runs as a one-chunk :class:`Dwt3dStream`, whose
     tiles take each band's range as they write it.
     """
-    ranges = _Ranges()
-    bands = Dwt3dStream(pad_first=v.time % 2 == 1)._feed(v.data, ranges)
-    return SubbandSet3D({key: _with_range(bands[key], *ranges[key]) for key in KEYS_3D})
+    stream = Dwt3dStream(pad_first=v.time % 2 == 1)
+    bands = stream.feed(v.data)
+    return SubbandSet3D({key: _with_range(bands[key], *stream.ranges[key]) for key in KEYS_3D})
 
 
 def idwt3d(s: SubbandSet3D, original_t: int) -> VideoTensor:
@@ -334,10 +324,9 @@ def idwt3d(s: SubbandSet3D, original_t: int) -> VideoTensor:
         raise ShapeError(
             f"cannot restore {original_t} frames from {s.time} temporal coefficients"
         )
-    ranges = _Ranges()
-    bands = {key: band.data for key, band in s.items()}
-    out = Idwt3dStream(drop_first=pad == 1)._feed(bands, ranges)
-    return _with_range(out, *ranges[""])
+    stream = Idwt3dStream(drop_first=pad == 1)
+    out = stream.feed({key: band.data for key, band in s.items()})
+    return _with_range(out, *stream.ranges)
 
 
 def dwt2d(v: VideoTensor) -> SubbandSet2D:
@@ -345,16 +334,14 @@ def dwt2d(v: VideoTensor) -> SubbandSet2D:
 
     Height and width must be even (ShapeError otherwise).
     """
-    ranges = _Ranges()
-    bands = _analyze_2d(v.data, ranges=ranges)
-    return SubbandSet2D({key: _with_range(bands[key], *ranges[key]) for key in KEYS_2D})
+    bands = _analyze_2d(v.data)
+    return SubbandSet2D({key: _with_range(b, b.min(), b.max()) for key, b in bands.items()})
 
 
 def idwt2d(s: SubbandSet2D) -> VideoTensor:
     """Exact inverse of :func:`dwt2d`."""
-    ranges = _Ranges()
-    out = _synthesize_2d({key: band.data for key, band in s.items()}, ranges=ranges)
-    return _with_range(out, *ranges[""])
+    out = _synthesize_2d({key: band.data for key, band in s.items()})
+    return _with_range(out, out.min(), out.max())
 
 
 @dataclass(frozen=True)
@@ -421,19 +408,19 @@ class Dwt3dStream:
     is paired in place, never concatenated onto the chunk. A chunk of more
     than one block is split into tiles of band rows and blocks that threads
     share out (``_over_tiles``); the leading pair goes with the first block.
+
+    After each :meth:`feed`, ``ranges`` maps every band key to the exact
+    (min, max) of that chunk's band, or to None when the chunk made no band
+    frames: each tile takes it from the band rows it wrote, on its thread.
     """
 
     def __init__(self, pad_first: bool):
         self.pad_first = pad_first
         self._carry: np.ndarray | None = None
         self._started = False
+        self.ranges = dict.fromkeys(KEYS_3D)
 
     def feed(self, frames: np.ndarray) -> dict[str, np.ndarray]:
-        return self._feed(frames, None)
-
-    def _feed(self, frames: np.ndarray, ranges: _Ranges | None) -> dict[str, np.ndarray]:
-        """:meth:`feed`; ``ranges`` receives each band's exact (min, max),
-        which every tile takes from the band rows it wrote, on its thread."""
         frames = np.asarray(frames, dtype=np.float32)
         if frames.ndim != 4:
             raise ShapeError("expected (c, n, h, w) frames")
@@ -441,6 +428,7 @@ class Dwt3dStream:
         if h % 2 or w % 2:
             raise ShapeError(f"height and width must be even, got ({h}, {w})")
         if n == 0:
+            self.ranges = dict.fromkeys(KEYS_3D)
             return _empty_bands(KEYS_3D, c, 0, h // 2, w // 2)
         lead = self._carry
         if not self._started:
@@ -454,9 +442,8 @@ class Dwt3dStream:
         size = min(_block_pairs(c, h, w), max(first + pairs, 1))
         blocks = -(-pairs // size)
 
-        def analyze_tile(band_rows: slice, block_range: range, work) -> None:
+        def analyze_tile(band_rows: slice, block_range: range, work) -> dict:
             full = slice(2 * band_rows.start, 2 * band_rows.stop)
-            work = _first_rows(work, band_rows.stop - band_rows.start)
             src = rest[:, :, full]
             if lead is not None and block_range.start == 0:
                 _analyze_pair_block(
@@ -472,20 +459,22 @@ class Dwt3dStream:
                     band_rows,
                     work,
                 )
-            if ranges is not None:
-                # The band frames this tile wrote, the leading pair included.
-                start = 0 if block_range.start == 0 else first + block_range.start * size
-                written = slice(start, first + min(block_range.stop * size, pairs))
-                for key, band in bands.items():
-                    ranges.widen(key, band[:, written, band_rows])
+            # The band frames this tile wrote, the leading pair included.
+            start = 0 if block_range.start == 0 else first + block_range.start * size
+            written = slice(start, first + min(block_range.stop * size, pairs))
+            if written.start == written.stop:
+                return dict.fromkeys(bands)
+            parts = ((key, band[:, written, band_rows]) for key, band in bands.items())
+            return {key: (part.min(), part.max()) for key, part in parts}
 
-        _over_tiles(
+        tiles = _over_tiles(
             h // 2,
             blocks,
             first + pairs > size,
             lambda n: _scratch(c, size, (2 * n, w), (2 * n, w), (n, w)),
             analyze_tile,
         )
+        self.ranges = {key: _union(tile[key] for tile in tiles) for key in KEYS_3D}
         self._carry = rest[:, 2 * pairs :].copy() if rest.shape[1] % 2 else None
         return bands
 
@@ -501,29 +490,28 @@ class Idwt3dStream:
     dropped duplicate of frame 0 is never computed, so the result is one
     contiguous array. A chunk of more than one block is split into tiles of
     band rows and blocks that threads share out (``_over_tiles``).
+
+    After each :meth:`feed`, ``ranges`` is the exact (min, max) of that
+    chunk's frames, or None when it made none: each tile takes it from every
+    block of frames it writes, while the block is still in cache.
     """
 
     def __init__(self, drop_first: bool):
         self.drop_first = drop_first
         self._started = False
+        self.ranges = None
 
     def feed(self, bands: dict[str, np.ndarray]) -> np.ndarray:
-        return self._feed(bands, None)
-
-    def _feed(self, bands: dict[str, np.ndarray], ranges: _Ranges | None) -> np.ndarray:
-        """:meth:`feed`; ``ranges`` receives the output's exact (min, max)
-        under ``""``, which every tile takes from each block of frames it
-        writes, while the block is still in cache."""
         c, n, h, w = _common_shape(bands, KEYS_3D)
         drop = n > 0 and self.drop_first and not self._started
         self._started = self._started or n > 0
         out = np.empty((c, 2 * n - drop, 2 * h, 2 * w), dtype=np.float32)
         size = min(_block_pairs(c, 2 * h, 2 * w), max(n, 1))
 
-        def synthesize_tile(band_rows: slice, block_range: range, work) -> None:
+        def synthesize_tile(band_rows: slice, block_range: range, work):
             full = slice(2 * band_rows.start, 2 * band_rows.stop)
-            work = _first_rows(work, band_rows.stop - band_rows.start)
             dest = out[:, :, full]
+            bounds = None
             for block in block_range:
                 start, stop = block * size, min(block * size + size, n)
                 low, high, *rows = (a[:, : stop - start] for a in work)
@@ -538,24 +526,19 @@ class Idwt3dStream:
                     low, high, frame = low[:, 1:], high[:, 1:], 1
                 end = frame + 2 * low.shape[1]
                 _butterfly(low, high, dest[:, frame:end:2], dest[:, frame + 1 : end : 2])
-                if ranges is not None:
-                    ranges.widen("", dest[:, written:end])
+                part = dest[:, written:end]
+                bounds = _widen(bounds, part.min(), part.max())
+            return bounds
 
-        _over_tiles(
+        tiles = _over_tiles(
             h,
             -(-n // size),
             n > size,
             lambda m: _scratch(c, size, (2 * m, 2 * w), (2 * m, 2 * w), (m, 2 * w), (m, 2 * w)),
             synthesize_tile,
         )
+        self.ranges = _union(tiles)
         return out
-
-
-def _first_rows(work, rows: int) -> list[np.ndarray]:
-    """Views of a 3D kernel's work arrays for ``rows`` band rows: the first
-    ``2 * rows`` rows of the two full-resolution ones and the first ``rows``
-    of the half-height ones."""
-    return [a[:, :, : 2 * rows] for a in work[:2]] + [a[:, :, :rows] for a in work[2:]]
 
 
 def _analyze_pair_block(even, odd, bands, start: int, band_rows: slice, scratch) -> None:

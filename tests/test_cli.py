@@ -543,7 +543,7 @@ class TestInputErrors:
         assert_input_error(code, report, err, "ParameterError")
 
     @staticmethod
-    def _decode_edited_manifest(capsys, tmp_path, video_file, write, flags=()):
+    def _decode_edited_manifest(capsys, tmp_path, video_file, write):
         prefix = str(tmp_path / "latent")
         code, _, _ = run_cli(
             capsys,
@@ -555,7 +555,7 @@ class TestInputErrors:
         return run_cli(
             capsys,
             ["decode", "--latent", prefix, "--init-seed", "3",
-             "--output", str(tmp_path / "out.wfvt"), *flags],
+             "--output", str(tmp_path / "out.wfvt")],
         )
 
     @pytest.mark.parametrize(
@@ -667,12 +667,6 @@ class TestInputErrors:
              "--chunk-size", "4", "--m-max", "-1"],
         )
         assert_input_error(code, report, err, "ParameterError")
-
-    def test_zero_frames_override_exits_2(self, capsys, tmp_path, video_file):
-        result = self._decode_edited_manifest(
-            capsys, tmp_path, video_file, lambda path: None, ["--frames", "0"]
-        )
-        assert_input_error(*result, "ShapeError")
 
     @pytest.mark.parametrize("groups", ["-8", "0"])
     def test_bad_groupnorm_groups_exits_2(self, capsys, video_file, groups):
@@ -916,7 +910,7 @@ def _argv_and_inputs(d):
         ),
         "decode": (
             ["decode", "--latent", latent, "--weights", weights, "--plan", "direct",
-             "--frames", "5", "--sample-seed", "1", "--output", f"{d}/out.wfvt"],
+             "--sample-seed", "1", "--output", f"{d}/out.wfvt"],
             [manifest, mean, logvar, weights],
         ),
         "init-weights": (

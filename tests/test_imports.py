@@ -1,5 +1,6 @@
 """Every module-level import in the package, the tests and the benchmark is
-used: a deletion must take the imports only it needed with it."""
+used: a deletion must take the imports only it needed with it. The package
+imports its own modules at module level only."""
 
 import ast
 from pathlib import Path
@@ -77,3 +78,19 @@ def test_private_names_are_used_in_src():
         if not any(read == name and where is not stmt for read, where in reads)
     )
     assert not unused, f"private names nothing in src/ reads: {unused}"
+
+
+def test_no_relative_import_inside_a_function():
+    """The package imports its own modules at module level, where the
+    unused-import rule above sees them and a cycle fails at import time, not
+    on the first call that reaches a function-level ``from .x import ...``."""
+    nested = set()
+    for path in ROOT.glob("src/wfcodec/*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested.update(
+                    f"{path.name}:{n.lineno}" for n in ast.walk(func)
+                    if isinstance(n, ast.ImportFrom) and n.level > 0
+                )
+    assert not nested, f"relative imports inside functions: {sorted(nested)}"
