@@ -97,11 +97,20 @@ def _check_weights(spec: ConvSpec, weight: np.ndarray, bias):
 # Byte budget of one im2col tile. The tile size is a function of the layer's
 # geometry alone, never of the chunk length, so every frame is computed by
 # the same GEMM under every chunk plan and streamed output equals direct
-# output bit for bit. 8 MiB keeps the GEMM's N large enough for full BLAS
-# speed on the wide layers while bounding the kernel's transient memory:
-# halving it slowed direct decode, doubling it raised streamed peak memory
-# by more than 10%.
-_COL_TILE_BYTES = 8 << 20
+# output bit for bit. A tile's column is one ordered copy from a strided view
+# of the window, 1.2-1.6x faster than a copy per (dy, dx) tap, so a smaller
+# tile costs little: measured on wfvae-s's conv shapes (2 BLAS threads, best
+# of 3 x 7), 4 MiB ran no slower than per-tap columns at 8 MiB and takes
+# 3.4 MiB off both direct-33 peaks, 8 MiB was within noise of 4 MiB, and
+# 3 and 2 MiB slowed the dec.up1 conv by 15% and 23%.
+_COL_TILE_BYTES = 4 << 20
+
+
+def _tile_rows(k: int, ho: int, wo: int) -> int:
+    """Output rows per tile of a conv with K = ``k`` and ``ho`` x ``wo``
+    output frames: as many as fit the budget, balanced over the frame."""
+    rows = max(1, min(ho, _COL_TILE_BYTES // (4 * k * wo)))
+    return -(-ho // -(-ho // rows))
 
 
 def _conv3d_core(
@@ -125,8 +134,9 @@ def _conv3d_core(
     Emits every window that fits, i.e. (length - k_t) // s_t + 1 output
     frames, or none when length < k_t.
 
-    A tile is a band of output rows of one output frame. Its column rows are
-    ordered (c, dt, dy, dx), the order of the stored weight, so the GEMM
+    A tile is a band of output rows of one output frame. Its column is one
+    copy from a sliding-window view of the window (or of the row band), with
+    rows ordered (c, dt, dy, dx), the order of the stored weight, so the GEMM
     takes ``weight.reshape(cout, -1)`` without a copy and writes straight
     into the output.
 
@@ -156,44 +166,46 @@ def _conv3d_core(
     if to == 0:
         return out, None
     k = cin * kt * kh * kw
-    rows = max(1, min(ho, _COL_TILE_BYTES // (4 * k * wo)))
-    rows = -(-ho // -(-ho // rows))  # balance the bands of one frame
+    rows = _tile_rows(k, ho, wo)
     wmat = weight.reshape(cout, k)
     col_buf = np.empty(max(k * rows * wo, scratch), dtype=np.float32)
     out_rows = out.reshape(cout, to, ho * wo)
     qh, qw = -(-ph // fh), -(-pw // fw)
-    window = np.zeros((cin, kt, h + 2 * qh, w + 2 * qw), dtype=np.float32)
-    inner = window[:, :, qh : qh + h, qw : qw + w]
+    # Time-major, so shifting the window copies whole frames, which do not
+    # overlap; fill, columns and cache read it channel-major through ``frames``.
+    window = np.zeros((kt, cin, h + 2 * qh, w + 2 * qw), dtype=np.float32)
+    frames = window.transpose(1, 0, 2, 3)
+    inner = frames[:, :, qh : qh + h, qw : qw + w]
+    src = frames
     if upsampled:
-        band_buf = np.empty((cin, kt, rows + kh - 1, wp), dtype=np.float32)
+        src = np.empty((cin, kt, rows + kh - 1, wp), dtype=np.float32)  # row band
         # Band columns j, j + fw, ... are the m window columns from x on.
         col_phases = [
             (j, (j - pw) // fw + qw, len(range(j, wp, fw))) for j in range(fw)
         ]
+    # taps[c, dt, Y, X, dy, dx] = src[c, dt, Y + dy, X + dx]: a read-only view.
+    taps = np.lib.stride_tricks.sliding_window_view(src, (kh, kw), axis=(2, 3))
     kept = 0  # window frames carried over from the previous output frame
     for t in range(to):
         for dt in range(kt):
             if dt < kept:
-                inner[:, dt] = inner[:, dt + st]
+                window[dt] = window[dt + st]
             else:
                 fill(inner[:, dt], t * st + dt, col_buf)
         kept = max(kt - st, 0)
         for y0 in range(0, ho, rows):
             r = min(rows, ho - y0)
-            col = col_buf[: k * r * wo].reshape(cin, kt, kh, kw, r, wo)
-            src, base = window, y0 * sh
+            base = 0 if upsampled else y0 * sh
             if upsampled:
-                src, base = band_buf[:, :, : r + kh - 1], 0
+                band = src[:, :, : r + kh - 1]
                 for i in range(fh):  # band rows i, i + fh, ...: window rows y on
                     y = (y0 + i - ph) // fh + qh
                     n = len(range(i, r + kh - 1, fh))
                     for j, x, m in col_phases:
-                        src[:, :, i::fh, j::fw] = window[:, :, y : y + n, x : x + m]
-            for dy in range(kh):
-                ys = base + dy
-                band = src[:, :, ys : ys + sh * (r - 1) + 1 : sh]
-                for dx in range(kw):
-                    col[:, :, dy, dx] = band[..., dx : dx + sw * (wo - 1) + 1 : sw]
+                        band[:, :, i::fh, j::fw] = frames[:, :, y : y + n, x : x + m]
+            col = col_buf[: k * r * wo].reshape(cin, kt, kh, kw, r, wo)
+            tile = taps[:, :, base : base + sh * (r - 1) + 1 : sh, :: sw]
+            np.copyto(col, tile.transpose(0, 1, 4, 5, 2, 3))
             np.matmul(
                 wmat, col.reshape(k, r * wo),
                 out=out_rows[:, t, y0 * wo : (y0 + r) * wo],

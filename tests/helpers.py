@@ -157,6 +157,45 @@ def conv3d_loop_oracle(x, weight, bias, stride, spatial_pad, pad_mode="replicate
     return out
 
 
+def per_tap_conv3d(x, weight, bias, spec: ConvSpec, rows: int) -> np.ndarray:
+    """Causal conv through the same GEMMs as the kernel, with each tile's
+    column built one (dy, dx) tap at a time from the padded clip.
+
+    Tiles are ``rows`` output rows of one output frame; each column is
+    ordered (c, dt, dy, dx) and multiplied by ``np.matmul`` straight into
+    the output, then the bias is added, as the kernel does. Only how the
+    column is built differs, so the two agree bit for bit.
+    """
+    cout, cin, kt, kh, kw = weight.shape
+    st, sh, sw = spec.stride
+    ph, pw = spec.spatial_pad
+    lead = x[:, :1] if spec.pad_mode == "replicate" else np.zeros_like(x[:, :1])
+    xp = np.concatenate([np.repeat(lead, kt - 1, axis=1), x], axis=1)
+    xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    tp, hp, wp = xp.shape[1:]
+    to, ho, wo = (tp - kt) // st + 1, (hp - kh) // sh + 1, (wp - kw) // sw + 1
+    k = cin * kt * kh * kw
+    out = np.empty((cout, to, ho, wo), dtype=np.float32)
+    out_rows = out.reshape(cout, to, ho * wo)
+    wmat = weight.reshape(cout, k)
+    for t in range(to):
+        window = xp[:, t * st : t * st + kt]
+        for y0 in range(0, ho, rows):
+            r = min(rows, ho - y0)
+            col = np.empty((cin, kt, kh, kw, r, wo), dtype=np.float32)
+            for dy in range(kh):
+                ys = y0 * sh + dy
+                band = window[:, :, ys : ys + sh * (r - 1) + 1 : sh]
+                for dx in range(kw):
+                    col[:, :, dy, dx] = band[..., dx : dx + sw * (wo - 1) + 1 : sw]
+            np.matmul(
+                wmat, col.reshape(k, r * wo),
+                out=out_rows[:, t, y0 * wo : (y0 + r) * wo],
+            )
+    out += bias[:, None, None, None]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # 3D Haar oracle: every coefficient written out as the signed sum of one
 # 2x2x2 block, from the filter definition h = (1, 1)/sqrt(2) (scaling) and

@@ -36,7 +36,8 @@ from wfcodec import causal
 from wfcodec.model import _ConvStream
 
 from helpers import (
-    conv3d_loop_oracle, draw_chunk_sizes, make_random, max_abs_diff, traced_peak,
+    conv3d_loop_oracle, draw_chunk_sizes, make_random, max_abs_diff, per_tap_conv3d,
+    traced_peak,
 )
 
 
@@ -209,6 +210,18 @@ class TestRowTiles:
         )
         assert out.shape == expected.shape
         assert max_abs_diff(out.data, expected) <= 1e-5
+
+    @pytest.mark.parametrize("spec,shape", CASES)
+    def test_equals_per_tap_lowering(self, monkeypatch, spec, shape):
+        # One strided copy per tile writes the same column as a copy per tap.
+        self._two_row_tiles(monkeypatch, spec, shape)
+        rng = Rng(19)
+        x = VideoTensor(rng.normal(shape))
+        weight = rng.normal(spec.weight_shape(), std=0.5)
+        bias = rng.normal((spec.out_channels,), std=0.2)
+        out = causal_conv3d(x, spec, weight, bias)
+        expected = per_tap_conv3d(x.data, weight, bias, spec, rows=2)
+        assert np.array_equal(out.data, expected)
 
     @pytest.mark.parametrize("spec,shape", CASES)
     def test_stream_equals_whole_clip(self, monkeypatch, spec, shape):
@@ -756,6 +769,24 @@ class TestConvMemory:
 
         assert self._growth(run, (8, 16, 16), (5, 33)) < 1.1
 
+    def test_conv_holds_output_tile_and_window(self, monkeypatch):
+        """Shifting the window makes no temporary frame: the transient is
+        the output, one column tile and the window."""
+        c, t, h, w, rows = 16, 5, 32, 32, 8  # 4 tiles per frame
+        k = c * 27
+        monkeypatch.setattr(causal, "_COL_TILE_BYTES", 4 * k * w * rows)
+        spec = ConvSpec(c, 8, (3, 3, 3), (1, 1, 1), (1, 1))
+        rng = Rng(75)
+        weight = rng.normal(spec.weight_shape(), std=0.1)
+        x = rng.normal((c, t, h, w))
+        conv = _ConvStream(spec, weight, np.zeros(8, np.float32), (1, 1, 1))
+        out, peak = traced_peak(lambda: conv.feed(x, True))
+        col = 4 * k * rows * w
+        window = 4 * c * 3 * (h + 2) * (w + 2)
+        # One frame (64 KiB) copied through a temporary would break the bound.
+        bound = out.nbytes + col + window + (32 << 10)
+        assert peak <= bound, (peak, bound)
+
     def test_upsampling_conv_window_is_source_resolution(self, monkeypatch):
         """The window holds source frames; a tile expands only the upsampled
         rows it reads, into one reused band."""
@@ -771,10 +802,8 @@ class TestConvMemory:
         col = 4 * k * rows * 2 * w
         window = 4 * c * 3 * (h + 2) * (w + 2)
         band = 4 * c * 3 * (rows + 2) * (2 * w + 2)
-        # The window shift copies one frame through a temporary: numpy sees
-        # two views of one buffer. Then 32 KiB for small objects.
-        shift = 4 * c * h * w
-        bound = out.nbytes + col + window + band + shift + (32 << 10)
+        # 32 KiB for small objects.
+        bound = out.nbytes + col + window + band + (32 << 10)
         # A window of upsampled frames alone would already break the bound.
         assert out.nbytes + col + 4 * c * 3 * (2 * h + 2) * (2 * w + 2) > bound
         assert peak <= bound, (peak, bound)

@@ -94,3 +94,18 @@ def test_no_relative_import_inside_a_function():
                     if isinstance(n, ast.ImportFrom) and n.level > 0
                 )
     assert not nested, f"relative imports inside functions: {sorted(nested)}"
+
+
+def test_kernel_views_are_bounds_checked():
+    """The package builds strided views with ``sliding_window_view`` and
+    slicing, never ``as_strided``, which reads past its array unchecked."""
+    found = set()
+    for path in ROOT.glob("src/wfcodec/*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for n in ast.walk(tree):
+            names = [a.name.split(".")[-1] for a in getattr(n, "names", [])
+                     if isinstance(a, ast.alias)]
+            names += [getattr(n, "id", None), getattr(n, "attr", None)]
+            if "as_strided" in names:
+                found.add(f"{path.name}:{n.lineno}")
+    assert not found, f"as_strided in the package: {sorted(found)}"

@@ -412,32 +412,32 @@ class TestWholeClipOracle:
 class TestExecutorMemory:
     """A residual block holds one activation: it feeds its body one frame at a
     time, each conv applies the norm and SiLU as frames enter its window, and
-    the block adds the body's output frame into the skip. The direct peak is
-    then dec.up1's: its input, its output and its conv buffers."""
+    the block adds the body's output frame into the skip. The direct peaks
+    then sit where the level-1 band stack meets stage 1: enc.stem reads the
+    stack and writes the stage-1 activation, dec.out.conv reads that
+    activation and writes the stack, each with one column tile."""
 
     CONFIG = ModelConfig(base_channels=32, c_flow=8, latent_channels=4, blocks_per_stage=1)
 
-    def test_direct_peak_is_one_activation_plus_up1_buffers(self):
+    def test_direct_peak_is_one_activation_plus_stack_and_tile(self):
         config, t = self.CONFIG, 97
         weights = init_weights(config, Rng(61))
         video = make_random(62, (3, t, 64, 64))
         # Stage 1 of both the encoder and the decoder: (c, t1, h1, w1).
         c, t1, h1, w1 = config.base_channels, (t - 1) // 2 + 1, 32, 32
         act = 4 * c * t1 * h1 * w1
-        # dec.up1 reads stage 2, (2c, t2, h1 / 2, w1 / 2), and writes stage 1.
-        t2 = (t1 - 1) // 2 + 1
-        up1_in = 4 * 2 * c * t2 * (h1 // 2) * (w1 // 2)
-        col = min(causal._COL_TILE_BYTES, 4 * (27 * 2 * c) * h1 * w1)
-        # dec.up1's one column tile spans the frame here, so its one row band
-        # is all kt upsampled padded frames; its source-resolution window (a
-        # quarter of that) comes out of the slack.
-        window = 4 * 2 * c * 3 * (h1 + 2) * (w1 + 2)
-        # The level-2/3 subbands, the GEMM tile and small buffers: well under
-        # the second stage-1 activation a block used to hold.
+        stack = 4 * 8 * config.input_channels * t1 * h1 * w1
+
+        def tile(k):  # the column tile of a 3x3x3 conv with cin = k / 27
+            return 4 * k * causal._tile_rows(k, h1, w1) * w1
+
+        # The level-2/3 subbands, the conv's window and small buffers: well
+        # under the second stage-1 activation a block used to hold.
         slack = act // 4
-        bound = act + up1_in + col + window + slack
+        bound = act + stack + tile(27 * 8 * config.input_channels) + slack
         enc, peak = traced_peak(lambda: encode(video, config, weights))
         assert peak <= bound, f"encode peak {peak / 2**20:.2f} MiB > {bound / 2**20:.2f}"
+        bound = act + stack + tile(27 * c) + slack
         _, peak = traced_peak(lambda: decode(enc.latent.mean, config, weights, t))
         assert peak <= bound, f"decode peak {peak / 2**20:.2f} MiB > {bound / 2**20:.2f}"
 
