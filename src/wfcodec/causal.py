@@ -322,7 +322,10 @@ def _stream_conv_core(
     ft, fh, fw = factors
     st = spec.stride[0]
     c, n, h, w = frames.shape
-    apply = prologue.bind(frames) if prologue is not None and n else None
+    scratch = 0 if prologue is None or not n else 2 * c * h * w
+    stats = None
+    if scratch and prologue.gain is not None:
+        stats = _ChunkNorm(frames, prologue.gain, prologue.bias, prologue.groups)
     # Factor-2 time upsampling doubles every frame but the stream's first.
     drop = int(ft == 2 and state.frames_seen == 0)
     n = max(n * ft - drop, 0)
@@ -337,7 +340,6 @@ def _stream_conv_core(
     if offset < 0:
         raise StateError("cache lost frames still needed by the next window")
     length = max(head + n - offset, 0)
-    scratch = 0 if apply is None else 2 * c * h * w
 
     def fill(dst: np.ndarray, p: int, buf: np.ndarray) -> None:
         """Write conv-input frame ``p`` (unpadded) into ``dst``."""
@@ -348,10 +350,17 @@ def _stream_conv_core(
         else:
             q = 0 if p < head else p - head + offset  # replicate: chunk frame 0
             j = (q + drop) // ft
-            if apply is not None:
-                apply(j, dst, buf)
-            else:
+            if prologue is None:
                 dst[...] = frames[:, j]
+                return
+            # The prologue works in two contiguous frames at the start of
+            # ``buf``; only the final division writes ``dst``.
+            normed, tmp = buf[: 2 * c * h * w].reshape(2, c, h, w)
+            src = frames[:, j]
+            if stats is not None:
+                stats.apply(src, j, normed)
+                src = normed
+            _silu_into(src, dst, tmp)
 
     shape = (c, h, w)
     out, last = _conv3d_core(
@@ -387,8 +396,6 @@ def stream_conv3d(
     all non-None outputs over a stream reproduces :func:`causal_conv3d` on the
     concatenated input exactly.
     """
-    if chunk.time < 1:
-        raise ShapeError("chunk must contain at least one frame")
     if chunk.channels != spec.in_channels:
         raise ShapeError(
             f"chunk has {chunk.channels} channels, spec expects {spec.in_channels}"
@@ -412,12 +419,14 @@ def silu(x: np.ndarray) -> np.ndarray:
     so the computation stays branch-free.
     """
     x = np.asarray(x, dtype=np.float32)
-    with np.errstate(over="ignore"):
-        return x / (1.0 + np.exp(-x))
+    out = np.empty(x.shape, dtype=np.float32)
+    _silu_into(x, out, np.empty(x.shape, dtype=np.float32))
+    return out
 
 
 def _silu_into(x: np.ndarray, dst: np.ndarray, tmp: np.ndarray) -> None:
-    """dst = silu(x), the float ops of :func:`silu`.
+    """dst = x / (1 + exp(-x)), the float ops of :func:`silu` and of every
+    conv prologue.
 
     exp runs on the contiguous ``tmp``: numpy's vectorized float32 exp and
     its strided fallback can differ in the last bit.
@@ -500,26 +509,6 @@ class _Prologue:
     gain: np.ndarray | None = None
     bias: np.ndarray | None = None
     groups: int = 0
-
-    def bind(self, frames: np.ndarray):
-        """``apply(j, dst, buf)`` for a non-empty chunk: writes the prologue
-        of chunk frame ``j`` into ``dst``. The work is done in two contiguous
-        scratch frames at the start of ``buf``, and only the final division
-        writes ``dst``."""
-        c, _, h, w = frames.shape
-        stats = None
-        if self.gain is not None:
-            stats = _ChunkNorm(frames, self.gain, self.bias, self.groups)
-
-        def apply(j: int, dst: np.ndarray, buf: np.ndarray) -> None:
-            normed, tmp = buf[: 2 * c * h * w].reshape(2, c, h, w)
-            src = frames[:, j]
-            if stats is not None:
-                stats.apply(src, j, normed)
-                src = normed
-            _silu_into(src, dst, tmp)
-
-        return apply
 
 
 def _normalized(frames: np.ndarray, gain, bias, groups: int, eps: float) -> np.ndarray:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextvars
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -76,23 +75,22 @@ def _on_threads(workers: int, fn, items) -> list:
         return list(pool.map(lambda ctx, item: ctx.run(call, item), contexts, items))
 
 
-def _over_tiles(rows: int, blocks: int, split: bool, scratch, run) -> list:
-    """The results of ``run(band_rows, block_range, work)`` on tiles that
-    cover band rows 0:rows and blocks 0:blocks once each; ``scratch(n)``
-    makes a 3D kernel's work arrays for ``n`` band rows, and ``work`` is
-    cut to the tile's rows (:func:`_first_rows`).
+def _over_tiles(rows: int, blocks: int, split: bool, run) -> list:
+    """The results of ``run(band_rows, block_range)`` on tiles that cover
+    band rows 0:rows and blocks 0:blocks once each.
 
-    Unless ``split``, one tile covers everything on the calling thread, with
-    one scratch set for every row. Otherwise the rows are cut into up to
-    :func:`worker_count` contiguous ranges, one per thread, and the blocks
-    into up to ``_SEGMENTS`` runs. Each thread takes the next tile when it
-    finishes one, so a thread on a slower CPU delays the call by at most one
-    tile. A tile works in one of the threads' scratch sets for one range of
-    rows; together they are the one serial set, give or take a row each.
+    Unless ``split``, one tile covers everything on the calling thread.
+    Otherwise the rows are cut into up to :func:`worker_count` contiguous
+    ranges, one per thread, and the blocks into up to ``_SEGMENTS`` runs.
+    Each thread takes the next tile when it finishes one, so a thread on a
+    slower CPU delays the call by at most one tile. A tile makes the work
+    arrays of its own rows and frees them before its thread takes the next,
+    so the tiles running at once hold one serial call's work arrays, give
+    or take a row each.
     """
     workers = min(worker_count(), rows) if split else 1
     if workers <= 1:
-        return [run(slice(0, rows), range(blocks), scratch(rows))]
+        return [run(slice(0, rows), range(blocks))]
     bounds = [rows * i // workers for i in range(workers + 1)]
     step = -(-blocks // min(blocks, _SEGMENTS))  # a split call has blocks >= 1
     tiles = [
@@ -100,26 +98,7 @@ def _over_tiles(rows: int, blocks: int, split: bool, scratch, run) -> list:
         for start in range(0, blocks, step)
         for a, b in zip(bounds, bounds[1:])
     ]
-    free = queue.SimpleQueue()
-    for _ in range(workers):
-        free.put(scratch(-(-rows // workers)))
-
-    def run_tile(tile):
-        band_rows, _ = tile
-        work = free.get()
-        try:
-            return run(*tile, _first_rows(work, band_rows.stop - band_rows.start))
-        finally:
-            free.put(work)
-
-    return _on_threads(workers, run_tile, tiles)
-
-
-def _first_rows(work, rows: int) -> list[np.ndarray]:
-    """Views of a 3D kernel's work arrays for ``rows`` band rows: the first
-    ``2 * rows`` rows of the two full-resolution ones and the first ``rows``
-    of the half-height ones."""
-    return [a[:, :, : 2 * rows] for a in work[:2]] + [a[:, :, :rows] for a in work[2:]]
+    return _on_threads(workers, lambda tile: run(*tile), tiles)
 
 
 def _union(ranges):
@@ -185,10 +164,10 @@ def _empty_bands(keys, c: int, t: int, h: int, w: int) -> dict[str, np.ndarray]:
 def _scratch(c: int, t: int, *frame_shapes) -> list[np.ndarray]:
     """Uninitialized (c, t, *frame_shape) float32 work arrays.
 
-    The 3D kernels take them once per chunk and reuse them for every block:
-    the temporal butterfly's low and high outputs, then the height-pass
-    output of the spatial transform (one for analysis, two for synthesis).
-    A block of ``n`` pairs uses the first ``n`` frames of each.
+    A 3D kernel tile makes them for its own band rows and reuses them for
+    every block it runs: the temporal butterfly's low and high outputs, then
+    the height-pass output of the spatial transform (one for analysis, two
+    for synthesis). A block of ``n`` pairs uses the first ``n`` frames of each.
     """
     return [np.empty((c, t, *shape), dtype=np.float32) for shape in frame_shapes]
 
@@ -200,24 +179,24 @@ def _common_shape(bands, keys) -> tuple[int, ...]:
     return shapes.pop()
 
 
-def _analyze_2d(arr: np.ndarray, prefix: str = "") -> dict[str, np.ndarray]:
-    """Spatial analysis of (c, t, h, w) frames into bands keyed prefix+hh..gg."""
+def _analyze_2d(arr: np.ndarray) -> dict[str, np.ndarray]:
+    """Spatial analysis of (c, t, h, w) frames into bands keyed hh..gg."""
     arr = np.asarray(arr, dtype=np.float32)
     c, t, h, w = arr.shape
     if h % 2 or w % 2:
         raise ShapeError(f"height and width must be even, got ({h}, {w})")
-    bands = _empty_bands([prefix + k for k in KEYS_2D], c, t, h // 2, w // 2)
+    bands = _empty_bands(KEYS_2D, c, t, h // 2, w // 2)
     (row,) = _scratch(c, t, (h // 2, w))
-    _analyze_2d_into(arr, bands, prefix, ..., row)
+    _analyze_2d_into(arr, bands, "", ..., row)
     return bands
 
 
-def _synthesize_2d(bands, prefix: str = "") -> np.ndarray:
-    """Exact inverse of :func:`_analyze_2d` for the bands keyed prefix+hh..gg."""
-    c, t, h, w = _common_shape(bands, [prefix + k for k in KEYS_2D])
+def _synthesize_2d(bands) -> np.ndarray:
+    """Exact inverse of :func:`_analyze_2d`."""
+    c, t, h, w = _common_shape(bands, KEYS_2D)
     out = np.empty((c, t, 2 * h, 2 * w), dtype=np.float32)
     rows = _scratch(c, t, (h, 2 * w), (h, 2 * w))
-    _synthesize_2d_into(bands, prefix, ..., out, rows)
+    _synthesize_2d_into(bands, "", ..., out, rows)
     return out
 
 
@@ -442,7 +421,9 @@ class Dwt3dStream:
         size = min(_block_pairs(c, h, w), max(first + pairs, 1))
         blocks = -(-pairs // size)
 
-        def analyze_tile(band_rows: slice, block_range: range, work) -> dict:
+        def analyze_tile(band_rows: slice, block_range: range) -> dict:
+            m = band_rows.stop - band_rows.start
+            work = _scratch(c, size, (2 * m, w), (2 * m, w), (m, w))
             full = slice(2 * band_rows.start, 2 * band_rows.stop)
             src = rest[:, :, full]
             if lead is not None and block_range.start == 0:
@@ -467,13 +448,7 @@ class Dwt3dStream:
             parts = ((key, band[:, written, band_rows]) for key, band in bands.items())
             return {key: (part.min(), part.max()) for key, part in parts}
 
-        tiles = _over_tiles(
-            h // 2,
-            blocks,
-            first + pairs > size,
-            lambda n: _scratch(c, size, (2 * n, w), (2 * n, w), (n, w)),
-            analyze_tile,
-        )
+        tiles = _over_tiles(h // 2, blocks, first + pairs > size, analyze_tile)
         self.ranges = {key: _union(tile[key] for tile in tiles) for key in KEYS_3D}
         self._carry = rest[:, 2 * pairs :].copy() if rest.shape[1] % 2 else None
         return bands
@@ -508,7 +483,9 @@ class Idwt3dStream:
         out = np.empty((c, 2 * n - drop, 2 * h, 2 * w), dtype=np.float32)
         size = min(_block_pairs(c, 2 * h, 2 * w), max(n, 1))
 
-        def synthesize_tile(band_rows: slice, block_range: range, work):
+        def synthesize_tile(band_rows: slice, block_range: range):
+            m = band_rows.stop - band_rows.start
+            work = _scratch(c, size, (2 * m, 2 * w), (2 * m, 2 * w), (m, 2 * w), (m, 2 * w))
             full = slice(2 * band_rows.start, 2 * band_rows.stop)
             dest = out[:, :, full]
             bounds = None
@@ -530,13 +507,7 @@ class Idwt3dStream:
                 bounds = _widen(bounds, part.min(), part.max())
             return bounds
 
-        tiles = _over_tiles(
-            h,
-            -(-n // size),
-            n > size,
-            lambda m: _scratch(c, size, (2 * m, 2 * w), (2 * m, 2 * w), (m, 2 * w), (m, 2 * w)),
-            synthesize_tile,
-        )
+        tiles = _over_tiles(h, -(-n // size), n > size, synthesize_tile)
         self.ranges = _union(tiles)
         return out
 

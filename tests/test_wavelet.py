@@ -3,6 +3,7 @@ perfect reconstruction, orthonormality, causality and streamed/direct
 agreement."""
 
 import dataclasses
+import hashlib
 import math
 import sys
 
@@ -744,3 +745,36 @@ class TestCarriedRanges:
             ShapeError, match="NaN or Inf"
         ):
             build_pyramid(v)
+
+
+class TestReferenceBits:
+    """The Haar kernels' output bits against a fixed SHA-256, not against
+    the kernels themselves, so a change that moved every bit the same way
+    would still fail. The clip is a formula with no RNG and no
+    transcendental function, so only the Haar sums, differences and
+    ``× 2^-½`` touch it, and those round exactly on every platform. One
+    pair per block at every level, so each call spans several blocks."""
+
+    SHA256 = "709391bb059b70b4e1691c003d4fc45696db5765845ddfef543eff2fba36fd52"
+
+    @staticmethod
+    def _clip():
+        shape = (3, 9, 32, 16)
+        n = math.prod(shape)
+        values = ((np.arange(n) * 7919) % 1009).astype(np.float32) / np.float32(1009)
+        return VideoTensor((values - np.float32(0.5)).reshape(shape))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_pyramid_round_trip_matches_reference(self, monkeypatch, workers):
+        _at_workers(monkeypatch, workers)
+        monkeypatch.setattr(wavelet, "_BLOCK_BYTES", 1)
+        v = self._clip()
+        pyramid = build_pyramid(v)
+        restored = reconstruct_pyramid(pyramid, v.time)
+        digest = hashlib.sha256()
+        for level in (pyramid.level1, pyramid.level2, pyramid.level3):
+            for _, band in level.items():
+                digest.update(band.data.astype("<f4").tobytes())
+        digest.update(restored.data.astype("<f4").tobytes())
+        assert max_abs_diff(restored, v.data) <= 1e-6
+        assert digest.hexdigest() == self.SHA256
