@@ -72,10 +72,6 @@ class ConvSpec:
     def weight_shape(self) -> tuple[int, int, int, int, int]:
         return (self.out_channels, self.in_channels) + tuple(self.kernel)
 
-    def out_time(self, t: int) -> int:
-        """Output frames for t input frames: (t - 1) // s_t + 1."""
-        return (t - 1) // self.stride[0] + 1
-
 
 def _check_weights(spec: ConvSpec, weight: np.ndarray, bias):
     weight = np.asarray(weight, dtype=np.float32)
@@ -222,9 +218,8 @@ def causal_conv3d(
         raise ShapeError(
             f"input has {x.channels} channels, spec expects {spec.in_channels}"
         )
-    weight, bias = _check_weights(spec, weight, bias)
-    out, _ = _stream_conv_core(CacheState(), x.data, spec, weight, bias, final=True)
-    return VideoTensor(out)
+    conv = _ConvStream(spec, *_check_weights(spec, weight, bias))
+    return VideoTensor(conv.feed(x.data, final=True))
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +287,9 @@ class CacheState:
         return 0 if self.cache.ndim != 4 else self.cache.shape[1]
 
 
-def _stream_conv_core(
-    state: CacheState,
-    frames: np.ndarray,
-    spec: ConvSpec,
-    weight,
-    bias,
-    final: bool = False,
-    factors: tuple[int, int, int] = (1, 1, 1),
-    prologue: _Prologue | None = None,
-) -> tuple[np.ndarray, CacheState]:
-    """Convolve one chunk against the cache; ``final`` ends the stream.
+@dataclass(eq=False)
+class _ConvStream:
+    """A causal conv and its tail-frame cache, fed one chunk at a time.
 
     The conv input is a virtual sequence: cached frames, then the causal lead
     (first chunk only), then the chunk. Its frames are written straight into
@@ -315,76 +302,87 @@ def _stream_conv_core(
     applied to each chunk frame as it enters the window; a conv reads through
     one of the two, never both. The cache keeps conv-input frames after the
     prologue, before the upsample and the spatial border; the final chunk
-    keeps none and returns a finalized state.
+    keeps none and leaves a finalized ``state``.
     """
-    if state.finalized:
-        raise StateError("chunk fed after the stream was finalized")
-    ft, fh, fw = factors
-    st = spec.stride[0]
-    c, n, h, w = frames.shape
-    scratch = 0 if prologue is None or not n else 2 * c * h * w
-    stats = None
-    if scratch and prologue.gain is not None:
-        stats = _ChunkNorm(frames, prologue.gain, prologue.bias, prologue.groups)
-    # Factor-2 time upsampling doubles every frame but the stream's first.
-    drop = int(ft == 2 and state.frames_seen == 0)
-    n = max(n * ft - drop, 0)
-    lead = spec.temporal_pad if n and state.frames_seen == 0 else 0
-    cached = state.occupancy
-    head = cached + lead
-    new_seen = state.frames_seen + lead + n
-    slab_start = new_seen - head - n
-    # A non-empty cache starts exactly at the next window, so frames are
-    # skipped (offset > 0) only from a chunk that follows an empty cache.
-    offset = state.next_window_start - slab_start
-    if offset < 0:
-        raise StateError("cache lost frames still needed by the next window")
-    length = max(head + n - offset, 0)
 
-    def fill(dst: np.ndarray, p: int, buf: np.ndarray) -> None:
-        """Write conv-input frame ``p`` (unpadded) into ``dst``."""
-        if p < cached:
-            dst[...] = state.cache[:, p]
-        elif p < head and spec.pad_mode == PAD_ZEROS:
-            dst[...] = 0.0
-        else:
-            q = 0 if p < head else p - head + offset  # replicate: chunk frame 0
-            j = (q + drop) // ft
-            if prologue is None:
-                dst[...] = frames[:, j]
-                return
-            # The prologue works in two contiguous frames at the start of
-            # ``buf``; only the final division writes ``dst``.
-            normed, tmp = buf[: 2 * c * h * w].reshape(2, c, h, w)
-            src = frames[:, j]
-            if stats is not None:
-                stats.apply(src, j, normed)
-                src = normed
-            _silu_into(src, dst, tmp)
+    spec: ConvSpec
+    weight: np.ndarray
+    bias: np.ndarray
+    factors: tuple[int, int, int] = (1, 1, 1)
+    prologue: _Prologue | None = None
+    state: CacheState = field(default_factory=CacheState)
 
-    shape = (c, h, w)
-    out, last = _conv3d_core(
-        fill, length, shape, weight, bias, spec, scratch, (fh, fw)
-    )
-    keep_from = out.shape[1] * st
-    if final or keep_from >= length:
-        cache = _EMPTY
-    else:
-        cache = np.empty((c, length - keep_from) + shape[1:], dtype=np.float32)
-        buf = np.empty(scratch, dtype=np.float32)
-        first = keep_from - st  # the last window's first frame
-        for p in range(keep_from, length):
-            if last is not None and p - first < last.shape[1]:
-                cache[:, p - keep_from] = last[:, p - first]  # filled already
+    def feed(self, frames: np.ndarray, final: bool = False) -> np.ndarray:
+        """Convolve one chunk against the cache; ``final`` ends the stream."""
+        state, spec, prologue = self.state, self.spec, self.prologue
+        if state.finalized:
+            raise StateError("chunk fed after the stream was finalized")
+        ft, fh, fw = self.factors
+        st = spec.stride[0]
+        c, n, h, w = frames.shape
+        scratch = 0 if prologue is None or not n else 2 * c * h * w
+        stats = None
+        if scratch and prologue.gain is not None:
+            stats = _ChunkNorm(frames, prologue.gain, prologue.bias, prologue.groups)
+        # Factor-2 time upsampling doubles every frame but the stream's first.
+        drop = int(ft == 2 and state.frames_seen == 0)
+        n = max(n * ft - drop, 0)
+        lead = spec.temporal_pad if n and state.frames_seen == 0 else 0
+        cached = state.occupancy
+        head = cached + lead
+        new_seen = state.frames_seen + lead + n
+        slab_start = new_seen - head - n
+        # A non-empty cache starts exactly at the next window, so frames are
+        # skipped (offset > 0) only from a chunk that follows an empty cache.
+        offset = state.next_window_start - slab_start
+        if offset < 0:
+            raise StateError("cache lost frames still needed by the next window")
+        length = max(head + n - offset, 0)
+
+        def fill(dst: np.ndarray, p: int, buf: np.ndarray) -> None:
+            """Write conv-input frame ``p`` (unpadded) into ``dst``."""
+            if p < cached:
+                dst[...] = state.cache[:, p]
+            elif p < head and spec.pad_mode == PAD_ZEROS:
+                dst[...] = 0.0
             else:
-                fill(cache[:, p - keep_from], p, buf)
-    new_state = CacheState(
-        frames_seen=new_seen,
-        next_window_start=state.next_window_start + keep_from,
-        cache=cache,
-        finalized=final,
-    )
-    return out, new_state
+                q = 0 if p < head else p - head + offset  # replicate: chunk frame 0
+                j = (q + drop) // ft
+                if prologue is None:
+                    dst[...] = frames[:, j]
+                    return
+                # The prologue works in two contiguous frames at the start of
+                # ``buf``; only the final division writes ``dst``.
+                normed, tmp = buf[: 2 * c * h * w].reshape(2, c, h, w)
+                src = frames[:, j]
+                if stats is not None:
+                    stats.apply(src, j, normed)
+                    src = normed
+                _silu_into(src, dst, tmp)
+
+        shape = (c, h, w)
+        out, last = _conv3d_core(
+            fill, length, shape, self.weight, self.bias, spec, scratch, (fh, fw)
+        )
+        keep_from = out.shape[1] * st
+        if final or keep_from >= length:
+            cache = _EMPTY
+        else:
+            cache = np.empty((c, length - keep_from) + shape[1:], dtype=np.float32)
+            buf = np.empty(scratch, dtype=np.float32)
+            first = keep_from - st  # the last window's first frame
+            for p in range(keep_from, length):
+                if last is not None and p - first < last.shape[1]:
+                    cache[:, p - keep_from] = last[:, p - first]  # filled already
+                else:
+                    fill(cache[:, p - keep_from], p, buf)
+        self.state = CacheState(
+            frames_seen=new_seen,
+            next_window_start=state.next_window_start + keep_from,
+            cache=cache,
+            finalized=final,
+        )
+        return out
 
 
 def stream_conv3d(
@@ -400,11 +398,11 @@ def stream_conv3d(
         raise ShapeError(
             f"chunk has {chunk.channels} channels, spec expects {spec.in_channels}"
         )
-    weight, bias = _check_weights(spec, weight, bias)
-    out, new_state = _stream_conv_core(state, chunk.data, spec, weight, bias)
+    conv = _ConvStream(spec, *_check_weights(spec, weight, bias), state=state)
+    out = conv.feed(chunk.data)
     if out.shape[1] == 0:
-        return None, new_state
-    return VideoTensor(out), new_state
+        return None, conv.state
+    return VideoTensor(out), conv.state
 
 
 # ---------------------------------------------------------------------------

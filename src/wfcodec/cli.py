@@ -341,6 +341,7 @@ def _load_latent(path: str, shape: list[int], manifest_path: str) -> VideoTensor
 
 def cmd_decode(args) -> Report:
     plan = ChunkPlan.parse(args.plan)
+    rng = None if args.sample_seed is None else Rng(args.sample_seed)
     mean_path, logvar_path, manifest_path = _latent_paths(args.latent)
     manifest = load_manifest(manifest_path)
     try:
@@ -366,12 +367,12 @@ def cmd_decode(args) -> Report:
             f"{manifest_path}: latent_shape {latent_shape!r} is not 4 integers"
         )
     mean = _load_latent(mean_path, latent_shape, manifest_path)
-    weights, weight_info = _load_or_init_weights(args, config)
-    if args.sample_seed is not None:
+    if rng is not None:
         logvar = _load_latent(logvar_path, latent_shape, manifest_path)
-        z = sample_latent(GaussianLatent(mean, logvar), Rng(args.sample_seed))
+        z = sample_latent(GaussianLatent(mean, logvar), rng)
     else:
         z = mean
+    weights, weight_info = _load_or_init_weights(args, config)
     result = decode(z, config, weights, original_t=original_t, mode=plan)
     save_tensor(result.video, args.output)
     return Report(
@@ -408,9 +409,9 @@ def cmd_init_weights(args) -> Report:
 def cmd_loss_report(args) -> Report:
     if bool(args.latent_mean) != bool(args.latent_logvar):
         raise ParameterError("--latent-mean and --latent-logvar go together")
+    weights = LossWeights(adv=args.lambda_adv, kl=args.lambda_kl, wl=args.lambda_wl)
     original = load_tensor(args.input)
     recon = load_tensor(args.recon)
-    weights = LossWeights(adv=args.lambda_adv, kl=args.lambda_kl, wl=args.lambda_wl)
     p_original = build_pyramid(original)
     p_recon = build_pyramid(recon)
     components = {

@@ -35,12 +35,11 @@ from typing import ClassVar
 import numpy as np
 
 from .causal import (
-    CacheState,
     ChunkPlan,
     ConvSpec,
+    _ConvStream,
     _Prologue,
     _iter_chunks,
-    _stream_conv_core,
     silu,
 )
 from .errors import FormatError, ParameterError, ShapeError, WeightError
@@ -450,29 +449,6 @@ def _feed_streams(streams, frames: np.ndarray, final: bool) -> np.ndarray:
     for stream in streams:
         frames = stream.feed(frames, final)
     return frames
-
-
-class _ConvStream:
-    """A causal conv and its tail-frame cache; it reads its input through the
-    nearest upsample ``factors`` or through ``prologue``."""
-
-    def __init__(
-        self, spec: ConvSpec, weight: np.ndarray, bias: np.ndarray,
-        factors: tuple[int, int, int], prologue: _Prologue | None = None,
-    ):
-        self.spec = spec
-        self.weight = weight
-        self.bias = bias
-        self.factors = factors
-        self.prologue = prologue
-        self.state = CacheState()
-
-    def feed(self, frames: np.ndarray, final: bool) -> np.ndarray:
-        out, self.state = _stream_conv_core(
-            self.state, frames, self.spec, self.weight, self.bias, final,
-            self.factors, self.prologue,
-        )
-        return out
 
 
 def _stream(node: _Node, config: ModelConfig, weights: WeightStore):

@@ -337,18 +337,17 @@ class WaveletPyramid:
     level1: SubbandSet3D
     level2: SubbandSet3D
     level3: SubbandSet2D
-    source_time: int
 
 
 def build_pyramid(v: VideoTensor) -> WaveletPyramid:
     """Full 3-level decomposition of a video with spatial dims divisible by 8."""
-    c, t, h, w = v.shape
+    h, w = v.shape[2:]
     if h % 8 or w % 8:
         raise ShapeError(f"height and width must be divisible by 8, got ({h}, {w})")
     level1 = dwt3d(v)
     level2 = dwt3d(level1["hhh"])
     level3 = dwt2d(level2["hhh"])
-    return WaveletPyramid(level1=level1, level2=level2, level3=level3, source_time=t)
+    return WaveletPyramid(level1=level1, level2=level2, level3=level3)
 
 
 def reconstruct_pyramid(p: WaveletPyramid, original_t: int) -> VideoTensor:
@@ -356,8 +355,7 @@ def reconstruct_pyramid(p: WaveletPyramid, original_t: int) -> VideoTensor:
     t1 = p.level1.time
     if 2 * t1 - original_t not in (0, 1):
         raise ShapeError(
-            f"cannot restore {original_t} frames from a pyramid built on "
-            f"{p.source_time}"
+            f"cannot restore {original_t} frames from a level 1 of {t1} frames"
         )
     # Nested so the level-2 hhh band and its replaced set die before the
     # level-1 synthesis allocates its output.

@@ -33,7 +33,6 @@ from wfcodec import (
 )
 
 from wfcodec import causal
-from wfcodec.model import _ConvStream
 
 from helpers import (
     conv3d_loop_oracle, draw_chunk_sizes, make_random, max_abs_diff, per_tap_conv3d,
@@ -87,11 +86,6 @@ class TestConvSpec:
             ConvSpec(1, 1, (1, 1, 1), (1, 0, 1))
         with pytest.raises(ParameterError):
             ConvSpec(1, 1, (1, 1, 1), pad_mode="wrap")
-
-    def test_out_time_law(self):
-        assert ConvSpec(1, 1, (3, 1, 1), (2, 1, 1)).out_time(33) == 17
-        assert ConvSpec(1, 1, (3, 1, 1), (1, 1, 1)).out_time(33) == 33
-        assert ConvSpec(1, 1, (5, 1, 1), (3, 1, 1)).out_time(10) == 4
 
 
 class TestCausalConv3d:
@@ -587,12 +581,10 @@ class TestFusedUpsample:
 
     @staticmethod
     def _stream(x, spec, weight, bias, factors, sizes):
-        state, pieces, start = CacheState(), [], 0
+        conv = causal._ConvStream(spec, weight, bias, factors)
+        pieces, start = [], 0
         for i, size in enumerate(sizes):
-            out, state = causal._stream_conv_core(
-                state, x[:, start : start + size], spec, weight, bias,
-                final=i == len(sizes) - 1, factors=factors,
-            )
+            out = conv.feed(x[:, start : start + size], final=i == len(sizes) - 1)
             pieces.append(out)
             start += size
         return np.concatenate(pieces, axis=1)
@@ -709,13 +701,11 @@ class TestFusedPrologueAndResidual:
             prologue = causal._Prologue()
         else:
             prologue = causal._Prologue(gain, shift, groups)
-        state, pieces, acts, start = CacheState(), [], [], 0
+        conv = causal._ConvStream(spec, weight, bias, prologue=prologue)
+        pieces, acts, start = [], [], 0
         for i, size in enumerate(sizes):
             chunk = VideoTensor(x[:, start : start + size])
-            out, state = causal._stream_conv_core(
-                state, x[:, start : start + size], spec, weight, bias,
-                final=i == len(sizes) - 1, prologue=prologue,
-            )
+            out = conv.feed(x[:, start : start + size], final=i == len(sizes) - 1)
             pieces.append(out)
             # Group statistics span the chunk: the negative control's rule.
             if groups is None:
@@ -765,7 +755,7 @@ class TestConvMemory:
         bias = np.zeros(8, np.float32)
 
         def run(x):
-            return _ConvStream(self.SPEC, weight, bias, (2, 2, 2)).feed(x, True)
+            return causal._ConvStream(self.SPEC, weight, bias, (2, 2, 2)).feed(x, True)
 
         assert self._growth(run, (8, 16, 16), (5, 33)) < 1.1
 
@@ -779,7 +769,7 @@ class TestConvMemory:
         rng = Rng(75)
         weight = rng.normal(spec.weight_shape(), std=0.1)
         x = rng.normal((c, t, h, w))
-        conv = _ConvStream(spec, weight, np.zeros(8, np.float32), (1, 1, 1))
+        conv = causal._ConvStream(spec, weight, np.zeros(8, np.float32), (1, 1, 1))
         out, peak = traced_peak(lambda: conv.feed(x, True))
         col = 4 * k * rows * w
         window = 4 * c * 3 * (h + 2) * (w + 2)
@@ -797,7 +787,7 @@ class TestConvMemory:
         rng = Rng(74)
         weight = rng.normal(spec.weight_shape(), std=0.1)
         x = rng.normal((c, t, h, w))
-        conv = _ConvStream(spec, weight, np.zeros(8, np.float32), (1, 2, 2))
+        conv = causal._ConvStream(spec, weight, np.zeros(8, np.float32), (1, 2, 2))
         out, peak = traced_peak(lambda: conv.feed(x, True))
         col = 4 * k * rows * 2 * w
         window = 4 * c * 3 * (h + 2) * (w + 2)

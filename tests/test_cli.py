@@ -543,6 +543,47 @@ class TestInputErrors:
         assert_input_error(code, report, err, "ParameterError")
 
     @staticmethod
+    def _refuse(monkeypatch, name):
+        """Replace ``cli.<name>`` by a loader that records any call and fails."""
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError(f"{name} called before the flags were checked")
+
+        monkeypatch.setattr(cli, name, refuse)
+        return calls
+
+    def test_bad_sample_seed_exits_before_loading(
+        self, capsys, tmp_path, monkeypatch, video_file
+    ):
+        prefix = str(tmp_path / "latent")
+        code, _, _ = run_cli(
+            capsys,
+            ["encode", "--input", video_file, "--init-seed", "3",
+             "--output", prefix, *TINY_FLAGS],
+        )
+        assert code == 0
+        calls = self._refuse(monkeypatch, "_load_or_init_weights")
+        code, report, err = run_cli(
+            capsys,
+            ["decode", "--latent", prefix, "--sample-seed", "-1",
+             "--output", str(tmp_path / "v.wfvt")],
+        )
+        assert_input_error(code, report, err, "ParameterError")
+        assert calls == []
+
+    def test_bad_loss_weight_exits_before_loading(self, capsys, monkeypatch, video_file):
+        calls = self._refuse(monkeypatch, "load_tensor")
+        code, report, err = run_cli(
+            capsys,
+            ["loss-report", "--input", video_file, "--recon", video_file,
+             "--lambda-kl", "-1"],
+        )
+        assert_input_error(code, report, err, "ParameterError")
+        assert calls == []
+
+    @staticmethod
     def _decode_edited_manifest(capsys, tmp_path, video_file, write):
         prefix = str(tmp_path / "latent")
         code, _, _ = run_cli(

@@ -15,6 +15,7 @@ from wfcodec import (
     ParameterError,
     Rng,
     ShapeError,
+    StateError,
     SubbandSet3D,
     VideoTensor,
     WeightError,
@@ -59,6 +60,13 @@ CASES = [
     ("stream-channels", ShapeError, "chunk has 2 channels, spec expects 3",
      lambda tmp: stream_conv3d(
          CacheState(), _video(c=2), ConvSpec(3, 4, (1, 1, 1)),
+         np.zeros((4, 3, 1, 1, 1), dtype=np.float32))),
+    # A state that has seen frames but caches none, and expects its next
+    # window at frame 0: the chunk starts after that window.
+    ("stream-cache-lost-frames", StateError,
+     "cache lost frames still needed by the next window",
+     lambda tmp: stream_conv3d(
+         CacheState(frames_seen=5), _video(), ConvSpec(3, 4, (1, 1, 1)),
          np.zeros((4, 3, 1, 1, 1), dtype=np.float32))),
     ("layernorm-gain-shape", ShapeError, "gain/bias must have shape (3,), got (2,)/(3,)",
      lambda tmp: frame_layernorm(_video(), np.ones(2), np.zeros(3))),

@@ -1,6 +1,9 @@
 """Autoencoder graph: shape laws, determinism, streamed/direct identity,
 recombination linearity, and weight-store round trips."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +29,10 @@ from wfcodec import (
     parameter_manifest,
     preset_config,
     sample_latent,
+    save_tensor,
 )
 from wfcodec import causal, model
+from wfcodec.cli import main
 from wfcodec.model import PRESET_BASE_CHANNELS
 from wfcodec.wavelet import KEYS_3D, SubbandSet3D
 
@@ -628,6 +633,70 @@ class TestDecode:
         )
         expected = base.video.data + idwt3d(delta, original_t=17).data
         assert max_abs_diff(full.video.data, expected) <= 1e-5
+
+
+def _strided(stride):
+    return lambda node: replace(node, spec=replace(node.spec, stride=stride))
+
+
+class TestExecutorGuards:
+    """A graph whose nodes disagree on frame rates is caught by the
+    executor's own checks. Each case edits one node without changing its
+    weight shapes, so the weights still validate."""
+
+    # (node, edit, direction, error message) on the 17-frame tiny video,
+    # whose latent has 5 frames.
+    CASES = [
+        ("enc.down2", _strided((2, 2, 2)), "encode",
+         "backbone/wavelet rate mismatch at enc.inflow3: 3 vs 5 frames"),
+        ("dec.up1", lambda node: replace(node, factors=(1, 2, 2)), "decode",
+         "backbone/wavelet rate mismatch at level 1: 5 vs 9 frames"),
+        ("enc.head.conv", _strided((2, 1, 1)), "encode",
+         "latent has 3 frames, expected 5"),
+        ("dec.stem", _strided((2, 1, 1)), "decode",
+         "decode produced 9 frames, expected 17"),
+    ]
+
+    @staticmethod
+    def _misalign(monkeypatch, name, edit):
+        graph = model._graph
+
+        def edited(config):
+            return tuple(
+                [edit(node) if node.name == name else node for node in nodes]
+                for nodes in graph(config)
+            )
+
+        monkeypatch.setattr(model, "_graph", edited)
+
+    @pytest.mark.parametrize(
+        "name, edit, direction, message", CASES, ids=[case[0] for case in CASES]
+    )
+    def test_guard_names_the_misalignment(
+        self, monkeypatch, tiny_weights, tiny_video, name, edit, direction, message
+    ):
+        z = make_random(90, (4, 5, 2, 2))
+        self._misalign(monkeypatch, name, edit)
+        with pytest.raises(ShapeError) as info:
+            if direction == "encode":
+                encode(tiny_video, TINY, tiny_weights)
+            else:
+                decode(z, TINY, tiny_weights, original_t=17)
+        assert str(info.value) == message
+
+    def test_cli_exits_2(self, monkeypatch, capsys, tmp_path, tiny_video):
+        path = tmp_path / "video.wfvt"
+        save_tensor(tiny_video, path)
+        self._misalign(monkeypatch, *self.CASES[0][:2])
+        code = main(
+            ["encode", "--input", str(path), "--output", str(tmp_path / "latent"),
+             "--base-channels", "8", "--c-flow", "8", "--blocks", "1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "Traceback" not in captured.err
+        error = json.loads(captured.err)
+        assert error == {"error": "ShapeError", "message": self.CASES[0][3]}
 
 
 class TestForward:

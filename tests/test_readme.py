@@ -1,0 +1,32 @@
+"""The README's Python quick start runs as written, at a narrow width."""
+
+import re
+from pathlib import Path
+
+import wfcodec
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _quick_start() -> str:
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    return blocks[0]
+
+
+def test_quick_start_prints_its_comments(monkeypatch, capsys):
+    """Every ``print(...)  # value`` line prints its comment, and the
+    block's own stream-equals-direct assert holds."""
+    code = _quick_start()
+    expected = re.findall(r"^print\([^#\n]*\) +# (.*)$", code, re.M)
+    assert len(expected) == 2
+
+    def narrow(name, latent_channels=4, **overrides):
+        assert name in wfcodec.model.PRESET_BASE_CHANNELS
+        return wfcodec.ModelConfig(
+            base_channels=8, c_flow=8, latent_channels=latent_channels, **overrides
+        )
+
+    monkeypatch.setattr(wfcodec, "preset_config", narrow)
+    exec(compile(code, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
