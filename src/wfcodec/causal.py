@@ -26,7 +26,7 @@ it is provided purely as the documented negative control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -111,16 +111,20 @@ def _tile_rows(k: int, ho: int, wo: int) -> int:
 
 def _conv3d_core(
     fill, length: int, shape, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec,
-    scratch: int = 0, up: tuple[int, int] = (1, 1),
+    scratch: int = 0, up: tuple[int, int] = (1, 1), cache: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Window engine for every convolution path: one im2col GEMM per tile.
 
     The conv input is a virtual sequence of ``length`` frames of ``shape``
     (c, h, w), already padded in time (causal lead or cached frames), read
-    through a nearest spatial upsample by ``up`` = (fh, fw);
-    ``fill(dst, p, buf)`` writes its frame ``p`` into ``dst`` and may use the
-    first ``scratch`` floats of ``buf``, the column buffer, which is idle
-    while the window fills. One zero-bordered window of k_t frames slides
+    through a nearest spatial upsample by ``up`` = (fh, fw). ``cache``, a
+    list of at most one (c, n, h, w) array with n < k_t, holds the first n
+    frames; the core pops it and copies it into the first window before it
+    makes the column buffer, so a caller that keeps no other reference never
+    holds cache, window and column at once. ``fill(dst, p, buf)`` writes
+    every other frame ``p`` into ``dst`` and may use the first ``scratch``
+    floats of ``buf``, the column buffer, which is idle while the window
+    fills. One zero-bordered window of k_t frames slides
     over the sequence: each output frame shifts the window down by s_t and
     fills the s_t newest frames, so no buffer grows with the chunk. The
     window holds frames at source resolution, with a border of
@@ -137,7 +141,7 @@ def _conv3d_core(
     into the output.
 
     Returns the output and the last window's k_t frames without their
-    border, or None when no window fit.
+    border, or, when no window fit, the popped cache (None if there was none).
     """
     cin, h, w = shape
     cout = spec.out_channels
@@ -160,11 +164,10 @@ def _conv3d_core(
     to = max(0, (length - kt) // st + 1)
     out = np.empty((cout, to, ho, wo), dtype=np.float32)
     if to == 0:
-        return out, None
+        return out, cache.pop() if cache else None
     k = cin * kt * kh * kw
     rows = _tile_rows(k, ho, wo)
     wmat = weight.reshape(cout, k)
-    col_buf = np.empty(max(k * rows * wo, scratch), dtype=np.float32)
     out_rows = out.reshape(cout, to, ho * wo)
     qh, qw = -(-ph // fh), -(-pw // fw)
     # Time-major, so shifting the window copies whole frames, which do not
@@ -172,6 +175,10 @@ def _conv3d_core(
     window = np.zeros((kt, cin, h + 2 * qh, w + 2 * qw), dtype=np.float32)
     frames = window.transpose(1, 0, 2, 3)
     inner = frames[:, :, qh : qh + h, qw : qw + w]
+    cached = cache[0].shape[1] if cache else 0
+    if cached:
+        inner[:, :cached] = cache.pop()
+    col_buf = np.empty(max(k * rows * wo, scratch), dtype=np.float32)
     src = frames
     if upsampled:
         src = np.empty((cin, kt, rows + kh - 1, wp), dtype=np.float32)  # row band
@@ -186,7 +193,7 @@ def _conv3d_core(
         for dt in range(kt):
             if dt < kept:
                 window[dt] = window[dt + st]
-            else:
+            elif t or dt >= cached:
                 fill(inner[:, dt], t * st + dt, col_buf)
         kept = max(kt - st, 0)
         for y0 in range(0, ho, rows):
@@ -206,6 +213,7 @@ def _conv3d_core(
                 wmat, col.reshape(k, r * wo),
                 out=out_rows[:, t, y0 * wo : (y0 + r) * wo],
             )
+    del col, col_buf  # before the bias add, which may make a buffer
     out += bias[:, None, None, None]
     return out, inner
 
@@ -302,7 +310,10 @@ class _ConvStream:
     applied to each chunk frame as it enters the window; a conv reads through
     one of the two, never both. The cache keeps conv-input frames after the
     prologue, before the upsample and the spatial border; the final chunk
-    keeps none and leaves a finalized ``state``.
+    keeps none and leaves a finalized ``state``. A feed hands the cache to
+    the core and keeps no reference, so unless someone else holds it (as
+    :func:`stream_conv3d`'s caller does) it is freed once the first window
+    holds its frames, before the column buffer is made.
     """
 
     spec: ConvSpec
@@ -340,10 +351,8 @@ class _ConvStream:
         length = max(head + n - offset, 0)
 
         def fill(dst: np.ndarray, p: int, buf: np.ndarray) -> None:
-            """Write conv-input frame ``p`` (unpadded) into ``dst``."""
-            if p < cached:
-                dst[...] = state.cache[:, p]
-            elif p < head and spec.pad_mode == PAD_ZEROS:
+            """Write conv-input frame ``p`` >= ``cached`` (unpadded) into ``dst``."""
+            if p < head and spec.pad_mode == PAD_ZEROS:
                 dst[...] = 0.0
             else:
                 q = 0 if p < head else p - head + offset  # replicate: chunk frame 0
@@ -361,8 +370,13 @@ class _ConvStream:
                 _silu_into(src, dst, tmp)
 
         shape = (c, h, w)
+        # The core takes the stream's reference to the cache. Until the feed
+        # ends the state lacks it, so after a failed feed the next one raises
+        # StateError instead of silently missing the cached frames.
+        held = [state.cache] if cached else []
+        self.state = state = replace(state, cache=_EMPTY)
         out, last = _conv3d_core(
-            fill, length, shape, self.weight, self.bias, spec, scratch, (fh, fw)
+            fill, length, shape, self.weight, self.bias, spec, scratch, (fh, fw), held
         )
         keep_from = out.shape[1] * st
         if final or keep_from >= length:
@@ -370,7 +384,7 @@ class _ConvStream:
         else:
             cache = np.empty((c, length - keep_from) + shape[1:], dtype=np.float32)
             buf = np.empty(scratch, dtype=np.float32)
-            first = keep_from - st  # the last window's first frame
+            first = max(keep_from - st, 0)  # where ``last`` starts
             for p in range(keep_from, length):
                 if last is not None and p - first < last.shape[1]:
                     cache[:, p - keep_from] = last[:, p - first]  # filled already
@@ -436,17 +450,32 @@ def _silu_into(x: np.ndarray, dst: np.ndarray, tmp: np.ndarray) -> None:
     np.divide(x, tmp, out=dst)
 
 
+def _moments(x: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float64 mean and variance E[x^2] - mean^2 of ``x`` over ``axes``, the
+    squares taken in float32, and the variance to use where those overflow
+    (the first variance is inf there): the float64 variance about the mean."""
+    mean = x.mean(axis=axes, keepdims=True, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        ex2 = np.mean(np.square(x), axis=axes, keepdims=True, dtype=np.float64)
+    var = exact = np.maximum(ex2 - np.square(mean), 0.0)
+    if not np.isfinite(var).all():
+        centered = x.astype(np.float64) - mean
+        exact = np.mean(np.square(centered), axis=axes, keepdims=True)
+    return mean, var, exact
+
+
 class _ChunkNorm:
     """A norm layer's statistics over one chunk, applied frame by frame: the
     frame is normalized, scaled by ``gain`` and shifted by ``bias``.
 
-    ``groups`` 0 normalizes each frame over (channels, height, width); no
-    statistic crosses the time axis, so the layer is stream-safe. ``groups``
-    g normalizes each of g channel groups over the whole chunk, whose
+    ``groups`` 0 normalizes each frame over (channels, height, width), taking
+    the statistics one frame at a time: no statistic crosses the time axis,
+    no temporary exceeds a frame, and a frame's statistics are the same bits
+    in every chunk, so the layer is stream-safe bit for bit. ``groups`` g
+    normalizes each of g channel groups over the whole chunk, whose
     statistics then depend on where chunk boundaries fall (the negative
-    control). Float64 accumulators, float32 arithmetic; the chunk is squared
-    at once, which in a residual block's body is one frame. A slice whose
-    float32 squares overflow (|x| above about 1.8e19) is normalized in float64
+    control). Float64 accumulators, float32 arithmetic. A slice whose float32
+    squares overflow (|x| above about 1.8e19) is normalized in float64
     instead; every other slice keeps the float32 result, bit for bit.
     Statistics are held per (channel, frame), broadcast over whichever axis
     they do not span.
@@ -458,9 +487,11 @@ class _ChunkNorm:
     ):
         c, t, h, w = frames.shape
         if groups:
-            x, axes = frames.reshape(groups, c // groups, t, h, w), (1, 2, 3, 4)
+            x = frames.reshape(groups, c // groups, t, h, w)
+            mean, var, exact = _moments(x, (1, 2, 3, 4))
         else:
-            x, axes = frames, (0, 2, 3)
+            per = [_moments(frames[:, i : i + 1], (0, 2, 3)) for i in range(t)]
+            mean, var, exact = (np.concatenate(a, axis=1) for a in zip(*per))
 
         def per_frame(a: np.ndarray) -> np.ndarray:
             if not groups:
@@ -468,20 +499,13 @@ class _ChunkNorm:
             per_channel = np.repeat(a.reshape(groups, 1, 1, 1), c // groups, axis=0)
             return np.broadcast_to(per_channel, (c, t, 1, 1))
 
-        mean = x.mean(axis=axes, keepdims=True, dtype=np.float64)
-        with np.errstate(over="ignore"):
-            ex2 = np.mean(np.square(x), axis=axes, keepdims=True, dtype=np.float64)
-        wide = ~np.isfinite(ex2)
-        var = np.maximum(ex2 - np.square(mean), 0.0)
+        wide = ~np.isfinite(var)
         # Scale is 0 on the wide slices; a zero shift there keeps x * 0 finite.
         self.scale = per_frame((1.0 / np.sqrt(var + eps)).astype(np.float32))
         self.shift = per_frame(np.where(wide, 0.0, mean).astype(np.float32))
         self.wide = per_frame(wide)
-        if wide.any():
-            centered = x.astype(np.float64) - mean
-            var = np.mean(np.square(centered), axis=axes, keepdims=True)
-            self.mean = per_frame(mean)
-            self.root = per_frame(np.sqrt(var + eps))
+        self.mean = per_frame(mean)
+        self.root = per_frame(np.sqrt(exact + eps))
         self.gain = gain[:, None, None]
         self.bias = bias[:, None, None]
 

@@ -5,6 +5,7 @@ cache_len is checked against the sliding-window simulation, and the
 vectorized convolution against a plain nested-loop reference.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -379,6 +380,48 @@ class TestStreamConv3d:
         )
         assert state.frames_seen == 1 + spec.temporal_pad
 
+    def test_caller_state_unchanged_and_feed_repeatable(self):
+        """The caller's state and its cache survive a feed byte for byte, so
+        feeding the same state twice gives the same output and new state."""
+        spec, weight, bias = self._setup(35)
+        x = make_random(36, (2, 5, 8, 8))
+        _, state = stream_conv3d(
+            CacheState(), VideoTensor(x.data[:, :2]), spec, weight, bias
+        )
+        before, cache = state.cache.tobytes(), state.cache
+        chunk = VideoTensor(x.data[:, 2:])
+        (out1, new1), (out2, new2) = (
+            stream_conv3d(state, chunk, spec, weight, bias) for _ in range(2)
+        )
+        assert state.cache is cache and cache.tobytes() == before
+        assert state.occupancy == 2 and not state.finalized
+        assert np.array_equal(out1.data, out2.data)
+        for field in ("frames_seen", "next_window_start", "finalized"):
+            assert getattr(new1, field) == getattr(new2, field)
+        assert np.array_equal(new1.cache, new2.cache) and new1.cache is not cache
+
+    def test_failed_feed_cannot_lose_frames_silently(self, monkeypatch):
+        """A feed that fails after the core took the cache leaves a stream
+        whose next feed raises StateError."""
+        spec, weight, bias = self._setup(37)
+        x = make_random(38, (2, 4, 8, 8)).data
+        conv = causal._ConvStream(spec, weight, bias)
+        conv.feed(x[:, :2])
+        core = causal._conv3d_core
+
+        def failing_core(fill, *args):
+            def fail(*_):
+                raise RuntimeError("fill failed")
+
+            return core(fail, *args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(causal, "_conv3d_core", failing_core)
+            with pytest.raises(RuntimeError, match="fill failed"):
+                conv.feed(x[:, 2:3])
+        with pytest.raises(StateError, match="cache lost frames"):
+            conv.feed(x[:, 3:])
+
 
 class TestFrameLayernorm:
     def test_constant_frame_returns_bias(self):
@@ -406,7 +449,26 @@ class TestFrameLayernorm:
             frame_layernorm(VideoTensor(x.data[:, s:e]), gain, bias).data
             for s, e in ((0, 1), (1, 5), (5, 9))
         ]
-        assert max_abs_diff(np.concatenate(pieces, axis=1), direct.data) <= 1e-6
+        assert np.array_equal(np.concatenate(pieces, axis=1), direct.data)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        c=st.integers(1, 8), t=st.integers(1, 12), h=st.integers(1, 9),
+        w=st.integers(1, 9), seed=st.integers(0, 2**16), data=st.data(),
+    )
+    def test_any_chunking_equals_direct_bits(self, c, t, h, w, seed, data):
+        sizes = draw_chunk_sizes(data.draw, t)
+        rng = Rng(seed)
+        x = VideoTensor(rng.normal((c, t, h, w), mean=0.5, std=2.0))
+        gain = rng.normal((c,), std=0.3)
+        bias = rng.normal((c,), std=0.3)
+        direct = frame_layernorm(x, gain, bias).data
+        bounds = np.cumsum([0, *sizes])
+        pieces = [
+            frame_layernorm(VideoTensor(x.data[:, s:e]), gain, bias).data
+            for s, e in zip(bounds, bounds[1:])
+        ]
+        assert np.array_equal(np.concatenate(pieces, axis=1), direct)
 
     def test_bad_eps(self):
         x = new_tensor(1, 1, 2, 2, 0.0)
@@ -758,6 +820,67 @@ class TestConvMemory:
             return causal._ConvStream(self.SPEC, weight, bias, (2, 2, 2)).feed(x, True)
 
         assert self._growth(run, (8, 16, 16), (5, 33)) < 1.1
+
+    def test_prologue_norm_transient_flat_in_time(self):
+        """A conv reading through a frame norm, fed a whole chunk as
+        ``dec.out.conv`` is, takes the statistics a frame at a time. Its
+        input is wider than its output, as there, so a chunk-sized
+        temporary would outgrow the output."""
+        spec = ConvSpec(32, 8, (3, 3, 3), (1, 1, 1), (1, 1))
+        rng = Rng(76)
+        weight = rng.normal(spec.weight_shape(), std=0.1)
+        prologue = causal._Prologue(
+            1.0 + rng.normal((32,), std=0.1), rng.normal((32,), std=0.1)
+        )
+
+        def run(x):
+            conv = causal._ConvStream(
+                spec, weight, np.zeros(8, np.float32), prologue=prologue
+            )
+            return conv.feed(x, True)
+
+        assert self._growth(run, (32, 16, 16), (9, 65)) < 1.1
+
+    @staticmethod
+    def _feed_peaks(conv, chunks) -> list[tuple[int, int]]:
+        """(traced peak, output bytes) of each feed. The trace runs from
+        before the first feed, so the cache one feed leaves counts while the
+        next runs; each output is dropped before the next feed."""
+        peaks = []
+        tracemalloc.start()
+        try:
+            for i, chunk in enumerate(chunks):
+                tracemalloc.reset_peak()
+                out = conv.feed(chunk, i == len(chunks) - 1)
+                peaks.append((tracemalloc.get_traced_memory()[1], out.nbytes))
+                del out
+        finally:
+            tracemalloc.stop()
+        return peaks
+
+    @pytest.mark.parametrize("factors", [(1, 1, 1), (2, 2, 2)], ids=["body", "up1"])
+    def test_spent_cache_freed_before_column(self, monkeypatch, factors):
+        """Fed a frame at a time against a two-frame cache, as a block-body
+        conv and ``dec.up1`` are, a conv frees the cache once the window
+        holds it: cache, window and column never coexist."""
+        c, h, w, rows = 32, 16, 16, 4  # the cache (64 KiB) exceeds the slack
+        ho, wo = factors[1] * h, factors[2] * w
+        k = c * 27
+        monkeypatch.setattr(causal, "_COL_TILE_BYTES", 4 * k * wo * rows)
+        spec = ConvSpec(c, 8, (3, 3, 3), (1, 1, 1), (1, 1))
+        rng = Rng(77)
+        weight = rng.normal(spec.weight_shape(), std=0.1)
+        x = rng.normal((c, 5, h, w))
+        chunks = [x[:, i : i + 1] for i in range(5)]
+        conv = causal._ConvStream(spec, weight, np.zeros(8, np.float32), factors)
+        col = 4 * k * rows * wo
+        window = 4 * c * 3 * (h + 2) * (w + 2)
+        band = 4 * c * 3 * (rows + 2) * (wo + 2) if factors[1] > 1 else 0
+        cache = 4 * c * 2 * h * w
+        assert cache > 32 << 10 and ho // rows > 1
+        for peak, out_bytes in self._feed_peaks(conv, chunks):
+            bound = out_bytes + col + window + band + (32 << 10)
+            assert peak <= bound, (peak, bound)
 
     def test_conv_holds_output_tile_and_window(self, monkeypatch):
         """Shifting the window makes no temporary frame: the transient is
