@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import wavelet
+from . import blas
 from .errors import ParameterError
 from .tensor import VideoTensor
 
@@ -53,11 +53,11 @@ def subband_energy(subbands) -> list[SubbandStats]:
     """Energy and within-level energy fraction for every subband.
 
     An all-zero level has no defined fractions; every stat is then flagged
-    ``degenerate`` with fractions set to 0. Bands are spread over
-    :func:`wavelet.worker_count` threads; each band is summed by one.
+    ``degenerate`` with fractions set to 0. Bands are shared out to
+    :func:`blas.worker_count` workers; each band is summed by one.
     """
     arrays = [band.data for _, band in subbands.items()]
-    values = wavelet._on_threads(wavelet.worker_count(), _band_energy, arrays)
+    values = blas.map_on_workers(_band_energy, arrays, blas.worker_count())
     energies = list(zip(subbands.keys(), values))
     total = sum(e for _, e in energies)
     degenerate = total == 0.0
@@ -120,14 +120,14 @@ def _check_bins(bins: int) -> None:
 def subband_entropy(subbands, bins: int = DEFAULT_BINS) -> list[SubbandStats]:
     """Histogram entropy in bits for every subband; single-valued bands give 0.
 
-    Bands are spread over :func:`wavelet.worker_count` threads; each band is
+    Bands are shared out to :func:`blas.worker_count` workers; each band is
     binned by one.
     """
     _check_bins(bins)
-    workers = wavelet.worker_count()
+    workers = blas.worker_count()
     bands = [band for _, band in subbands.items()]
-    entropies = wavelet._on_threads(
-        workers, lambda band: _band_entropy(band, bins, workers), bands
+    entropies = blas.map_on_workers(
+        lambda band: _band_entropy(band, bins, workers), bands, workers
     )
     return [
         SubbandStats(key=key, entropy_bits=bits)

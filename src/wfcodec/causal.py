@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import blas
 from .errors import ParameterError, ShapeError, StateError
 from .tensor import VideoTensor
 
@@ -91,15 +92,15 @@ def _check_weights(spec: ConvSpec, weight: np.ndarray, bias):
 
 
 # Byte budget of one im2col tile. The tile size is a function of the layer's
-# geometry alone, never of the chunk length, so every frame is computed by
-# the same GEMM under every chunk plan and streamed output equals direct
-# output bit for bit. A tile's column is one ordered copy from a strided view
-# of the window, 1.2-1.6x faster than a copy per (dy, dx) tap, so a smaller
-# tile costs little: measured on wfvae-s's conv shapes (2 BLAS threads, best
-# of 3 x 7), 4 MiB ran no slower than per-tap columns at 8 MiB and takes
-# 3.4 MiB off both direct-33 peaks, 8 MiB was within noise of 4 MiB, and
-# 3 and 2 MiB slowed the dec.up1 conv by 15% and 23%.
-_COL_TILE_BYTES = 4 << 20
+# geometry alone, never of the chunk length or of the worker count, so every
+# frame is computed by the same GEMMs under every chunk plan and on any number
+# of workers, and the output bits depend on neither. A tile's column is one
+# ordered copy from a strided view of the window, 1.2-1.6x faster than a copy
+# per (dy, dx) tap. Each of up to W workers holds one column, so on 2 workers
+# the columns hold the 4 MiB that one 4 MiB column held on one: on one BLAS
+# thread the 2 MiB tiles cost 15-23% on the dec.up1 conv, which a second
+# worker wins back.
+_COL_TILE_BYTES = 2 << 20
 
 
 def _tile_rows(k: int, ho: int, wo: int) -> int:
@@ -112,6 +113,7 @@ def _tile_rows(k: int, ho: int, wo: int) -> int:
 def _conv3d_core(
     fill, length: int, shape, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec,
     scratch: int = 0, up: tuple[int, int] = (1, 1), cache: list | None = None,
+    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Window engine for every convolution path: one im2col GEMM per tile.
 
@@ -120,11 +122,11 @@ def _conv3d_core(
     through a nearest spatial upsample by ``up`` = (fh, fw). ``cache``, a
     list of at most one (c, n, h, w) array with n < k_t, holds the first n
     frames; the core pops it and copies it into the first window before it
-    makes the column buffer, so a caller that keeps no other reference never
+    makes the column buffers, so a caller that keeps no other reference never
     holds cache, window and column at once. ``fill(dst, p, buf)`` writes
     every other frame ``p`` into ``dst`` and may use the first ``scratch``
-    floats of ``buf``, the column buffer, which is idle while the window
-    fills. One zero-bordered window of k_t frames slides
+    floats of ``buf``, the first column buffer, which is idle while the
+    window fills. One zero-bordered window of k_t frames slides
     over the sequence: each output frame shifts the window down by s_t and
     fills the s_t newest frames, so no buffer grows with the chunk. The
     window holds frames at source resolution, with a border of
@@ -138,7 +140,10 @@ def _conv3d_core(
     copy from a sliding-window view of the window (or of the row band), with
     rows ordered (c, dt, dy, dx), the order of the stored weight, so the GEMM
     takes ``weight.reshape(cout, -1)`` without a copy and writes straight
-    into the output.
+    into the output. Once the window holds a frame's inputs, up to
+    ``workers`` workers take its tiles (:func:`blas.share_out`), each with
+    its own column buffer and row band; only as many sets are made as a
+    frame has tiles.
 
     Returns the output and the last window's k_t frames without their
     border, or, when no window fit, the popped cache (None if there was none).
@@ -167,6 +172,8 @@ def _conv3d_core(
         return out, cache.pop() if cache else None
     k = cin * kt * kh * kw
     rows = _tile_rows(k, ho, wo)
+    tiles = -(-ho // rows)
+    workers = max(1, min(workers, tiles))
     wmat = weight.reshape(cout, k)
     out_rows = out.reshape(cout, to, ho * wo)
     qh, qw = -(-ph // fh), -(-pw // fw)
@@ -178,42 +185,57 @@ def _conv3d_core(
     cached = cache[0].shape[1] if cache else 0
     if cached:
         inner[:, :cached] = cache.pop()
-    col_buf = np.empty(max(k * rows * wo, scratch), dtype=np.float32)
-    src = frames
+    cols = [np.empty(max(k * rows * wo, scratch), dtype=np.float32)]
+    cols += [np.empty(k * rows * wo, dtype=np.float32) for _ in range(workers - 1)]
+    srcs = [frames] * workers
     if upsampled:
-        src = np.empty((cin, kt, rows + kh - 1, wp), dtype=np.float32)  # row band
+        srcs = [  # row bands
+            np.empty((cin, kt, rows + kh - 1, wp), dtype=np.float32) for _ in cols
+        ]
         # Band columns j, j + fw, ... are the m window columns from x on.
         col_phases = [
             (j, (j - pw) // fw + qw, len(range(j, wp, fw))) for j in range(fw)
         ]
-    # taps[c, dt, Y, X, dy, dx] = src[c, dt, Y + dy, X + dx]: a read-only view.
-    taps = np.lib.stride_tricks.sliding_window_view(src, (kh, kw), axis=(2, 3))
+    # taps[c, dt, Y, X, dy, dx] = src[c, dt, Y + dy, X + dx]: read-only views.
+    taps = [
+        np.lib.stride_tricks.sliding_window_view(src, (kh, kw), axis=(2, 3))
+        for src in srcs
+    ]
+
+    def run_tile(worker: int, tile: int, t: int) -> None:
+        """Output rows ``tile * rows`` on of output frame ``t``."""
+        y0 = tile * rows
+        r = min(rows, ho - y0)
+        base = 0 if upsampled else y0 * sh
+        if upsampled:
+            band = srcs[worker][:, :, : r + kh - 1]
+            for i in range(fh):  # band rows i, i + fh, ...: window rows y on
+                y = (y0 + i - ph) // fh + qh
+                n = len(range(i, r + kh - 1, fh))
+                for j, x, m in col_phases:
+                    band[:, :, i::fh, j::fw] = frames[:, :, y : y + n, x : x + m]
+        col = cols[worker][: k * r * wo].reshape(cin, kt, kh, kw, r, wo)
+        tile_view = taps[worker][:, :, base : base + sh * (r - 1) + 1 : sh, :: sw]
+        np.copyto(col, tile_view.transpose(0, 1, 4, 5, 2, 3))
+        np.matmul(
+            wmat, col.reshape(k, r * wo),
+            out=out_rows[:, t, y0 * wo : (y0 + r) * wo],
+        )
+
     kept = 0  # window frames carried over from the previous output frame
     for t in range(to):
         for dt in range(kt):
             if dt < kept:
                 window[dt] = window[dt + st]
             elif t or dt >= cached:
-                fill(inner[:, dt], t * st + dt, col_buf)
+                fill(inner[:, dt], t * st + dt, cols[0])
         kept = max(kt - st, 0)
-        for y0 in range(0, ho, rows):
-            r = min(rows, ho - y0)
-            base = 0 if upsampled else y0 * sh
-            if upsampled:
-                band = src[:, :, : r + kh - 1]
-                for i in range(fh):  # band rows i, i + fh, ...: window rows y on
-                    y = (y0 + i - ph) // fh + qh
-                    n = len(range(i, r + kh - 1, fh))
-                    for j, x, m in col_phases:
-                        band[:, :, i::fh, j::fw] = frames[:, :, y : y + n, x : x + m]
-            col = col_buf[: k * r * wo].reshape(cin, kt, kh, kw, r, wo)
-            tile = taps[:, :, base : base + sh * (r - 1) + 1 : sh, :: sw]
-            np.copyto(col, tile.transpose(0, 1, 4, 5, 2, 3))
-            np.matmul(
-                wmat, col.reshape(k, r * wo),
-                out=out_rows[:, t, y0 * wo : (y0 + r) * wo],
-            )
-    del col, col_buf  # before the bias add, which may make a buffer
+        if workers == 1:
+            for tile in range(tiles):
+                run_tile(0, tile, t)
+        else:
+            blas.share_out(tiles, workers, lambda i, tile: run_tile(i, tile, t))
+    del cols, srcs, taps  # before the bias add, which may make a buffer
     out += bias[:, None, None, None]
     return out, inner
 
@@ -375,9 +397,11 @@ class _ConvStream:
         # StateError instead of silently missing the cached frames.
         held = [state.cache] if cached else []
         self.state = state = replace(state, cache=_EMPTY)
-        out, last = _conv3d_core(
-            fill, length, shape, self.weight, self.bias, spec, scratch, (fh, fw), held
-        )
+        with blas.one_blas_thread() as workers:
+            out, last = _conv3d_core(
+                fill, length, shape, self.weight, self.bias, spec, scratch, (fh, fw),
+                held, workers,
+            )
         keep_from = out.shape[1] * st
         if final or keep_from >= length:
             cache = _EMPTY

@@ -5,21 +5,23 @@ stderr, and the exit code is 0 exactly when the report verdict is "pass"
 (1 for a failed verdict, 2 for usage/input errors). Every report embeds the
 tolerances it used, so verdicts can be recomputed from the metrics alone,
 and carries the command's wall time (``elapsed_s``) and the process's peak
-resident memory (``peak_rss_mib``, from ``getrusage``). ``roundtrip`` and
-``analyze`` also carry ``workers``, the thread count of their Haar kernels and
-subband statistics; their output bits do not depend on it. Input digests are
-the first 16 hex digits of the input file's SHA-256, computed from the data
-the command loaded, not by reading the file again. Output files are written
-atomically.
+resident memory (``peak_rss_mib``, from ``getrusage``). ``roundtrip``,
+``analyze``, ``encode``, ``decode`` and ``verify-stream`` also carry
+``workers``, ``W``: the worker threads of their conv, Haar kernels and
+subband statistics (:mod:`wfcodec.blas`); their output bits do not depend on
+it. Input digests are the first 16 hex digits of the input file's SHA-256,
+computed from the data the command loaded, not by reading the file again.
+Output files are written atomically.
 
-``WFCODEC_THREADS`` caps BLAS worker parallelism for the duration of a
-command: the CLI sets the count in numpy's OpenBLAS (:mod:`wfcodec.blas`) and
-restores the old count afterwards. When the value is not an integer or no
-thread setter is found, the command runs uncapped and writes one JSON warning
-line (``{"warning": "thread_cap_not_applied", ...}``) to stderr before its
-report. Every report carries ``threads``: the count ``requested`` (null when
-unset or not an integer), whether the cap was ``applied``, and the count
-``in_effect`` as the library reports it (null when it reports none).
+A command runs its BLAS at one thread (:func:`wfcodec.blas.one_blas_thread`),
+restoring the old count afterwards, and ``WFCODEC_THREADS`` caps ``W``. When
+the value is not an integer, or no BLAS thread setter is found (the BLAS then
+keeps its own threads and the conv runs on one worker), the command writes
+one JSON warning line (``{"warning": "thread_cap_not_applied", ...}``) to
+stderr before its report. Every report carries ``threads``: the cap
+``requested`` (null when unset or not an integer), whether it was
+``applied``, and ``in_effect``, the BLAS thread count the kernels ran with,
+read back from the library (null when it reports none).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .analysis import MAX_BINS, _check_bins, analyze_pyramid
-from .blas import blas_threads, set_blas_threads
+from .blas import blas_threads, one_blas_thread, thread_cap, worker_count
 from .causal import ChunkPlan, _check_cache_args, cache_len, cache_len_by_simulation
 from .errors import FormatError, ParameterError, WfcodecError
 from .losses import LossComponents, LossWeights, kl_divergence, l1_recon, total_loss, wl_loss
@@ -55,7 +57,7 @@ from .tensor import (
     Rng, VideoTensor, load_manifest, load_tensor, save_manifest, save_tensor,
     tensor_digest,
 )
-from .wavelet import build_pyramid, dwt3d, idwt3d, reconstruct_pyramid, worker_count
+from .wavelet import build_pyramid, dwt3d, idwt3d, reconstruct_pyramid
 
 DEFAULT_ROUNDTRIP_TOL = 1e-5
 DEFAULT_STREAM_TOL = 1e-6
@@ -282,7 +284,11 @@ def cmd_verify_stream(args) -> Report:
             "config": asdict(config),
             **weight_info,
         },
-        metrics={"plans": plan_reports, "worst_max_abs_dev": worst},
+        metrics={
+            "plans": plan_reports,
+            "worst_max_abs_dev": worst,
+            "workers": worker_count(),
+        },
         tolerances={"max_abs_dev": tol},
         verdict="pass" if worst <= tol else "fail",
     )
@@ -322,6 +328,7 @@ def cmd_encode(args) -> Report:
             "mean_file": mean_path,
             "logvar_file": logvar_path,
             "manifest": manifest_path,
+            "workers": worker_count(),
         },
         tolerances={},
         verdict="pass",
@@ -383,6 +390,7 @@ def cmd_decode(args) -> Report:
             "video_shape": list(result.video.shape),
             "output": args.output,
             "sampled": args.sample_seed is not None,
+            "workers": worker_count(),
         },
         tolerances={},
         verdict="pass",
@@ -556,28 +564,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 @contextmanager
 def _thread_cap():
-    """Cap BLAS threads at ``WFCODEC_THREADS`` for the command and restore the
-    old count after it; say on stderr when the cap cannot apply. Yields the
+    """Run the command with the BLAS at one thread and ``W`` capped at
+    ``WFCODEC_THREADS``; say on stderr when the cap cannot apply. Yields the
     report's ``threads`` record."""
     limit = os.environ.get("WFCODEC_THREADS")
-    threads = {"requested": None, "applied": False, "in_effect": None}
-    previous = None
-    if limit:
-        try:
-            threads["requested"] = max(1, int(limit))
-        except ValueError:
+    threads = {"requested": thread_cap(), "applied": False, "in_effect": None}
+    with one_blas_thread():
+        threads["in_effect"] = blas_threads()
+        if limit and threads["requested"] is None:
             _cap_not_applied(limit, "value is not an integer")
-        else:
-            previous = set_blas_threads(threads["requested"])
-            threads["applied"] = previous is not None
-            if previous is None:
+        elif limit:
+            threads["applied"] = threads["in_effect"] is not None
+            if not threads["applied"]:
                 _cap_not_applied(limit, "no BLAS thread setter found")
-    threads["in_effect"] = blas_threads()
-    try:
         yield threads
-    finally:
-        if previous is not None:
-            set_blas_threads(previous)
 
 
 def _cap_not_applied(limit: str, reason: str) -> None:

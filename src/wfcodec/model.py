@@ -17,7 +17,9 @@ set.
 Every temporal operation in the graph is causal, so encode and decode run
 through one chunk executor for any chunk plan with identical results; direct
 mode is the plan of a single chunk. See :mod:`wfcodec.causal` for the
-caching machinery.
+caching machinery. The executor runs its BLAS at one thread and shares each
+conv's row tiles out to ``W`` workers (:mod:`wfcodec.blas`), so its output
+bits depend on neither.
 
 Inputs require time = 4k + 1 (a first frame plus groups of four), height and
 width divisible by 8. The latent then has shape
@@ -34,6 +36,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .causal import (
     ChunkPlan,
     ConvSpec,
@@ -592,14 +595,16 @@ class _DecoderStream:
     def feed(self, z_frames: np.ndarray, final: bool):
         w1_bands = _split_bands(_feed_streams(self.chain, z_frames, final), KEYS_3D)
         w3_bands, w2_bands = self.outflow3.bands, self.outflow2.bands
-        w2_bands["hhh"] = w2_bands["hhh"] + _synthesize_2d(w3_bands)
+        # The sums land in the conv outputs the bands are views of, which
+        # nothing else reads, so the final synthesis holds no second hhh band.
+        w2_bands["hhh"] += _synthesize_2d(w3_bands)
         contrib = self.idwt_w2.feed(w2_bands)
         if w1_bands["hhh"].shape[1] != contrib.shape[1]:
             raise ShapeError(
                 f"backbone/wavelet rate mismatch at level 1: "
                 f"{w1_bands['hhh'].shape[1]} vs {contrib.shape[1]} frames"
             )
-        w1_bands["hhh"] = w1_bands["hhh"] + contrib
+        w1_bands["hhh"] += contrib
         return self.idwt_final.feed(w1_bands), w2_bands, w3_bands
 
 
@@ -645,10 +650,11 @@ def encode(
     _validate_encode_input(v, config)
     weights.validate(config)
     stream = _EncoderStream(config, weights)
-    parts = [
-        stream.feed(chunk, final)
-        for chunk, final in _iter_chunks(v.data, mode or ChunkPlan.direct())
-    ]
+    with one_blas_thread():
+        parts = [
+            stream.feed(chunk, final)
+            for chunk, final in _iter_chunks(v.data, mode or ChunkPlan.direct())
+        ]
     mean, logvar, w2, w3 = zip(*parts)
     result = EncodeResult(
         GaussianLatent(_concat(mean), _concat(logvar)),
@@ -687,10 +693,11 @@ def decode(
         )
     weights.validate(config)
     stream = _DecoderStream(config, weights)
-    parts = [
-        stream.feed(chunk, final)
-        for chunk, final in _iter_chunks(z.data, mode or ChunkPlan.direct())
-    ]
+    with one_blas_thread():
+        parts = [
+            stream.feed(chunk, final)
+            for chunk, final in _iter_chunks(z.data, mode or ChunkPlan.direct())
+        ]
     video, w2, w3 = zip(*parts)
     result = DecodeResult(
         _concat(video),

@@ -17,13 +17,11 @@ spatial padding.
 
 from __future__ import annotations
 
-import contextvars
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .errors import ShapeError
 from .tensor import VideoTensor, _widen, _with_range
 
@@ -49,46 +47,20 @@ _BLOCK_BYTES = 1 << 20
 _SEGMENTS = 4
 
 
-def worker_count() -> int:
-    """Threads the multi-block Haar kernels and the subband statistics use:
-    the CPUs this process may run on. Their output bits never depend on it."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _on_threads(workers: int, fn, items) -> list:
-    """``[fn(item) for item in items]`` on ``workers`` threads made for this call.
-
-    Each item runs in a copy of the caller's context, so numpy's error state
-    carries over, with 1/workers of the caller's ufunc buffer size: the
-    threads together hold no more iterator buffers than one call does.
-    """
-    bufsize = max(16, np.getbufsize() // workers // 16 * 16)  # numpy wants 16s
-
-    def call(item):
-        np.setbufsize(bufsize)
-        return fn(item)
-
-    contexts = [contextvars.copy_context() for _ in items]
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(lambda ctx, item: ctx.run(call, item), contexts, items))
-
-
 def _over_tiles(rows: int, blocks: int, split: bool, run) -> list:
     """The results of ``run(band_rows, block_range)`` on tiles that cover
     band rows 0:rows and blocks 0:blocks once each.
 
     Unless ``split``, one tile covers everything on the calling thread.
-    Otherwise the rows are cut into up to :func:`worker_count` contiguous
-    ranges, one per thread, and the blocks into up to ``_SEGMENTS`` runs.
-    Each thread takes the next tile when it finishes one, so a thread on a
-    slower CPU delays the call by at most one tile. A tile makes the work
-    arrays of its own rows and frees them before its thread takes the next,
-    so the tiles running at once hold one serial call's work arrays, give
-    or take a row each.
+    Otherwise the rows are cut into up to ``W`` (:func:`blas.worker_count`)
+    contiguous ranges, one per worker, and the blocks into up to
+    ``_SEGMENTS`` runs. Each worker takes the next tile when it finishes
+    one (:func:`blas.share_out`), so a worker on a slower CPU delays the
+    call by at most one tile. A tile makes the work arrays of its own rows
+    and frees them before its worker takes the next, so the tiles running at
+    once hold one serial call's work arrays, give or take a row each.
     """
-    workers = min(worker_count(), rows) if split else 1
+    workers = min(blas.worker_count(), rows) if split else 1
     if workers <= 1:
         return [run(slice(0, rows), range(blocks))]
     bounds = [rows * i // workers for i in range(workers + 1)]
@@ -98,7 +70,7 @@ def _over_tiles(rows: int, blocks: int, split: bool, run) -> list:
         for start in range(0, blocks, step)
         for a, b in zip(bounds, bounds[1:])
     ]
-    return _on_threads(workers, lambda tile: run(*tile), tiles)
+    return blas.map_on_workers(lambda tile: run(*tile), tiles, workers)
 
 
 def _union(ranges):

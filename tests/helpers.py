@@ -9,12 +9,14 @@ check.
 import builtins
 import errno
 import itertools
+import os
 import struct
 import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as st
 
+import wfcodec
 from wfcodec import (
     ConvSpec,
     Rng,
@@ -382,3 +384,12 @@ def oracle_decode(z, config, weights, original_t):
     contrib = idwt3d(w2, original_t=w1.time)
     w1 = w1.replace("hhh", VideoTensor(w1["hhh"].data + contrib.data))
     return idwt3d(w1, original_t=original_t).data, w2.stack(), w3.stack()
+
+
+def child_env(**extra) -> dict:
+    """This environment for a child process, with the imported wfcodec's
+    directory first on PYTHONPATH, so the child runs the package under test
+    (pytest's ``pythonpath`` setting reaches only this process)."""
+    package_root = os.path.dirname(os.path.dirname(wfcodec.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wfcodec import analysis, wavelet
+from wfcodec import analysis, blas
 from wfcodec import (
     ParameterError,
     Rng,
@@ -261,7 +261,7 @@ class TestWorkerCount:
     @staticmethod
     def _at_workers(workers, fn):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(wavelet, "worker_count", lambda: workers)
+            mp.setattr(blas, "worker_count", lambda: workers)
             return fn()
 
     @pytest.mark.parametrize("block", [97, analysis._BLOCK])

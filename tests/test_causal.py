@@ -5,6 +5,7 @@ cache_len is checked against the sliding-window simulation, and the
 vectorized convolution against a plain nested-loop reference.
 """
 
+import threading
 import tracemalloc
 import warnings
 
@@ -33,7 +34,7 @@ from wfcodec import (
     stream_conv3d,
 )
 
-from wfcodec import causal
+from wfcodec import blas, causal
 
 from helpers import (
     conv3d_loop_oracle, draw_chunk_sizes, make_random, max_abs_diff, per_tap_conv3d,
@@ -783,6 +784,99 @@ class TestFusedPrologueAndResidual:
         assert np.array_equal(np.concatenate(pieces, axis=1), expected.data)
 
 
+class TestWorkers:
+    """Up to W workers take each output frame's row tiles. Tiles depend on
+    the geometry alone, so the bits equal one worker's at any W, under any
+    chunking, with fewer tiles than workers, through the upsampling row
+    bands and the norm prologue."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        spec=_conv_specs(),
+        factors=st.sampled_from([(1, 1, 1), (1, 2, 2), (2, 2, 2)]),
+        norm=st.booleans(),
+        sizes=_explicit_sizes(max_frames=8),
+        workers=st.sampled_from([2, 3, 5]),
+        rows=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bits_equal_one_worker(self, spec, factors, norm, sizes, workers, rows, seed):
+        prologue = None
+        rng = Rng(seed)
+        c = spec.in_channels
+        if factors != (1, 1, 1):  # upsampling needs spatial stride 1
+            spec = ConvSpec(c, spec.out_channels, spec.kernel, (spec.stride[0], 1, 1),
+                            spec.spatial_pad, spec.pad_mode)
+        elif norm:  # a conv reads through a prologue or an upsample, not both
+            prologue = causal._Prologue(
+                1.0 + rng.normal((c,), std=0.1), rng.normal((c,), std=0.1)
+            )
+        x = rng.normal((c, sum(sizes), 5, 4))
+        weight = rng.normal(spec.weight_shape(), std=0.5)
+        bias = rng.normal((spec.out_channels,), std=0.1)
+        wo = (factors[2] * 4 + 2 * spec.spatial_pad[1] - spec.kernel[2]) // spec.stride[2] + 1
+        budget = 4 * c * int(np.prod(spec.kernel)) * wo * rows
+
+        def run(n: int) -> np.ndarray:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(blas, "worker_count", lambda: n)
+                mp.setattr(causal, "_COL_TILE_BYTES", budget)
+                conv = causal._ConvStream(spec, weight, bias, factors, prologue)
+                pieces, start = [], 0
+                for i, size in enumerate(sizes):
+                    pieces.append(
+                        conv.feed(x[:, start : start + size], i == len(sizes) - 1)
+                    )
+                    start += size
+            return np.concatenate(pieces, axis=1)
+
+        assert np.array_equal(run(workers), run(1))
+
+    def test_one_worker_without_a_blas_setter(self, monkeypatch):
+        """Where no BLAS thread setter is found, the BLAS keeps its own
+        threads and the conv shares nothing out, whatever W is."""
+
+        def no_sharing(*args):
+            raise AssertionError("tiles shared out with the BLAS unpinned")
+
+        spec = ConvSpec(2, 2, (1, 3, 3), (1, 1, 1), (1, 1))
+        rng = Rng(82)
+        x = VideoTensor(rng.normal((2, 2, 9, 4)))
+        monkeypatch.setattr(causal, "_COL_TILE_BYTES", 4 * 18 * 4)  # one row a tile
+        monkeypatch.setattr(blas, "worker_count", lambda: 3)
+        monkeypatch.setattr(blas, "_controls", lambda: None)
+        monkeypatch.setattr(blas, "share_out", no_sharing)
+        assert causal_conv3d(x, spec, rng.normal(spec.weight_shape())).shape == (2, 2, 9, 4)
+
+    @pytest.mark.skipif(blas.blas_threads() is None, reason="no BLAS thread control found")
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        """A tile that raises on a pool worker fails the conv call, after
+        every worker has stopped, and the next call runs normally."""
+        spec = ConvSpec(2, 2, (1, 3, 3), (1, 1, 1), (1, 1))
+        rng = Rng(81)
+        weight = rng.normal(spec.weight_shape())
+        x = VideoTensor(rng.normal((2, 2, 9, 4)))
+        monkeypatch.setattr(causal, "_COL_TILE_BYTES", 4 * 18 * 4)  # one row a tile
+        monkeypatch.setattr(blas, "worker_count", lambda: 3)
+        expected = causal_conv3d(x, spec, weight)
+        caller = threading.get_ident()
+        matmul = np.matmul
+        failed = threading.Event()
+
+        def failing(*args, **kwargs):
+            if threading.get_ident() != caller:
+                failed.set()
+                raise FloatingPointError("tile failed")
+            failed.wait(timeout=5.0)  # leave tiles for the pool workers
+            return matmul(*args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(np, "matmul", failing)
+            with pytest.raises(FloatingPointError, match="tile failed"):
+                causal_conv3d(x, spec, weight)
+        assert np.array_equal(causal_conv3d(x, spec, weight).data, expected.data)
+
+
 class TestConvMemory:
     """A conv holds one k_t-frame window, one column tile and its output,
     whatever the chunk length."""
@@ -867,6 +961,7 @@ class TestConvMemory:
         ho, wo = factors[1] * h, factors[2] * w
         k = c * 27
         monkeypatch.setattr(causal, "_COL_TILE_BYTES", 4 * k * wo * rows)
+        monkeypatch.setattr(blas, "worker_count", lambda: 1)
         spec = ConvSpec(c, 8, (3, 3, 3), (1, 1, 1), (1, 1))
         rng = Rng(77)
         weight = rng.normal(spec.weight_shape(), std=0.1)
@@ -888,6 +983,7 @@ class TestConvMemory:
         c, t, h, w, rows = 16, 5, 32, 32, 8  # 4 tiles per frame
         k = c * 27
         monkeypatch.setattr(causal, "_COL_TILE_BYTES", 4 * k * w * rows)
+        monkeypatch.setattr(blas, "worker_count", lambda: 1)
         spec = ConvSpec(c, 8, (3, 3, 3), (1, 1, 1), (1, 1))
         rng = Rng(75)
         weight = rng.normal(spec.weight_shape(), std=0.1)
@@ -907,6 +1003,7 @@ class TestConvMemory:
         spec = ConvSpec(c, 8, (3, 3, 3), (1, 1, 1), (1, 1))
         k = c * 27
         monkeypatch.setattr(causal, "_COL_TILE_BYTES", 4 * k * 2 * w * rows)
+        monkeypatch.setattr(blas, "worker_count", lambda: 1)
         rng = Rng(74)
         weight = rng.normal(spec.weight_shape(), std=0.1)
         x = rng.normal((c, t, h, w))
@@ -919,6 +1016,42 @@ class TestConvMemory:
         bound = out.nbytes + col + window + band + (32 << 10)
         # A window of upsampled frames alone would already break the bound.
         assert out.nbytes + col + 4 * c * 3 * (2 * h + 2) * (2 * w + 2) > bound
+        assert peak <= bound, (peak, bound)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize(
+        "factors,rows", [((1, 1, 1), 4), ((1, 1, 1), 8), ((1, 2, 2), 4)],
+        ids=["body-4-tiles", "body-2-tiles", "up2-8-tiles"],
+    )
+    def test_each_worker_holds_one_column_and_band(
+        self, monkeypatch, workers, factors, rows
+    ):
+        """On W workers a conv makes a column (and a row band) for each of
+        min(W, tiles per frame) workers, and nothing else grows."""
+        c, t, h, w = 32, 5, 16, 16
+        ho, wo = factors[1] * h, factors[2] * w
+        k = c * 27
+        monkeypatch.setattr(causal, "_COL_TILE_BYTES", 4 * k * wo * rows)
+        monkeypatch.setattr(blas, "worker_count", lambda: workers)
+        spec = ConvSpec(c, 8, (3, 3, 3), (1, 1, 1), (1, 1))
+        rng = Rng(79)
+        weight = rng.normal(spec.weight_shape(), std=0.1)
+        x = rng.normal((c, t, h, w))
+
+        def run():
+            conv = causal._ConvStream(spec, weight, np.zeros(8, np.float32), factors)
+            return conv.feed(x, True)
+
+        expected = run()  # and the pool's threads exist before the trace
+        out, peak = traced_peak(run)
+        assert np.array_equal(out, expected)
+        sets = min(workers, ho // rows)
+        col = 4 * k * rows * wo
+        band = 4 * c * 3 * (rows + 2) * (wo + 2) if factors[1] > 1 else 0
+        window = 4 * c * 3 * (h + 2) * (w + 2)
+        bound = out.nbytes + sets * (col + band) + window + (32 << 10)
+        # One more column than the frame has tiles would break the bound.
+        assert col > 32 << 10
         assert peak <= bound, (peak, bound)
 
 

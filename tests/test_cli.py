@@ -31,7 +31,9 @@ from wfcodec import blas, cli
 from wfcodec.blas import blas_threads
 from wfcodec.cli import main
 
-from helpers import make_random, smooth_video, tear_writes, traced_peak, wfwt_bytes
+from helpers import (
+    child_env, make_random, smooth_video, tear_writes, traced_peak, wfwt_bytes,
+)
 
 TINY_FLAGS = ["--base-channels", "8", "--c-flow", "8", "--blocks", "1"]
 
@@ -397,9 +399,11 @@ class TestRunStats:
         self, capsys, monkeypatch, tmp_path, video_file
     ):
         """Every report also carries ``threads``; with no cap asked for, the
-        count in effect is the library's own."""
+        kernels still ran their BLAS at one thread, read back from the
+        library (null where it has no thread control)."""
         monkeypatch.delenv("WFCODEC_THREADS", raising=False)
-        uncapped = {"requested": None, "applied": False, "in_effect": blas_threads()}
+        in_effect = None if blas_threads() is None else 1
+        uncapped = {"requested": None, "applied": False, "in_effect": in_effect}
         prefix = str(tmp_path / "latent")
         runs = [
             ["roundtrip", video_file],
@@ -429,12 +433,33 @@ class TestRunStats:
     def test_wavelet_reports_carry_workers(self, capsys, monkeypatch, video_file):
         """roundtrip and analyze name the thread count their kernels used:
         the CPUs the process may run on."""
+        monkeypatch.delenv("WFCODEC_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         for argv in (["roundtrip", video_file], ["analyze", video_file]):
             code, report, _ = run_cli(capsys, argv)
             assert code == 0, argv[0]
             assert report["metrics"]["workers"] == 3, argv[0]
             assert "elapsed_s" in report["metrics"], argv[0]
+
+    def test_model_reports_carry_capped_workers(
+        self, capsys, monkeypatch, tmp_path, video_file
+    ):
+        """encode, decode and verify-stream name ``W`` too, which
+        ``WFCODEC_THREADS`` caps below the CPUs the process may run on."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        prefix = str(tmp_path / "latent")
+        runs = [
+            ["encode", "--input", video_file, "--output", prefix, *TINY_FLAGS],
+            ["decode", "--latent", prefix, "--output", str(tmp_path / "recon.wfvt")],
+            ["verify-stream", "--input", video_file, *TINY_FLAGS],
+            ["roundtrip", video_file],
+        ]
+        for cap, workers in (("2", 2), ("5", 3)):
+            monkeypatch.setenv("WFCODEC_THREADS", cap)
+            for argv in runs:
+                code, report, _ = run_cli(capsys, argv)
+                assert code == 0, argv[0]
+                assert report["metrics"]["workers"] == workers, (cap, argv[0])
 
 
 def _file_hash(path) -> str:
@@ -803,15 +828,6 @@ class TestLossReport:
         assert len(err.splitlines()) == 1
 
 
-def child_env(**extra) -> dict:
-    """This environment for a child process, with the imported wfcodec's
-    directory first on PYTHONPATH, so the child runs the package under test
-    (pytest's ``pythonpath`` setting reaches only this process)."""
-    package_root = os.path.dirname(os.path.dirname(wfcodec.__file__))
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path, **extra}
-
-
 class TestProcessEntry:
     def test_console_script_cache_table(self):
         proc = subprocess.run(
@@ -893,17 +909,18 @@ class TestThreadCapWarning:
 
     @pytest.mark.skipif(blas_threads() is None, reason="no BLAS thread control found")
     def test_cap_is_read_back_and_restored(self, capsys, monkeypatch):
-        """The report reads the cap back from the library, and the count the
-        process had comes back after the command."""
+        """The report reads the BLAS count the kernels ran with back from the
+        library, one thread whatever the cap, and the count the process had
+        comes back after the command."""
         before = blas_threads()
-        cap = 1 if before != 1 else 2
-        monkeypatch.setenv("WFCODEC_THREADS", str(cap))
-        code, report, _ = run_cli(capsys, self.CACHE_TABLE)
-        assert code == 0
-        assert report["metrics"]["threads"] == {
-            "requested": cap, "applied": True, "in_effect": cap,
-        }
-        assert blas_threads() == before
+        for cap in (1, 2):
+            monkeypatch.setenv("WFCODEC_THREADS", str(cap))
+            code, report, _ = run_cli(capsys, self.CACHE_TABLE)
+            assert code == 0
+            assert report["metrics"]["threads"] == {
+                "requested": cap, "applied": True, "in_effect": 1,
+            }
+            assert blas_threads() == before
 
 
 # ---------------------------------------------------------------------------

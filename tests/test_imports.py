@@ -5,6 +5,8 @@ imports its own modules at module level only."""
 import ast
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     [p for p in ROOT.glob("src/wfcodec/*.py") if p.name != "__init__.py"]
@@ -109,3 +111,48 @@ def test_kernel_views_are_bounds_checked():
             if "as_strided" in names:
                 found.add(f"{path.name}:{n.lineno}")
     assert not found, f"as_strided in the package: {sorted(found)}"
+
+
+# What starts a thread or sets the BLAS's thread count.
+_THREAD_NAMES = ("ThreadPoolExecutor", "Thread")
+_BLAS_SETTER = "set_num_threads"
+
+
+def _thread_uses(source: str) -> list[int]:
+    """Lines of ``source`` that name a thread class, or an OpenBLAS thread
+    setter in a name or a string."""
+    lines = []
+    for n in ast.walk(ast.parse(source)):
+        names = [a.name.split(".")[-1] for a in getattr(n, "names", [])
+                 if isinstance(a, ast.alias)]
+        names += [getattr(n, "id", None), getattr(n, "attr", None)]
+        if isinstance(n, ast.Constant) and isinstance(n.value, str):
+            names.append(n.value)
+        if any(
+            name in _THREAD_NAMES or _BLAS_SETTER in name for name in names if name
+        ):
+            lines.append(n.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("source", [
+    "from concurrent.futures import ThreadPoolExecutor",
+    "import threading\nthreading.Thread(target=print).start()",
+    "from threading import Thread",
+    "getattr(lib, 'scipy_openblas_set_num_threads64_')",
+    "lib.openblas_set_num_threads(1)",
+])
+def test_thread_guard_sees(source):
+    assert _thread_uses(source)
+
+
+def test_threads_live_in_one_module():
+    """Only ``wfcodec.blas`` makes threads or sets the BLAS thread count:
+    every other module takes ``W``, the shared pool and the BLAS pin from
+    it, so no kernel can start threads of its own or change the BLAS's."""
+    found = {
+        f"{path.name}:{line}"
+        for path in ROOT.glob("src/wfcodec/*.py") if path.name != "blas.py"
+        for line in _thread_uses(path.read_text())
+    }
+    assert not found, f"threads or BLAS setters outside wfcodec.blas: {sorted(found)}"

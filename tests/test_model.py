@@ -2,6 +2,9 @@
 recombination linearity, and weight-store round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -31,13 +34,13 @@ from wfcodec import (
     sample_latent,
     save_tensor,
 )
-from wfcodec import causal, model
+from wfcodec import blas, causal, model
 from wfcodec.cli import main
 from wfcodec.model import PRESET_BASE_CHANNELS
 from wfcodec.wavelet import KEYS_3D, SubbandSet3D
 
 from helpers import (
-    draw_chunk_sizes, make_random, max_abs_diff, oracle_decode, oracle_encode,
+    child_env, draw_chunk_sizes, make_random, max_abs_diff, oracle_decode, oracle_encode,
     traced_peak, wfwt_bytes,
 )
 
@@ -424,7 +427,8 @@ class TestExecutorMemory:
 
     CONFIG = ModelConfig(base_channels=32, c_flow=8, latent_channels=4, blocks_per_stage=1)
 
-    def test_direct_peak_is_one_activation_plus_stack_and_tile(self):
+    def test_direct_peak_is_one_activation_plus_stack_and_tile(self, monkeypatch):
+        monkeypatch.setattr(blas, "worker_count", lambda: 1)
         config, t = self.CONFIG, 97
         weights = init_weights(config, Rng(61))
         video = make_random(62, (3, t, 64, 64))
@@ -473,6 +477,73 @@ class TestExecutorMemory:
             cache = convs[name].state.cache
             assert cache.ndim == 4 and cache.shape[1] > 0, name
             assert (cache.shape[0], *cache.shape[2:]) == frame, name
+
+
+# Digests of a conv at wfvae-s's stem GEMM shape (M = 128, K = 648), whose
+# bits the BLAS's own threads would change, and of a model built on it.
+_BLAS_CHILD = """
+import hashlib
+import wfcodec as wf
+from wfcodec import blas
+rng = wf.Rng(7)
+spec = wf.ConvSpec(24, 128, (3, 3, 3), (1, 1, 1), (1, 1))
+x = wf.VideoTensor(rng.normal((24, 3, 32, 32)))
+conv = wf.causal_conv3d(x, spec, rng.normal(spec.weight_shape(), std=0.1))
+config = wf.ModelConfig(base_channels=128, c_flow=8, latent_channels=4, blocks_per_stage=1)
+weights = wf.init_weights(config, wf.Rng(42))
+video = wf.random_normal(wf.Rng(1), (3, 5, 32, 32))
+enc = wf.encode(video, config, weights)
+dec = wf.decode(enc.latent.mean, config, weights, video.time)
+digest = hashlib.sha256()
+for a in (conv.data, enc.latent.mean.data, enc.latent.logvar.data, dec.video.data):
+    digest.update(a.tobytes())
+print(blas.blas_threads(), digest.hexdigest())
+"""
+
+
+class TestThreadIndependence:
+    """Output bits depend neither on W nor on the BLAS's own thread count."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(case=_stream_cases(), workers=st.sampled_from([2, 3, 5]))
+    def test_bits_equal_one_worker(self, case, workers):
+        """Row tiles of one output row each, so every frame has several."""
+        config, t, seed, enc_sizes, dec_sizes = case
+        weights = init_weights(config, Rng(seed))
+        video = make_random(seed + 1, (3, t, 16, 16))
+
+        def run(n):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(blas, "worker_count", lambda: n)
+                mp.setattr(causal, "_COL_TILE_BYTES", 1)
+                enc = encode(video, config, weights, ChunkPlan.explicit(enc_sizes))
+                dec = decode(
+                    enc.latent.mean, config, weights, t, ChunkPlan.explicit(dec_sizes)
+                )
+            return enc, dec
+
+        enc, dec = run(workers)
+        serial_enc, serial_dec = run(1)
+        assert_encodings_equal(enc, serial_enc)
+        assert_decodings_equal(dec, serial_dec)
+
+    @pytest.mark.skipif(blas.blas_threads() is None, reason="no BLAS thread control found")
+    def test_bits_equal_at_any_blas_thread_count(self):
+        """Children whose OpenBLAS starts with 1 and with 2 threads make the
+        same conv and model bits."""
+        runs = {}
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", _BLAS_CHILD], capture_output=True, text=True,
+                env=child_env(OPENBLAS_NUM_THREADS=threads), timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs[threads] = proc.stdout.split()
+        # Each child's BLAS is back at the count it started with (OpenBLAS
+        # caps that at the CPU count), which its kernels did not run at.
+        assert runs["1"][0] == "1"
+        assert runs["2"][0] == "2" or os.cpu_count() < 2
+        assert runs["1"][1] == runs["2"][1]
 
 
 class TestStreamingIdentity:

@@ -33,8 +33,8 @@ from wfcodec import (
     reconstruct_pyramid,
     save_tensor,
 )
+from wfcodec import blas, wavelet
 from wfcodec import tensor as tensor_module
-from wfcodec import wavelet
 from wfcodec.analysis import analyze_pyramid
 from wfcodec.wavelet import KEYS_2D, KEYS_3D, Dwt3dStream, Idwt3dStream
 
@@ -472,7 +472,7 @@ class TestStreamingTransforms:
 
 def _at_workers(mp, workers: int) -> None:
     """Make the kernels see ``workers`` usable CPUs, whatever the host has."""
-    mp.setattr(wavelet, "worker_count", lambda: workers)
+    mp.setattr(blas, "worker_count", lambda: workers)
 
 
 _WORKERS = [2, 3, 5]
@@ -606,13 +606,16 @@ class TestWorkerSplit:
 
     def test_single_block_calls_start_no_thread(self, monkeypatch):
         """Every Haar call of a (3,33,64,64) encode and decode fits in one
-        block, so it runs on the calling thread even with many workers."""
+        block, so it runs on the calling thread even with many workers: no
+        call takes the split path, the only one that shares tiles out."""
+        serial = wavelet._over_tiles
 
-        def no_threads(*args, **kwargs):
-            raise AssertionError("a single-block Haar call started a thread")
+        def unsplit(rows, blocks, split, run):
+            assert not split, "a single-block Haar call was split over workers"
+            return serial(rows, blocks, split, run)
 
         _at_workers(monkeypatch, 4)
-        monkeypatch.setattr(wavelet, "ThreadPoolExecutor", no_threads)
+        monkeypatch.setattr(wavelet, "_over_tiles", unsplit)
         config = ModelConfig(base_channels=8, c_flow=8, latent_channels=4, blocks_per_stage=1)
         weights = init_weights(config, Rng(42))
         video = random_normal(Rng(1), (3, 33, 64, 64))
