@@ -57,7 +57,9 @@ def subband_energy(subbands) -> list[SubbandStats]:
     :func:`blas.worker_count` workers; each band is summed by one.
     """
     arrays = [band.data for _, band in subbands.items()]
-    values = blas.map_on_workers(_band_energy, arrays, blas.worker_count())
+    values = blas.share_out(
+        len(arrays), blas.worker_count(), lambda _, i: _band_energy(arrays[i])
+    )
     energies = list(zip(subbands.keys(), values))
     total = sum(e for _, e in energies)
     degenerate = total == 0.0
@@ -126,8 +128,8 @@ def subband_entropy(subbands, bins: int = DEFAULT_BINS) -> list[SubbandStats]:
     _check_bins(bins)
     workers = blas.worker_count()
     bands = [band for _, band in subbands.items()]
-    entropies = blas.map_on_workers(
-        lambda band: _band_entropy(band, bins, workers), bands, workers
+    entropies = blas.share_out(
+        len(bands), workers, lambda _, i: _band_entropy(bands[i], bins, workers)
     )
     return [
         SubbandStats(key=key, entropy_bits=bits)

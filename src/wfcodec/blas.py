@@ -5,19 +5,21 @@ threads every kernel shares, and the BLAS thread count.
 capped by the ``WFCODEC_THREADS`` environment variable when that is an
 integer. The conv's row tiles, the Haar kernels' tiles and the subband
 statistics are shared out to ``W`` workers (:func:`share_out`): the calling
-thread and ``W - 1`` threads of one pool, made on first use and kept for the
-life of the process. Every item of work sees the same operations whichever
-worker runs it, so no output bit depends on ``W``.
+thread and ``W - 1`` threads of one pool of ``os.cpu_count()`` threads, made
+on first use and kept for the life of the process. Every item of work sees
+the same operations whichever worker runs it, so no output bit depends on
+``W``.
 
 The BLAS's own threads have no say in that. numpy ships OpenBLAS inside its
 wheels; this module finds that library among the shared objects mapped into
 the process (``/proc/self/maps``) and calls its thread-count getter and
 setter through ``ctypes``: the ``scipy_openblas_*64_`` names that numpy's
 wheels export, then the plain ``openblas_*`` names of other builds. How a
-multi-threaded BLAS partitions a GEMM changes its bits, so the conv runs its
-GEMMs inside :func:`one_blas_thread`. Where no setter is found the BLAS keeps
-its own threads, the conv runs on one worker, and its bits then depend on
-the BLAS's thread count.
+multi-threaded BLAS partitions a GEMM changes its bits, so every GEMM in the
+package runs inside :func:`one_blas_thread`: each conv feed takes the pin
+for its GEMMs and restores the count when it ends, and the CLI pins a whole
+command. Where no setter is found the BLAS keeps its own threads, the conv
+runs on one worker, and its bits then depend on the BLAS's thread count.
 """
 
 from __future__ import annotations
@@ -130,49 +132,47 @@ def worker_count() -> int:
     return min(cpus, thread_cap() or cpus)
 
 
-class _Pool:
-    """The shared worker threads: one executor, replaced by a larger one when
-    a call needs more helpers than it has. The one it replaces is dropped, not
-    shut down, so a call still using it finishes; its threads exit once it is
-    collected. A forked child starts without one."""
+_pool_lock = threading.Lock()
+_pool: ThreadPoolExecutor | None = None
 
-    lock = threading.Lock()
-    executor: ThreadPoolExecutor | None = None
-    size = 0
 
-    @classmethod
-    def get(cls, helpers: int) -> ThreadPoolExecutor:
-        with cls.lock:
-            if cls.executor is None or cls.size < helpers:
-                cls.executor = ThreadPoolExecutor(helpers, thread_name_prefix="wfcodec")
-                cls.size = helpers
-            return cls.executor
+def _shared_pool() -> ThreadPoolExecutor:
+    """The pool of worker threads, made on first use. It has
+    ``os.cpu_count()`` threads, at least the ``W - 1`` a call asks for, so it
+    never grows. A forked child starts without one."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(os.cpu_count() or 1, thread_name_prefix="wfcodec")
+        return _pool
 
-    @classmethod
-    def forget(cls) -> None:
-        cls.lock = threading.Lock()
-        cls.executor, cls.size = None, 0
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_Pool.forget)
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
-def share_out(items: int, workers: int, work) -> None:
-    """Call ``work(worker, item)`` once for every item in range(items).
+def share_out(items: int, workers: int, work) -> list:
+    """``[work(worker, i) for i in range(items)]``, in item order.
 
     Up to ``workers`` workers take the items in turn, each as it finishes
     the last: worker 0 is the calling thread, the others run on the shared
-    pool. Each worker runs in a copy of the caller's context, so numpy's
-    error state carries over, with 1/workers of the caller's ufunc buffer
-    size: the workers together hold no more iterator buffers than one call
-    does. A pool worker that has not started when the caller runs out of
-    items is cancelled, so a busy pool delays nothing. Returns once every
-    item is done; the first exception a worker raised is raised again.
+    pool, which a one-worker call never touches. Each worker runs in a copy
+    of the caller's context, so numpy's error state carries over, with
+    1/workers of the caller's ufunc buffer size: the workers together hold
+    no more iterator buffers than one call does. A pool worker that has not
+    started when the caller runs out of items is cancelled, so a busy pool
+    delays nothing. Returns once every item is done; the first exception a
+    worker raised is raised again.
     """
     workers = max(1, min(workers, items))
     bufsize = max(16, np.getbufsize() // workers // 16 * 16)  # numpy wants 16s
     lock = threading.Lock()
+    results = [None] * items
     # Emptied on return: a cancelled worker stays queued on the pool until a
     # pool thread drops it, and must not keep ``work`` and its buffers alive.
     shared = [work, iter(range(items))]
@@ -185,13 +185,12 @@ def share_out(items: int, workers: int, work) -> None:
                     item = next(shared[1], None)
                 if item is None:
                     return
-                shared[0](worker, item)
+                results[item] = shared[0](worker, item)
         finally:
             np.setbufsize(previous)
 
-    pool = _Pool.get(workers - 1) if workers > 1 else None
     helpers = [
-        pool.submit(contextvars.copy_context().run, run, worker)
+        _shared_pool().submit(contextvars.copy_context().run, run, worker)
         for worker in range(1, workers)
     ]
     try:
@@ -202,15 +201,4 @@ def share_out(items: int, workers: int, work) -> None:
     for error in errors:
         if error is not None:
             raise error
-
-
-def map_on_workers(fn, items, workers: int) -> list:
-    """``[fn(item) for item in items]``, the items shared out to ``workers``
-    workers (:func:`share_out`)."""
-    results = [None] * len(items)
-
-    def work(_worker: int, i: int) -> None:
-        results[i] = fn(items[i])
-
-    share_out(len(items), workers, work)
     return results

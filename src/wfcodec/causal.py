@@ -110,136 +110,6 @@ def _tile_rows(k: int, ho: int, wo: int) -> int:
     return -(-ho // -(-ho // rows))
 
 
-def _conv3d_core(
-    fill, length: int, shape, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec,
-    scratch: int = 0, up: tuple[int, int] = (1, 1), cache: list | None = None,
-    workers: int = 1,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Window engine for every convolution path: one im2col GEMM per tile.
-
-    The conv input is a virtual sequence of ``length`` frames of ``shape``
-    (c, h, w), already padded in time (causal lead or cached frames), read
-    through a nearest spatial upsample by ``up`` = (fh, fw). ``cache``, a
-    list of at most one (c, n, h, w) array with n < k_t, holds the first n
-    frames; the core pops it and copies it into the first window before it
-    makes the column buffers, so a caller that keeps no other reference never
-    holds cache, window and column at once. ``fill(dst, p, buf)`` writes
-    every other frame ``p`` into ``dst`` and may use the first ``scratch``
-    floats of ``buf``, the first column buffer, which is idle while the
-    window fills. One zero-bordered window of k_t frames slides
-    over the sequence: each output frame shifts the window down by s_t and
-    fills the s_t newest frames, so no buffer grows with the chunk. The
-    window holds frames at source resolution, with a border of
-    ceil(ph / fh) rows and ceil(pw / fw) columns; an upsampling conv expands
-    only the rows one tile reads into a reused band, where padded upsampled
-    row Y is window row (Y - ph) // fh + ceil(ph / fh), and columns alike.
-    Emits every window that fits, i.e. (length - k_t) // s_t + 1 output
-    frames, or none when length < k_t.
-
-    A tile is a band of output rows of one output frame. Its column is one
-    copy from a sliding-window view of the window (or of the row band), with
-    rows ordered (c, dt, dy, dx), the order of the stored weight, so the GEMM
-    takes ``weight.reshape(cout, -1)`` without a copy and writes straight
-    into the output. Once the window holds a frame's inputs, up to
-    ``workers`` workers take its tiles (:func:`blas.share_out`), each with
-    its own column buffer and row band; only as many sets are made as a
-    frame has tiles.
-
-    Returns the output and the last window's k_t frames without their
-    border, or, when no window fit, the popped cache (None if there was none).
-    """
-    cin, h, w = shape
-    cout = spec.out_channels
-    kt, kh, kw = spec.kernel
-    st, sh, sw = spec.stride
-    ph, pw = spec.spatial_pad
-    fh, fw = up
-    upsampled = fh > 1 or fw > 1
-    if upsampled and (sh, sw) != (1, 1):
-        raise ParameterError(
-            f"spatial upsampling {up} needs spatial stride 1, got {(sh, sw)}"
-        )
-    hp, wp = fh * h + 2 * ph, fw * w + 2 * pw
-    if hp < kh or wp < kw:
-        raise ShapeError(
-            f"spatial extent ({hp}, {wp}) smaller than kernel ({kh}, {kw})"
-        )
-    ho = (hp - kh) // sh + 1
-    wo = (wp - kw) // sw + 1
-    to = max(0, (length - kt) // st + 1)
-    out = np.empty((cout, to, ho, wo), dtype=np.float32)
-    if to == 0:
-        return out, cache.pop() if cache else None
-    k = cin * kt * kh * kw
-    rows = _tile_rows(k, ho, wo)
-    tiles = -(-ho // rows)
-    workers = max(1, min(workers, tiles))
-    wmat = weight.reshape(cout, k)
-    out_rows = out.reshape(cout, to, ho * wo)
-    qh, qw = -(-ph // fh), -(-pw // fw)
-    # Time-major, so shifting the window copies whole frames, which do not
-    # overlap; fill, columns and cache read it channel-major through ``frames``.
-    window = np.zeros((kt, cin, h + 2 * qh, w + 2 * qw), dtype=np.float32)
-    frames = window.transpose(1, 0, 2, 3)
-    inner = frames[:, :, qh : qh + h, qw : qw + w]
-    cached = cache[0].shape[1] if cache else 0
-    if cached:
-        inner[:, :cached] = cache.pop()
-    cols = [np.empty(max(k * rows * wo, scratch), dtype=np.float32)]
-    cols += [np.empty(k * rows * wo, dtype=np.float32) for _ in range(workers - 1)]
-    srcs = [frames] * workers
-    if upsampled:
-        srcs = [  # row bands
-            np.empty((cin, kt, rows + kh - 1, wp), dtype=np.float32) for _ in cols
-        ]
-        # Band columns j, j + fw, ... are the m window columns from x on.
-        col_phases = [
-            (j, (j - pw) // fw + qw, len(range(j, wp, fw))) for j in range(fw)
-        ]
-    # taps[c, dt, Y, X, dy, dx] = src[c, dt, Y + dy, X + dx]: read-only views.
-    taps = [
-        np.lib.stride_tricks.sliding_window_view(src, (kh, kw), axis=(2, 3))
-        for src in srcs
-    ]
-
-    def run_tile(worker: int, tile: int, t: int) -> None:
-        """Output rows ``tile * rows`` on of output frame ``t``."""
-        y0 = tile * rows
-        r = min(rows, ho - y0)
-        base = 0 if upsampled else y0 * sh
-        if upsampled:
-            band = srcs[worker][:, :, : r + kh - 1]
-            for i in range(fh):  # band rows i, i + fh, ...: window rows y on
-                y = (y0 + i - ph) // fh + qh
-                n = len(range(i, r + kh - 1, fh))
-                for j, x, m in col_phases:
-                    band[:, :, i::fh, j::fw] = frames[:, :, y : y + n, x : x + m]
-        col = cols[worker][: k * r * wo].reshape(cin, kt, kh, kw, r, wo)
-        tile_view = taps[worker][:, :, base : base + sh * (r - 1) + 1 : sh, :: sw]
-        np.copyto(col, tile_view.transpose(0, 1, 4, 5, 2, 3))
-        np.matmul(
-            wmat, col.reshape(k, r * wo),
-            out=out_rows[:, t, y0 * wo : (y0 + r) * wo],
-        )
-
-    kept = 0  # window frames carried over from the previous output frame
-    for t in range(to):
-        for dt in range(kt):
-            if dt < kept:
-                window[dt] = window[dt + st]
-            elif t or dt >= cached:
-                fill(inner[:, dt], t * st + dt, cols[0])
-        kept = max(kt - st, 0)
-        if workers == 1:
-            for tile in range(tiles):
-                run_tile(0, tile, t)
-        else:
-            blas.share_out(tiles, workers, lambda i, tile: run_tile(i, tile, t))
-    del cols, srcs, taps  # before the bias add, which may make a buffer
-    out += bias[:, None, None, None]
-    return out, inner
-
-
 def causal_conv3d(
     x: VideoTensor, spec: ConvSpec, weight, bias=None
 ) -> VideoTensor:
@@ -322,20 +192,43 @@ class _ConvStream:
     """A causal conv and its tail-frame cache, fed one chunk at a time.
 
     The conv input is a virtual sequence: cached frames, then the causal lead
-    (first chunk only), then the chunk. Its frames are written straight into
-    the conv window, so the padded input is never assembled. ``factors``
-    makes the conv read the chunk through a nearest upsample with the causal
-    time rule of :func:`nearest_upsample`: time doubling repeats a frame's
-    index in the sequence, and the window keeps source-resolution frames that
-    :func:`_conv3d_core` expands a row band at a time, so neither the
-    upsampled chunk nor an upsampled frame is made. Likewise ``prologue`` is
-    applied to each chunk frame as it enters the window; a conv reads through
-    one of the two, never both. The cache keeps conv-input frames after the
-    prologue, before the upsample and the spatial border; the final chunk
-    keeps none and leaves a finalized ``state``. A feed hands the cache to
-    the core and keeps no reference, so unless someone else holds it (as
-    :func:`stream_conv3d`'s caller does) it is freed once the first window
-    holds its frames, before the column buffer is made.
+    (first chunk only), then the chunk, written frame by frame into one
+    zero-bordered window of k_t frames, so the padded input is never
+    assembled. Each output frame shifts the window down by s_t and fills the
+    s_t newest frames, so no buffer grows with the chunk; a feed emits every
+    window that fits, (length - k_t) // s_t + 1 output frames of a sequence
+    of ``length``, or none when length < k_t. ``factors`` makes the conv read
+    the chunk through a nearest upsample with the causal time rule of
+    :func:`nearest_upsample`: time doubling repeats a frame's index in the
+    sequence, and the window holds source-resolution frames with a border of
+    ceil(ph / fh) rows and ceil(pw / fw) columns, so neither the upsampled
+    chunk nor an upsampled frame is made. Likewise ``prologue`` is applied to
+    each chunk frame as it enters the window; a conv reads through one of the
+    two, never both.
+
+    A tile is a band of output rows of one output frame, and one im2col GEMM.
+    Its column is one copy from a sliding-window view of the window, or of a
+    reused row band into which an upsampling conv expands the rows the tile
+    reads (padded upsampled row Y is window row (Y - ph) // fh + ceil(ph / fh),
+    and columns alike). Column rows are ordered (c, dt, dy, dx), the order of
+    the stored weight, so the GEMM takes ``weight.reshape(cout, -1)`` without
+    a copy and writes straight into the output. Once the window holds a
+    frame's inputs, up to ``W`` workers take its tiles (:func:`blas.share_out`)
+    with the BLAS pinned at one thread (:func:`blas.one_blas_thread`), each
+    with its own column buffer and row band; only as many sets are made as a
+    frame has tiles. The prologue works in the first column buffer, which is
+    idle while the window fills.
+
+    The cache keeps conv-input frames after the prologue, before the upsample
+    and the spatial border; the final chunk keeps none and leaves a finalized
+    ``state``. A chunk whose (c, h, w) differs from the cached frames' is
+    rejected before ``state`` changes. Then the feed takes the cache out of
+    ``state`` and drops it once the first window holds its frames, before the
+    column buffers are made, so unless someone else holds it (as
+    :func:`stream_conv3d`'s caller does) cache, window and columns are never
+    held at once. Until the feed ends the state lacks the cache, so after a
+    failed feed the next one raises StateError instead of silently missing
+    the cached frames.
     """
 
     spec: ConvSpec
@@ -351,8 +244,28 @@ class _ConvStream:
         if state.finalized:
             raise StateError("chunk fed after the stream was finalized")
         ft, fh, fw = self.factors
-        st = spec.stride[0]
+        cout = spec.out_channels
+        kt, kh, kw = spec.kernel
+        st, sh, sw = spec.stride
+        ph, pw = spec.spatial_pad
         c, n, h, w = frames.shape
+        cached = state.occupancy
+        carried = state.cache.shape[:1] + state.cache.shape[2:]
+        if cached and (c, h, w) != carried:
+            raise ShapeError(
+                f"chunk frames (c, h, w) = {(c, h, w)} differ from the cached {carried}"
+            )
+        upsampled = fh > 1 or fw > 1
+        if upsampled and (sh, sw) != (1, 1):
+            raise ParameterError(
+                f"spatial upsampling {(fh, fw)} needs spatial stride 1, got {(sh, sw)}"
+            )
+        hp, wp = fh * h + 2 * ph, fw * w + 2 * pw
+        if hp < kh or wp < kw:
+            raise ShapeError(
+                f"spatial extent ({hp}, {wp}) smaller than kernel ({kh}, {kw})"
+            )
+        ho, wo = (hp - kh) // sh + 1, (wp - kw) // sw + 1
         scratch = 0 if prologue is None or not n else 2 * c * h * w
         stats = None
         if scratch and prologue.gain is not None:
@@ -361,7 +274,6 @@ class _ConvStream:
         drop = int(ft == 2 and state.frames_seen == 0)
         n = max(n * ft - drop, 0)
         lead = spec.temporal_pad if n and state.frames_seen == 0 else 0
-        cached = state.occupancy
         head = cached + lead
         new_seen = state.frames_seen + lead + n
         slab_start = new_seen - head - n
@@ -371,6 +283,7 @@ class _ConvStream:
         if offset < 0:
             raise StateError("cache lost frames still needed by the next window")
         length = max(head + n - offset, 0)
+        to = max(0, (length - kt) // st + 1)
 
         def fill(dst: np.ndarray, p: int, buf: np.ndarray) -> None:
             """Write conv-input frame ``p`` >= ``cached`` (unpadded) into ``dst``."""
@@ -391,22 +304,78 @@ class _ConvStream:
                     src = normed
                 _silu_into(src, dst, tmp)
 
-        shape = (c, h, w)
-        # The core takes the stream's reference to the cache. Until the feed
-        # ends the state lacks it, so after a failed feed the next one raises
-        # StateError instead of silently missing the cached frames.
-        held = [state.cache] if cached else []
+        out = np.empty((cout, to, ho, wo), dtype=np.float32)
+        last = state.cache if cached else None  # filled frames from frame 0 on
         self.state = state = replace(state, cache=_EMPTY)
-        with blas.one_blas_thread() as workers:
-            out, last = _conv3d_core(
-                fill, length, shape, self.weight, self.bias, spec, scratch, (fh, fw),
-                held, workers,
-            )
-        keep_from = out.shape[1] * st
-        if final or keep_from >= length:
-            cache = _EMPTY
-        else:
-            cache = np.empty((c, length - keep_from) + shape[1:], dtype=np.float32)
+        if to:
+            k = c * kt * kh * kw
+            rows = _tile_rows(k, ho, wo)
+            tiles = -(-ho // rows)
+            wmat = self.weight.reshape(cout, k)
+            out_rows = out.reshape(cout, to, ho * wo)
+            qh, qw = -(-ph // fh), -(-pw // fw)
+            # Time-major, so a shift copies whole frames, which do not overlap;
+            # fill, columns and cache read it channel-major through ``slots``.
+            window = np.zeros((kt, c, h + 2 * qh, w + 2 * qw), dtype=np.float32)
+            slots = window.transpose(1, 0, 2, 3)
+            inner = slots[:, :, qh : qh + h, qw : qw + w]
+            if cached:
+                inner[:, :cached] = last
+            last = inner  # from here on, the last window's frames
+            with blas.one_blas_thread() as workers:
+                workers = max(1, min(workers, tiles))
+                cols = [np.empty(max(k * rows * wo, scratch), dtype=np.float32)]
+                cols += [np.empty(k * rows * wo, dtype=np.float32) for _ in range(workers - 1)]
+                srcs = [slots] * workers
+                if upsampled:
+                    srcs = [  # row bands
+                        np.empty((c, kt, rows + kh - 1, wp), dtype=np.float32) for _ in cols
+                    ]
+                    # Band columns j, j + fw, ... are the m window columns from x on.
+                    col_phases = [
+                        (j, (j - pw) // fw + qw, len(range(j, wp, fw))) for j in range(fw)
+                    ]
+                # taps[c, dt, Y, X, dy, dx] = src[c, dt, Y + dy, X + dx]: read-only views.
+                taps = [
+                    np.lib.stride_tricks.sliding_window_view(src, (kh, kw), axis=(2, 3))
+                    for src in srcs
+                ]
+
+                def run_tile(worker: int, tile: int, t: int) -> None:
+                    """Output rows ``tile * rows`` on of output frame ``t``."""
+                    y0 = tile * rows
+                    r = min(rows, ho - y0)
+                    base = 0 if upsampled else y0 * sh
+                    if upsampled:
+                        band = srcs[worker][:, :, : r + kh - 1]
+                        for i in range(fh):  # band rows i, i + fh, ...: window rows y on
+                            y = (y0 + i - ph) // fh + qh
+                            n = len(range(i, r + kh - 1, fh))
+                            for j, x, m in col_phases:
+                                band[:, :, i::fh, j::fw] = slots[:, :, y : y + n, x : x + m]
+                    col = cols[worker][: k * r * wo].reshape(c, kt, kh, kw, r, wo)
+                    tile_view = taps[worker][:, :, base : base + sh * (r - 1) + 1 : sh, :: sw]
+                    np.copyto(col, tile_view.transpose(0, 1, 4, 5, 2, 3))
+                    np.matmul(
+                        wmat, col.reshape(k, r * wo),
+                        out=out_rows[:, t, y0 * wo : (y0 + r) * wo],
+                    )
+
+                kept = 0  # window frames carried over from the previous output frame
+                for t in range(to):
+                    for dt in range(kt):
+                        if dt < kept:
+                            window[dt] = window[dt + st]
+                        elif t or dt >= cached:
+                            fill(inner[:, dt], t * st + dt, cols[0])
+                    kept = max(kt - st, 0)
+                    blas.share_out(tiles, workers, lambda i, tile: run_tile(i, tile, t))
+                del cols, srcs, taps  # before the bias add, which may make a buffer
+            out += self.bias[:, None, None, None]
+        keep_from = to * st
+        cache = _EMPTY
+        if not final and keep_from < length:
+            cache = np.empty((c, length - keep_from, h, w), dtype=np.float32)
             buf = np.empty(scratch, dtype=np.float32)
             first = max(keep_from - st, 0)  # where ``last`` starts
             for p in range(keep_from, length):

@@ -5,10 +5,9 @@ stderr, and the exit code is 0 exactly when the report verdict is "pass"
 (1 for a failed verdict, 2 for usage/input errors). Every report embeds the
 tolerances it used, so verdicts can be recomputed from the metrics alone,
 and carries the command's wall time (``elapsed_s``) and the process's peak
-resident memory (``peak_rss_mib``, from ``getrusage``). ``roundtrip``,
-``analyze``, ``encode``, ``decode`` and ``verify-stream`` also carry
-``workers``, ``W``: the worker threads of their conv, Haar kernels and
-subband statistics (:mod:`wfcodec.blas`); their output bits do not depend on
+resident memory (``peak_rss_mib``, from ``getrusage``). Every report also
+carries ``workers``, ``W``: the worker threads of the conv, the Haar kernels
+and the subband statistics (:mod:`wfcodec.blas`); no output bit depends on
 it. Input digests are the first 16 hex digits of the input file's SHA-256,
 computed from the data the command loaded, not by reading the file again.
 Output files are written atomically.
@@ -173,11 +172,7 @@ def cmd_roundtrip(args) -> Report:
     return Report(
         command="roundtrip",
         inputs={"input": tensor_digest(video)[:16], "shape": list(video.shape)},
-        metrics={
-            "levels": args.levels,
-            "max_abs_error": error,
-            "workers": worker_count(),
-        },
+        metrics={"levels": args.levels, "max_abs_error": error},
         tolerances={"max_abs_error": tol},
         verdict="pass" if error <= tol else "fail",
     )
@@ -191,12 +186,7 @@ def cmd_analyze(args) -> Report:
     return Report(
         command="analyze",
         inputs={"input": tensor_digest(video)[:16], "shape": list(video.shape)},
-        metrics={
-            "bins": args.bins,
-            "degenerate": degenerate,
-            "subbands": records,
-            "workers": worker_count(),
-        },
+        metrics={"bins": args.bins, "degenerate": degenerate, "subbands": records},
         tolerances={},
         verdict="pass",
     )
@@ -284,11 +274,7 @@ def cmd_verify_stream(args) -> Report:
             "config": asdict(config),
             **weight_info,
         },
-        metrics={
-            "plans": plan_reports,
-            "worst_max_abs_dev": worst,
-            "workers": worker_count(),
-        },
+        metrics={"plans": plan_reports, "worst_max_abs_dev": worst},
         tolerances={"max_abs_dev": tol},
         verdict="pass" if worst <= tol else "fail",
     )
@@ -328,7 +314,6 @@ def cmd_encode(args) -> Report:
             "mean_file": mean_path,
             "logvar_file": logvar_path,
             "manifest": manifest_path,
-            "workers": worker_count(),
         },
         tolerances={},
         verdict="pass",
@@ -390,7 +375,6 @@ def cmd_decode(args) -> Report:
             "video_shape": list(result.video.shape),
             "output": args.output,
             "sampled": args.sample_seed is not None,
-            "workers": worker_count(),
         },
         tolerances={},
         verdict="pass",
@@ -598,7 +582,8 @@ def main(argv=None) -> int:
         return 2
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     report.metrics.update(
-        elapsed_s=elapsed, peak_rss_mib=peak_kib / 1024, threads=threads
+        elapsed_s=elapsed, peak_rss_mib=peak_kib / 1024, threads=threads,
+        workers=worker_count(),
     )
     print(report.to_json())
     print(f"wfcodec {report.command}: {report.verdict}", file=sys.stderr)

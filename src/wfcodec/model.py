@@ -17,9 +17,9 @@ set.
 Every temporal operation in the graph is causal, so encode and decode run
 through one chunk executor for any chunk plan with identical results; direct
 mode is the plan of a single chunk. See :mod:`wfcodec.causal` for the
-caching machinery. The executor runs its BLAS at one thread and shares each
-conv's row tiles out to ``W`` workers (:mod:`wfcodec.blas`), so its output
-bits depend on neither.
+caching machinery. Each conv feed runs its GEMMs with the BLAS at one thread
+and shares its row tiles out to ``W`` workers (:mod:`wfcodec.blas`), so the
+output bits depend on neither thread count.
 
 Inputs require time = 4k + 1 (a first frame plus groups of four), height and
 width divisible by 8. The latent then has shape
@@ -36,7 +36,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from .blas import one_blas_thread
 from .causal import (
     ChunkPlan,
     ConvSpec,
@@ -650,11 +649,10 @@ def encode(
     _validate_encode_input(v, config)
     weights.validate(config)
     stream = _EncoderStream(config, weights)
-    with one_blas_thread():
-        parts = [
-            stream.feed(chunk, final)
-            for chunk, final in _iter_chunks(v.data, mode or ChunkPlan.direct())
-        ]
+    parts = [
+        stream.feed(chunk, final)
+        for chunk, final in _iter_chunks(v.data, mode or ChunkPlan.direct())
+    ]
     mean, logvar, w2, w3 = zip(*parts)
     result = EncodeResult(
         GaussianLatent(_concat(mean), _concat(logvar)),
@@ -693,11 +691,10 @@ def decode(
         )
     weights.validate(config)
     stream = _DecoderStream(config, weights)
-    with one_blas_thread():
-        parts = [
-            stream.feed(chunk, final)
-            for chunk, final in _iter_chunks(z.data, mode or ChunkPlan.direct())
-        ]
+    parts = [
+        stream.feed(chunk, final)
+        for chunk, final in _iter_chunks(z.data, mode or ChunkPlan.direct())
+    ]
     video, w2, w3 = zip(*parts)
     result = DecodeResult(
         _concat(video),

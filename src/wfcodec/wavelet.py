@@ -70,7 +70,7 @@ def _over_tiles(rows: int, blocks: int, split: bool, run) -> list:
         for start in range(0, blocks, step)
         for a, b in zip(bounds, bounds[1:])
     ]
-    return blas.map_on_workers(lambda tile: run(*tile), tiles, workers)
+    return blas.share_out(len(tiles), workers, lambda _, i: run(*tiles[i]))
 
 
 def _union(ranges):
@@ -366,7 +366,7 @@ class Dwt3dStream:
     def __init__(self, pad_first: bool):
         self.pad_first = pad_first
         self._carry: np.ndarray | None = None
-        self._started = False
+        self._frame: tuple[int, int, int] | None = None  # (c, h, w) of the first frames
         self.ranges = dict.fromkeys(KEYS_3D)
 
     def feed(self, frames: np.ndarray) -> dict[str, np.ndarray]:
@@ -376,12 +376,16 @@ class Dwt3dStream:
         c, n, h, w = frames.shape
         if h % 2 or w % 2:
             raise ShapeError(f"height and width must be even, got ({h}, {w})")
+        if self._frame not in (None, (c, h, w)):
+            raise ShapeError(
+                f"chunk frames (c, h, w) = {(c, h, w)} differ from the stream's {self._frame}"
+            )
         if n == 0:
             self.ranges = dict.fromkeys(KEYS_3D)
             return _empty_bands(KEYS_3D, c, 0, h // 2, w // 2)
         lead = self._carry
-        if not self._started:
-            self._started = True
+        if self._frame is None:
+            self._frame = (c, h, w)
             if self.pad_first:
                 lead = frames[:, :1]
         rest = frames if lead is None else frames[:, 1:]

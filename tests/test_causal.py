@@ -402,26 +402,35 @@ class TestStreamConv3d:
         assert np.array_equal(new1.cache, new2.cache) and new1.cache is not cache
 
     def test_failed_feed_cannot_lose_frames_silently(self, monkeypatch):
-        """A feed that fails after the core took the cache leaves a stream
-        whose next feed raises StateError."""
+        """A feed that fails after it took the cache leaves a stream whose
+        next feed raises StateError."""
         spec, weight, bias = self._setup(37)
         x = make_random(38, (2, 4, 8, 8)).data
         conv = causal._ConvStream(spec, weight, bias)
         conv.feed(x[:, :2])
-        core = causal._conv3d_core
 
-        def failing_core(fill, *args):
-            def fail(*_):
-                raise RuntimeError("fill failed")
-
-            return core(fail, *args)
+        def fail(*_, **__):
+            raise RuntimeError("gemm failed")
 
         with monkeypatch.context() as mp:
-            mp.setattr(causal, "_conv3d_core", failing_core)
-            with pytest.raises(RuntimeError, match="fill failed"):
+            mp.setattr(np, "matmul", fail)
+            with pytest.raises(RuntimeError, match="gemm failed"):
                 conv.feed(x[:, 2:3])
         with pytest.raises(StateError, match="cache lost frames"):
             conv.feed(x[:, 3:])
+
+    def test_rejected_chunk_leaves_the_stream_as_it_was(self):
+        """A chunk of another frame size is rejected before the feed takes
+        the cache, so the stream goes on as if it had never been fed."""
+        spec, weight, bias = self._setup(39)
+        x = make_random(40, (2, 5, 8, 8)).data
+        conv = causal._ConvStream(spec, weight, bias)
+        first = conv.feed(x[:, :2])
+        with pytest.raises(ShapeError, match="differ from the cached"):
+            conv.feed(x[:, 2:4, :6, :6])
+        rest = conv.feed(x[:, 2:], final=True)
+        expected = causal_conv3d(VideoTensor(x), spec, weight, bias).data
+        assert np.array_equal(np.concatenate([first, rest], axis=1), expected)
 
 
 class TestFrameLayernorm:
@@ -834,9 +843,10 @@ class TestWorkers:
 
     def test_one_worker_without_a_blas_setter(self, monkeypatch):
         """Where no BLAS thread setter is found, the BLAS keeps its own
-        threads and the conv shares nothing out, whatever W is."""
+        threads and the conv runs its tiles on the caller alone, never on
+        the pool, whatever W is."""
 
-        def no_sharing(*args):
+        def no_pool():
             raise AssertionError("tiles shared out with the BLAS unpinned")
 
         spec = ConvSpec(2, 2, (1, 3, 3), (1, 1, 1), (1, 1))
@@ -845,7 +855,7 @@ class TestWorkers:
         monkeypatch.setattr(causal, "_COL_TILE_BYTES", 4 * 18 * 4)  # one row a tile
         monkeypatch.setattr(blas, "worker_count", lambda: 3)
         monkeypatch.setattr(blas, "_controls", lambda: None)
-        monkeypatch.setattr(blas, "share_out", no_sharing)
+        monkeypatch.setattr(blas, "_shared_pool", no_pool)
         assert causal_conv3d(x, spec, rng.normal(spec.weight_shape())).shape == (2, 2, 9, 4)
 
     @pytest.mark.skipif(blas.blas_threads() is None, reason="no BLAS thread control found")

@@ -156,3 +156,73 @@ def test_threads_live_in_one_module():
         for line in _thread_uses(path.read_text())
     }
     assert not found, f"threads or BLAS setters outside wfcodec.blas: {sorted(found)}"
+
+
+# Calls that run a GEMM in the BLAS, besides the ``@`` operator.
+_GEMM_CALLS = ("matmul", "dot", "tensordot", "vdot", "inner")
+
+
+def _is_blas_pin(with_node) -> bool:
+    return any(
+        isinstance(item.context_expr, ast.Call)
+        and "one_blas_thread" in (
+            getattr(item.context_expr.func, "attr", None),
+            getattr(item.context_expr.func, "id", None),
+        )
+        for item in with_node.items
+    )
+
+
+def _unpinned_gemms(source: str) -> list[int]:
+    """Lines of ``source`` with a GEMM that no enclosing
+    ``with ...one_blas_thread()`` block holds."""
+    lines = []
+
+    def visit(node, pinned: bool) -> None:
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            gemm = True
+        else:
+            func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+            gemm = (getattr(func, "attr", None) or getattr(func, "id", None)) in _GEMM_CALLS
+        if gemm and not pinned:
+            lines.append(node.lineno)
+        if isinstance(node, (ast.With, ast.AsyncWith)) and _is_blas_pin(node):
+            for item in node.items:
+                visit(item, pinned)
+            for stmt in node.body:
+                visit(stmt, True)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, pinned)
+
+    visit(ast.parse(source), False)
+    return lines
+
+
+@pytest.mark.parametrize("source", [
+    "np.matmul(a, b)",
+    "a @ b",
+    "a @= b",
+    "x.dot(y)",
+    "np.tensordot(a, b)",
+    "np.vdot(a, b)",
+    "np.inner(a, b)",
+    "with blas.one_blas_thread():\n    pass\nnp.matmul(a, b)",
+    "with open(path):\n    a @ b",
+    "with one_blas_thread(np.matmul(a, b)):\n    pass",
+    "def f():\n    return a @ b\nwith one_blas_thread():\n    f()",
+])
+def test_gemm_guard_sees(source):
+    assert _unpinned_gemms(source)
+
+
+def test_gemms_run_inside_the_blas_pin():
+    """Every GEMM in the package runs inside ``blas.one_blas_thread``: a
+    multi-threaded BLAS partitions a GEMM by its thread count, so a GEMM
+    outside the pin would make output bits depend on that count."""
+    found = {
+        f"{path.name}:{line}"
+        for path in ROOT.glob("src/wfcodec/*.py")
+        for line in _unpinned_gemms(path.read_text())
+    }
+    assert not found, f"GEMMs outside one_blas_thread: {sorted(found)}"

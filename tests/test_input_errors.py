@@ -42,6 +42,20 @@ def _conv(x, spec, bias=None):
     return causal_conv3d(x, spec, np.zeros(spec.weight_shape(), dtype=np.float32), bias)
 
 
+def _stream_twice(spec, first, second):
+    weight = np.zeros(spec.weight_shape(), dtype=np.float32)
+    state = CacheState()
+    for shape in (first, second):
+        _, state = stream_conv3d(state, VideoTensor(np.zeros(shape, dtype=np.float32)),
+                                 spec, weight)
+
+
+def _dwt_twice(first, second):
+    stream = Dwt3dStream(pad_first=False)
+    for shape in (first, second):
+        stream.feed(np.zeros(shape, dtype=np.float32))
+
+
 def _trailing_weights(tmp_path):
     path = tmp_path / "w.wfwt"
     path.write_bytes(wfwt_bytes([("a", [1.0, 2.0])]) + b"\0\0\0")
@@ -68,6 +82,9 @@ CASES = [
      lambda tmp: stream_conv3d(
          CacheState(frames_seen=5), _video(), ConvSpec(3, 4, (1, 1, 1)),
          np.zeros((4, 3, 1, 1, 1), dtype=np.float32))),
+    ("stream-frame-size", ShapeError,
+     "chunk frames (c, h, w) = (2, 6, 6) differ from the cached (2, 8, 8)",
+     lambda tmp: _stream_twice(ConvSpec(2, 2, (3, 1, 1)), (2, 3, 8, 8), (2, 3, 6, 6))),
     ("layernorm-gain-shape", ShapeError, "gain/bias must have shape (3,), got (2,)/(3,)",
      lambda tmp: frame_layernorm(_video(), np.ones(2), np.zeros(3))),
     ("plan-empty-split", ParameterError, "stream length must be >= 1, got 0",
@@ -92,6 +109,13 @@ CASES = [
      lambda tmp: SubbandSet3D.from_stack(np.zeros((7, 1, 2, 2), dtype=np.float32))),
     ("dwt-stream-3d", ShapeError, "expected (c, n, h, w) frames",
      lambda tmp: Dwt3dStream(pad_first=False).feed(np.zeros((3, 2, 4), dtype=np.float32))),
+    # An odd first chunk carries its last frame into the next chunk's pair.
+    ("dwt-stream-frame-size", ShapeError,
+     "chunk frames (c, h, w) = (3, 6, 6) differ from the stream's (3, 4, 4)",
+     lambda tmp: _dwt_twice((3, 1, 4, 4), (3, 1, 6, 6))),
+    ("dwt-stream-channels", ShapeError,
+     "chunk frames (c, h, w) = (2, 4, 4) differ from the stream's (3, 4, 4)",
+     lambda tmp: _dwt_twice((3, 1, 4, 4), (2, 1, 4, 4))),
 ]
 
 
