@@ -32,7 +32,7 @@ import numpy as np
 
 from . import blas
 from .errors import ParameterError, ShapeError, StateError
-from .tensor import VideoTensor
+from .tensor import VideoTensor, _check_frame
 
 PAD_REPLICATE = "replicate"
 PAD_ZEROS = "zeros"
@@ -180,6 +180,7 @@ class CacheState:
     next_window_start: int = 0
     cache: np.ndarray = field(default_factory=lambda: _EMPTY)
     finalized: bool = False
+    frame: tuple[int, int, int] | None = None  # the first chunk's (c, h, w)
 
     @property
     def occupancy(self) -> int:
@@ -221,14 +222,14 @@ class _ConvStream:
 
     The cache keeps conv-input frames after the prologue, before the upsample
     and the spatial border; the final chunk keeps none and leaves a finalized
-    ``state``. A chunk whose (c, h, w) differs from the cached frames' is
-    rejected before ``state`` changes. Then the feed takes the cache out of
-    ``state`` and drops it once the first window holds its frames, before the
-    column buffers are made, so unless someone else holds it (as
-    :func:`stream_conv3d`'s caller does) cache, window and columns are never
-    held at once. Until the feed ends the state lacks the cache, so after a
-    failed feed the next one raises StateError instead of silently missing
-    the cached frames.
+    ``state``. A chunk whose (c, h, w) differs from the stream's first
+    chunk's is rejected before ``state`` changes. Then the feed takes the
+    cache out of ``state`` and drops it once the first window holds its
+    frames, before the column buffers are made, so unless someone else holds
+    it (as :func:`stream_conv3d`'s caller does) cache, window and columns are
+    never held at once. Until the feed ends the state lacks the cache, so
+    after a failed feed the next one raises StateError instead of silently
+    missing the cached frames.
     """
 
     spec: ConvSpec
@@ -249,12 +250,8 @@ class _ConvStream:
         st, sh, sw = spec.stride
         ph, pw = spec.spatial_pad
         c, n, h, w = frames.shape
+        _check_frame(state.frame, (c, h, w))
         cached = state.occupancy
-        carried = state.cache.shape[:1] + state.cache.shape[2:]
-        if cached and (c, h, w) != carried:
-            raise ShapeError(
-                f"chunk frames (c, h, w) = {(c, h, w)} differ from the cached {carried}"
-            )
         upsampled = fh > 1 or fw > 1
         if upsampled and (sh, sw) != (1, 1):
             raise ParameterError(
@@ -388,6 +385,7 @@ class _ConvStream:
             next_window_start=state.next_window_start + keep_from,
             cache=cache,
             finalized=final,
+            frame=(c, h, w),
         )
         return out
 

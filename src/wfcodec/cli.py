@@ -4,8 +4,9 @@ Machine-readable JSON reports go to stdout, a one-line human summary to
 stderr, and the exit code is 0 exactly when the report verdict is "pass"
 (1 for a failed verdict, 2 for usage/input errors). Every report embeds the
 tolerances it used, so verdicts can be recomputed from the metrics alone,
-and carries the command's wall time (``elapsed_s``) and the process's peak
-resident memory (``peak_rss_mib``, from ``getrusage``). Every report also
+and carries the command's wall time (``elapsed_s``), the process's peak
+resident memory (``peak_rss_mib``) and its minor page faults so far
+(``minor_faults``), both from one ``getrusage`` call. Every report also
 carries ``workers``, ``W``: the worker threads of the conv, the Haar kernels
 and the subband statistics (:mod:`wfcodec.blas`); no output bit depends on
 it. Input digests are the first 16 hex digits of the input file's SHA-256,
@@ -580,10 +581,10 @@ def main(argv=None) -> int:
     except (WfcodecError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
-    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     report.metrics.update(
-        elapsed_s=elapsed, peak_rss_mib=peak_kib / 1024, threads=threads,
-        workers=worker_count(),
+        elapsed_s=elapsed, peak_rss_mib=usage.ru_maxrss / 1024,  # KiB on Linux
+        minor_faults=usage.ru_minflt, threads=threads, workers=worker_count(),
     )
     print(report.to_json())
     print(f"wfcodec {report.command}: {report.verdict}", file=sys.stderr)

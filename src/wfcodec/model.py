@@ -265,7 +265,7 @@ class WeightStore:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Node:
     """One graph node: a conv, a residual block, or an energy-flow branch.
 
@@ -344,21 +344,25 @@ def _graph(config: ModelConfig) -> tuple[list[_Node], list[_Node]]:
     return encoder, decoder
 
 
-def _node_params(node: _Node):
-    if node.norm:
-        yield f"{node.norm}.gain", (node.spec.in_channels,)
-        yield f"{node.norm}.bias", (node.spec.in_channels,)
+def _convs(node: _Node):
+    """The conv nodes of ``node``, itself and its children, in graph order."""
     if node.spec is not None:
-        yield f"{node.name}.weight", node.spec.weight_shape()
-        yield f"{node.name}.bias", (node.spec.out_channels,)
+        yield node
     for child in (*node.body, *filter(None, [node.skip])):
-        yield from _node_params(child)
+        yield from _convs(child)
 
 
 def parameter_manifest(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Every graph parameter with its shape, in deterministic graph order."""
     encoder, decoder = _graph(config)
-    return [entry for node in encoder + decoder for entry in _node_params(node)]
+    manifest = []
+    for conv in (conv for node in encoder + decoder for conv in _convs(node)):
+        cin, cout = conv.spec.in_channels, conv.spec.out_channels
+        if conv.norm:
+            manifest += [(f"{conv.norm}.gain", (cin,)), (f"{conv.norm}.bias", (cin,))]
+        manifest.append((f"{conv.name}.weight", conv.spec.weight_shape()))
+        manifest.append((f"{conv.name}.bias", (cout,)))
+    return manifest
 
 
 def init_weights(config: ModelConfig, rng: Rng) -> WeightStore:
@@ -437,82 +441,12 @@ class ForwardResult:
 
 # ---------------------------------------------------------------------------
 # Execution: one chunk executor for every plan; direct mode is the plan with
-# a single chunk. The encoder and the decoder are each one ordered list of
-# executor nodes, built straight from the graph's _Nodes: every node is an
-# object with feed(frames, final), and _feed_streams runs a chunk through a
-# list of them. Keeping the whole backbone in one list means only the
-# executor holds an activation, so each is freed as soon as the next node has
-# consumed it; that keeps peak memory at that of a hand-written whole-clip pass.
+# a single chunk. The encoder and the decoder are each one _Chain: a table of
+# every conv's stream, keyed by node name, and one walk over the graph's
+# _Nodes that feeds them. Only the walk holds an activation, so each is freed
+# as soon as the next node has consumed it; that keeps peak memory at that of
+# a hand-written whole-clip pass.
 # ---------------------------------------------------------------------------
-
-
-def _feed_streams(streams, frames: np.ndarray, final: bool) -> np.ndarray:
-    """Feed one chunk through a chain of executor nodes, in order."""
-    for stream in streams:
-        frames = stream.feed(frames, final)
-    return frames
-
-
-def _stream(node: _Node, config: ModelConfig, weights: WeightStore):
-    """The executor node of one graph node."""
-    if node.kind == "block":
-        body = [_stream(child, config, weights) for child in node.body]
-        skip = _stream(node.skip, config, weights) if node.skip else None
-        return _Block(body, skip, whole_chunk=config.norm == NORM_GROUPNORM)
-    prologue = None
-    if node.norm:
-        # Group norm, the negative control, takes its statistics over the chunk.
-        groups = config.groupnorm_groups if config.norm == NORM_GROUPNORM else 0
-        prologue = _Prologue(
-            weights.get(f"{node.norm}.gain"), weights.get(f"{node.norm}.bias"), groups
-        )
-    elif node.kind == "outflow":
-        prologue = _Prologue()  # SiLU alone
-    conv = _ConvStream(
-        node.spec, weights.get(f"{node.name}.weight"),
-        weights.get(f"{node.name}.bias"), node.factors, prologue,
-    )
-    if node.kind == "inflow":
-        return _Inflow(node, conv)
-    if node.kind == "outflow":
-        return _Outflow(node, conv)
-    return conv
-
-
-class _Block:
-    """Residual block: skip(x) + body(x), skip being the identity or a conv.
-
-    The body runs one frame at a time. Slice k of the chunk goes through the
-    body convs, whose caches carry the frames before it; every body conv has
-    time stride 1, so the body emits exactly frame k, and the block adds that
-    one frame into frame k of the skip buffer. The body's intermediate
-    activation is never held for the whole chunk, and the sum is never a
-    separate array. With the identity skip that buffer is the block input
-    itself, which every graph node produces fresh and reads no more: frame k
-    of it has been read, and cached where a later window needs it, before the
-    sum lands there.
-
-    Group norm, the negative control, takes its statistics over the chunk, so
-    with ``whole_chunk`` the body is fed the chunk as one slice, and its
-    whole output is held before the add.
-    """
-
-    def __init__(self, body: list, skip: _ConvStream | None, whole_chunk: bool):
-        self.body = body
-        self.skip = skip
-        self.whole_chunk = whole_chunk
-
-    def feed(self, frames: np.ndarray, final: bool) -> np.ndarray:
-        skip = self.skip.feed(frames, final) if self.skip else frames
-        n = frames.shape[1]
-        step = max(n, 1) if self.whole_chunk else 1
-        # A chunk of no frames still makes one feed, so final reaches every cache.
-        for k in range(0, max(n, 1), step):
-            last = final and k + step >= n
-            skip[:, k : k + step] += _feed_streams(
-                self.body, frames[:, k : k + step], last
-            )
-        return skip
 
 
 def _split_bands(stack: np.ndarray, keys) -> dict[str, np.ndarray]:
@@ -520,47 +454,94 @@ def _split_bands(stack: np.ndarray, keys) -> dict[str, np.ndarray]:
     return {key: stack[i * c : (i + 1) * c] for i, key in enumerate(keys)}
 
 
-class _Branch:
-    """Energy-flow branch: a 1x1x1 conv between the backbone and the subband
-    stack ``node.keys``; ``bands`` holds the current chunk's subbands."""
-
-    def __init__(self, node: _Node, conv: _ConvStream):
-        self.node = node
-        self.conv = conv
-        self.bands: dict[str, np.ndarray] = {}
+def _check_rate(where: str, backbone: np.ndarray, wavelet: np.ndarray) -> None:
+    if backbone.shape[1] != wavelet.shape[1]:
+        raise ShapeError(
+            f"backbone/wavelet rate mismatch at {where}: "
+            f"{backbone.shape[1]} vs {wavelet.shape[1]} frames"
+        )
 
 
-class _Inflow(_Branch):
-    """concat(x, act(conv(bands))); the encoder sets ``bands`` per chunk."""
+class _Chain:
+    """The executor of a list of graph nodes, fed one chunk at a time.
 
-    def feed(self, x: np.ndarray, final: bool) -> np.ndarray:
-        stack = np.concatenate([self.bands[k] for k in self.node.keys], axis=0)
-        flow = silu(self.conv.feed(stack, final))
-        if x.shape[1] != flow.shape[1]:
-            raise ShapeError(
-                f"backbone/wavelet rate mismatch at {self.node.name}: "
-                f"{x.shape[1]} vs {flow.shape[1]} frames"
+    ``convs`` maps every conv node's name, block bodies and skips included,
+    to its cached conv stream. A conv after a norm reads through the norm and
+    SiLU (group norm, the negative control, takes its statistics over the
+    chunk), an outflow conv through SiLU alone.
+
+    A residual block adds its body to its input, through the skip conv when
+    the width changes. The body runs one frame at a time: slice k of the
+    chunk goes through the body convs, whose caches carry the frames before
+    it; every body conv has time stride 1, so the body emits exactly frame k,
+    and the block adds that one frame into frame k of the skip buffer. The
+    body's intermediate activation is never held for the whole chunk, and the
+    sum is never a separate array. With the identity skip that buffer is the
+    block input itself, which every node produces fresh and reads no more:
+    frame k of it has been read, and cached where a later window needs it,
+    before the sum lands there. Group norm feeds the body the chunk as one
+    slice, and holds its whole output before the add.
+
+    An inflow appends act(conv(bands)) to the backbone, the bands being the
+    next subband set of ``inflows``; an outflow passes the backbone through
+    and predicts its subband set as conv(act(x[:c_flow])).
+    """
+
+    def __init__(self, nodes: list[_Node], config: ModelConfig, weights: WeightStore):
+        self.nodes = nodes
+        self.whole_chunk = config.norm == NORM_GROUPNORM
+        groups = config.groupnorm_groups if self.whole_chunk else 0
+        self.convs: dict[str, _ConvStream] = {}
+        for conv in (conv for node in nodes for conv in _convs(node)):
+            prologue = None
+            if conv.norm:
+                prologue = _Prologue(
+                    weights.get(f"{conv.norm}.gain"), weights.get(f"{conv.norm}.bias"), groups
+                )
+            elif conv.kind == "outflow":
+                prologue = _Prologue()  # SiLU alone
+            self.convs[conv.name] = _ConvStream(
+                conv.spec, weights.get(f"{conv.name}.weight"),
+                weights.get(f"{conv.name}.bias"), conv.factors, prologue,
             )
-        return np.concatenate([x, flow], axis=0)
+
+    def feed(self, x: np.ndarray, final: bool, inflows=()):
+        """Feed one chunk through the nodes in order; returns the backbone's
+        output and the outflows' subband sets, in graph order."""
+        inflows, outflows = iter(inflows), []
+        for node in self.nodes:
+            conv = self.convs.get(node.name)
+            if node.kind == "conv":
+                x = conv.feed(x, final)
+            elif node.kind == "block":
+                skip = self.convs[node.skip.name].feed(x, final) if node.skip else x
+                n = x.shape[1]
+                step = max(n, 1) if self.whole_chunk else 1
+                # A chunk of no frames still makes one feed, so final reaches every cache.
+                for k in range(0, max(n, 1), step):
+                    y = x[:, k : k + step]
+                    for body in node.body:
+                        y = self.convs[body.name].feed(y, final and k + step >= n)
+                    skip[:, k : k + step] += y
+                del y  # no activation outlives the node that reads it
+                x = skip
+            elif node.kind == "inflow":
+                bands = next(inflows)
+                flow = silu(conv.feed(np.concatenate([bands[k] for k in node.keys]), final))
+                _check_rate(node.name, x, flow)
+                x = np.concatenate([x, flow])
+                del flow
+            else:  # outflow
+                out = conv.feed(x[: node.spec.in_channels], final)
+                outflows.append(_split_bands(out, node.keys))
+        return x, outflows
 
 
-class _Outflow(_Branch):
-    """Passes x through; predicts ``bands`` as conv(act(x[:c_flow])), the
-    conv's prologue being the act."""
-
-    def feed(self, x: np.ndarray, final: bool) -> np.ndarray:
-        out = self.conv.feed(x[: self.node.spec.in_channels], final)
-        self.bands = _split_bands(out, self.node.keys)
-        return x
-
-
-class _EncoderStream:
+class _EncoderStream(_Chain):
     """Chunk-by-chunk encoder; emissions align across branches at every rate."""
 
     def __init__(self, config: ModelConfig, weights: WeightStore):
-        encoder, _ = _graph(config)
-        self.chain = [_stream(node, config, weights) for node in encoder]
-        self.inflow2, self.inflow3 = (s for s in self.chain if isinstance(s, _Inflow))
+        super().__init__(_graph(config)[0], config, weights)
         self.latent_channels = config.latent_channels
         # Inputs are 4k+1 frames, and so is level 1's hhh band: both pad.
         self.wave1 = Dwt3dStream(pad_first=True)
@@ -570,49 +551,49 @@ class _EncoderStream:
         w1 = self.wave1.feed(frames)
         w2 = self.wave2.feed(w1["hhh"])
         w3 = _analyze_2d(w2["hhh"])
-        self.inflow2.bands, self.inflow3.bands = w2, w3
         # Popping the bands leaves the stacked copy as level 1's only one, and
         # the chain frees that once the stem has read it.
-        x = _feed_streams(
-            self.chain, np.concatenate([w1.pop(k) for k in KEYS_3D], axis=0), final
+        x, _ = super().feed(
+            np.concatenate([w1.pop(k) for k in KEYS_3D]), final, (w2, w3)
         )
         chn = self.latent_channels
         return x[:chn], x[chn:], w2, w3
 
 
-class _DecoderStream:
+class _DecoderStream(_Chain):
     def __init__(self, config: ModelConfig, weights: WeightStore):
-        _, decoder = _graph(config)
-        self.chain = [_stream(node, config, weights) for node in decoder]
-        self.outflow3, self.outflow2 = (
-            s for s in self.chain if isinstance(s, _Outflow)
-        )
+        super().__init__(_graph(config)[1], config, weights)
         # Videos are 4k+1 frames and level 1 has 2k+1: both drop the pad.
         self.idwt_w2 = Idwt3dStream(drop_first=True)
         self.idwt_final = Idwt3dStream(drop_first=True)
 
     def feed(self, z_frames: np.ndarray, final: bool):
-        w1_bands = _split_bands(_feed_streams(self.chain, z_frames, final), KEYS_3D)
-        w3_bands, w2_bands = self.outflow3.bands, self.outflow2.bands
+        x, (w3, w2) = super().feed(z_frames, final)
+        w1 = _split_bands(x, KEYS_3D)
         # The sums land in the conv outputs the bands are views of, which
         # nothing else reads, so the final synthesis holds no second hhh band.
-        w2_bands["hhh"] += _synthesize_2d(w3_bands)
-        contrib = self.idwt_w2.feed(w2_bands)
-        if w1_bands["hhh"].shape[1] != contrib.shape[1]:
-            raise ShapeError(
-                f"backbone/wavelet rate mismatch at level 1: "
-                f"{w1_bands['hhh'].shape[1]} vs {contrib.shape[1]} frames"
-            )
-        w1_bands["hhh"] += contrib
-        return self.idwt_final.feed(w1_bands), w2_bands, w3_bands
+        w2["hhh"] += _synthesize_2d(w3)
+        contrib = self.idwt_w2.feed(w2)
+        _check_rate("level 1", w1["hhh"], contrib)
+        w1["hhh"] += contrib
+        return self.idwt_final.feed(w1), w2, w3
+
+
+def _run(stream, frames: np.ndarray, plan: ChunkPlan | None):
+    """Feed ``frames`` through ``stream`` chunk by chunk; each of the stream's
+    outputs, as a tuple over the chunks."""
+    plan = plan or ChunkPlan.direct()
+    return zip(*(stream.feed(chunk, final) for chunk, final in _iter_chunks(frames, plan)))
 
 
 def _concat(chunks: list[np.ndarray]) -> VideoTensor:
     return VideoTensor(np.concatenate(chunks, axis=1))
 
 
-def _concat_bands(chunks: list[dict[str, np.ndarray]], keys) -> dict[str, VideoTensor]:
-    return {key: _concat([chunk[key] for chunk in chunks]) for key in keys}
+def _bands(cls, chunks: tuple[dict[str, np.ndarray], ...]):
+    """The subband set ``cls`` of a stream's band chunks, each key's chunks
+    concatenated in time."""
+    return cls({key: _concat([chunk[key] for chunk in chunks]) for key in cls.KEYS})
 
 
 # ---------------------------------------------------------------------------
@@ -648,16 +629,11 @@ def encode(
     """
     _validate_encode_input(v, config)
     weights.validate(config)
-    stream = _EncoderStream(config, weights)
-    parts = [
-        stream.feed(chunk, final)
-        for chunk, final in _iter_chunks(v.data, mode or ChunkPlan.direct())
-    ]
-    mean, logvar, w2, w3 = zip(*parts)
+    mean, logvar, w2, w3 = _run(_EncoderStream(config, weights), v.data, mode)
     result = EncodeResult(
         GaussianLatent(_concat(mean), _concat(logvar)),
-        SubbandSet3D(_concat_bands(w2, KEYS_3D)),
-        SubbandSet2D(_concat_bands(w3, KEYS_2D)),
+        _bands(SubbandSet3D, w2),
+        _bands(SubbandSet2D, w3),
         tuple(part.shape[1] for part in mean),
     )
     expected_t = config.latent_time(v.time)
@@ -690,17 +666,8 @@ def decode(
             f"{expected_t}"
         )
     weights.validate(config)
-    stream = _DecoderStream(config, weights)
-    parts = [
-        stream.feed(chunk, final)
-        for chunk, final in _iter_chunks(z.data, mode or ChunkPlan.direct())
-    ]
-    video, w2, w3 = zip(*parts)
-    result = DecodeResult(
-        _concat(video),
-        SubbandSet3D(_concat_bands(w2, KEYS_3D)),
-        SubbandSet2D(_concat_bands(w3, KEYS_2D)),
-    )
+    video, w2, w3 = _run(_DecoderStream(config, weights), z.data, mode)
+    result = DecodeResult(_concat(video), _bands(SubbandSet3D, w2), _bands(SubbandSet2D, w3))
     if result.video.time != original_t:
         raise ShapeError(
             f"decode produced {result.video.time} frames, expected {original_t}"

@@ -124,6 +124,13 @@ def _checked_shape(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_frame(first, frame: tuple[int, int, int]) -> None:
+    """Reject a stream chunk whose (c, h, w) ``frame`` is not ``first``, the
+    stream's first chunk's (None before the stream has one)."""
+    if first not in (None, frame):
+        raise ShapeError(f"chunk frames (c, h, w) = {frame} differ from the stream's {first}")
+
+
 def _scan(arr: np.ndarray):
     """(min, max) of every element of ``arr``: the whole-array pass that
     ``VideoTensor(arr)`` makes. min and max propagate NaN and +-inf, and

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import blas
 from .errors import ShapeError
-from .tensor import VideoTensor, _widen, _with_range
+from .tensor import VideoTensor, _check_frame, _widen, _with_range
 
 INV_SQRT2 = 2.0**-0.5
 
@@ -376,10 +376,7 @@ class Dwt3dStream:
         c, n, h, w = frames.shape
         if h % 2 or w % 2:
             raise ShapeError(f"height and width must be even, got ({h}, {w})")
-        if self._frame not in (None, (c, h, w)):
-            raise ShapeError(
-                f"chunk frames (c, h, w) = {(c, h, w)} differ from the stream's {self._frame}"
-            )
+        _check_frame(self._frame, (c, h, w))
         if n == 0:
             self.ranges = dict.fromkeys(KEYS_3D)
             return _empty_bands(KEYS_3D, c, 0, h // 2, w // 2)
@@ -447,13 +444,14 @@ class Idwt3dStream:
 
     def __init__(self, drop_first: bool):
         self.drop_first = drop_first
-        self._started = False
+        self._frame: tuple[int, int, int] | None = None  # (c, h, w) of the first bands
         self.ranges = None
 
     def feed(self, bands: dict[str, np.ndarray]) -> np.ndarray:
         c, n, h, w = _common_shape(bands, KEYS_3D)
-        drop = n > 0 and self.drop_first and not self._started
-        self._started = self._started or n > 0
+        _check_frame(self._frame, (c, h, w))
+        drop = n > 0 and self.drop_first and self._frame is None
+        self._frame = (c, h, w) if n else self._frame
         out = np.empty((c, 2 * n - drop, 2 * h, 2 * w), dtype=np.float32)
         size = min(_block_pairs(c, 2 * h, 2 * w), max(n, 1))
 

@@ -426,7 +426,7 @@ class TestStreamConv3d:
         x = make_random(40, (2, 5, 8, 8)).data
         conv = causal._ConvStream(spec, weight, bias)
         first = conv.feed(x[:, :2])
-        with pytest.raises(ShapeError, match="differ from the cached"):
+        with pytest.raises(ShapeError, match="differ from the stream's"):
             conv.feed(x[:, 2:4, :6, :6])
         rest = conv.feed(x[:, 2:], final=True)
         expected = causal_conv3d(VideoTensor(x), spec, weight, bias).data

@@ -393,7 +393,8 @@ def assert_input_error(code, report, err, name):
 
 
 class TestRunStats:
-    """Every command reports its wall time and the peak resident memory."""
+    """Every command reports its wall time, the peak resident memory and
+    the minor page faults."""
 
     def test_reports_carry_elapsed_and_peak_rss(
         self, capsys, monkeypatch, tmp_path, video_file
@@ -428,6 +429,8 @@ class TestRunStats:
             metrics = report["metrics"]
             assert metrics["elapsed_s"] > 0, argv[0]
             assert metrics["peak_rss_mib"] > 0, argv[0]
+            assert type(metrics["minor_faults"]) is int, argv[0]
+            assert metrics["minor_faults"] > 0, argv[0]
             assert metrics["threads"] == uncapped, argv[0]
 
     def test_wavelet_reports_carry_workers(self, capsys, monkeypatch, video_file):

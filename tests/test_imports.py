@@ -226,3 +226,40 @@ def test_gemms_run_inside_the_blas_pin():
         for line in _unpinned_gemms(path.read_text())
     }
     assert not found, f"GEMMs outside one_blas_thread: {sorted(found)}"
+
+
+def _convs_built_outside_the_chain(source: str) -> list[int]:
+    """Lines of ``source`` that construct a ``_ConvStream`` anywhere but in
+    ``_Chain.__init__``."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "_Chain"
+        for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+        for node in ast.walk(fn)
+    }
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in inside
+        and "_ConvStream" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    ]
+
+
+@pytest.mark.parametrize("source", [
+    "_ConvStream(spec, weight, bias)",
+    "causal._ConvStream(spec, weight, bias)",
+    "def __init__(self):\n    self.conv = _ConvStream(spec, weight, bias)",
+    "class _Block:\n    def __init__(self):\n        self.conv = _ConvStream(spec, w, b)",
+    "class _Chain:\n    def feed(self):\n        return _ConvStream(spec, weight, bias)",
+])
+def test_conv_construction_guard_sees(source):
+    assert _convs_built_outside_the_chain(source)
+
+
+def test_model_convs_built_in_one_place():
+    """The model builds every conv stream in ``_Chain.__init__``, into the
+    one name-keyed table its walk feeds, so a hook there sees every conv."""
+    source = (ROOT / "src/wfcodec/model.py").read_text()
+    assert "_ConvStream(" in source
+    found = _convs_built_outside_the_chain(source)
+    assert not found, f"_ConvStream built outside _Chain.__init__ in model.py: {found}"

@@ -56,6 +56,12 @@ def _dwt_twice(first, second):
         stream.feed(np.zeros(shape, dtype=np.float32))
 
 
+def _idwt_twice(first, second):
+    stream = Idwt3dStream(drop_first=False)
+    for shape in (first, second):
+        stream.feed(_bands(shape))
+
+
 def _trailing_weights(tmp_path):
     path = tmp_path / "w.wfwt"
     path.write_bytes(wfwt_bytes([("a", [1.0, 2.0])]) + b"\0\0\0")
@@ -83,8 +89,12 @@ CASES = [
          CacheState(frames_seen=5), _video(), ConvSpec(3, 4, (1, 1, 1)),
          np.zeros((4, 3, 1, 1, 1), dtype=np.float32))),
     ("stream-frame-size", ShapeError,
-     "chunk frames (c, h, w) = (2, 6, 6) differ from the cached (2, 8, 8)",
+     "chunk frames (c, h, w) = (2, 6, 6) differ from the stream's (2, 8, 8)",
      lambda tmp: _stream_twice(ConvSpec(2, 2, (3, 1, 1)), (2, 3, 8, 8), (2, 3, 6, 6))),
+    # A conv whose kernel does not outlast its stride caches no frame.
+    ("stream-frame-size-uncached", ShapeError,
+     "chunk frames (c, h, w) = (2, 6, 6) differ from the stream's (2, 8, 8)",
+     lambda tmp: _stream_twice(ConvSpec(2, 2, (1, 1, 1)), (2, 3, 8, 8), (2, 3, 6, 6))),
     ("layernorm-gain-shape", ShapeError, "gain/bias must have shape (3,), got (2,)/(3,)",
      lambda tmp: frame_layernorm(_video(), np.ones(2), np.zeros(3))),
     ("plan-empty-split", ParameterError, "stream length must be >= 1, got 0",
@@ -98,6 +108,9 @@ CASES = [
      lambda tmp: Rng(0).uniform((2,), low=1.0, high=0.0)),
     ("random-normal-zero-dim", ShapeError, "all dimensions must be >= 1, got (3, 0, 4, 4)",
      lambda tmp: random_normal(Rng(0), (3, 0, 4, 4))),
+    ("idwt-stream-frame-size", ShapeError,
+     "chunk frames (c, h, w) = (3, 2, 2) differ from the stream's (2, 4, 4)",
+     lambda tmp: _idwt_twice((2, 1, 4, 4), (3, 1, 2, 2))),
     ("idwt-stream-unequal-bands", ShapeError, "subband shapes differ",
      lambda tmp: Idwt3dStream(drop_first=False).feed(
          {**_bands(), "ggg": np.zeros((2, 2, 2, 2), dtype=np.float32)})),

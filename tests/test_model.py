@@ -459,8 +459,8 @@ class TestExecutorMemory:
         peaks = []
         for t in (9, 65):
             x = Rng(64).normal((32, t, 32, 32))
-            block = model._stream(node, config, weights)
-            out, peak = traced_peak(lambda: block.feed(x, final=True))
+            chain = model._Chain([node], config, weights)
+            (out, _), peak = traced_peak(lambda: chain.feed(x, final=True))
             assert out is x  # the sum lands in the input: no output buffer
             peaks.append(peak)
         assert peaks[1] / peaks[0] < 1.1, [p / 2**20 for p in peaks]
@@ -470,11 +470,10 @@ class TestExecutorMemory:
         z = encode(tiny_video, TINY, tiny_weights).latent.mean.data
         stream = model._DecoderStream(TINY, tiny_weights)
         stream.feed(z[:, :2], final=False)
-        convs = dict(zip((n.name for n in model._graph(TINY)[1]), stream.chain))
         _, w1, w2 = TINY.stage_widths
         h, w = z.shape[2:]
         for name, frame in (("dec.up2", (w2, h, w)), ("dec.up1", (w1, 2 * h, 2 * w))):
-            cache = convs[name].state.cache
+            cache = stream.convs[name].state.cache
             assert cache.ndim == 4 and cache.shape[1] > 0, name
             assert (cache.shape[0], *cache.shape[2:]) == frame, name
 
