@@ -114,10 +114,6 @@ def causal_conv3d(
     x: VideoTensor, spec: ConvSpec, weight, bias=None
 ) -> VideoTensor:
     """Whole-clip causal convolution: a stream of one chunk."""
-    if x.channels != spec.in_channels:
-        raise ShapeError(
-            f"input has {x.channels} channels, spec expects {spec.in_channels}"
-        )
     conv = _ConvStream(spec, *_check_weights(spec, weight, bias))
     return VideoTensor(conv.feed(x.data, final=True))
 
@@ -222,11 +218,12 @@ class _ConvStream:
 
     The cache keeps conv-input frames after the prologue, before the upsample
     and the spatial border; the final chunk keeps none and leaves a finalized
-    ``state``. A chunk whose (c, h, w) differs from the stream's first
-    chunk's is rejected before ``state`` changes. Then the feed takes the
-    cache out of ``state`` and drops it once the first window holds its
-    frames, before the column buffers are made, so unless someone else holds
-    it (as :func:`stream_conv3d`'s caller does) cache, window and columns are
+    ``state``. A chunk whose channels differ from the spec's, or whose
+    (c, h, w) differs from the stream's first chunk's, is rejected before
+    ``state`` changes. Then the feed takes the cache out of ``state`` and
+    drops it once the first window holds its frames, before the column
+    buffers are made, so unless someone else holds it (as
+    :func:`stream_conv3d`'s caller does) cache, window and columns are
     never held at once. Until the feed ends the state lacks the cache, so
     after a failed feed the next one raises StateError instead of silently
     missing the cached frames.
@@ -250,6 +247,8 @@ class _ConvStream:
         st, sh, sw = spec.stride
         ph, pw = spec.spatial_pad
         c, n, h, w = frames.shape
+        if c != spec.in_channels:
+            raise ShapeError(f"chunk has {c} channels, spec expects {spec.in_channels}")
         _check_frame(state.frame, (c, h, w))
         cached = state.occupancy
         upsampled = fh > 1 or fw > 1
@@ -399,10 +398,6 @@ def stream_conv3d(
     all non-None outputs over a stream reproduces :func:`causal_conv3d` on the
     concatenated input exactly.
     """
-    if chunk.channels != spec.in_channels:
-        raise ShapeError(
-            f"chunk has {chunk.channels} channels, spec expects {spec.in_channels}"
-        )
     conv = _ConvStream(spec, *_check_weights(spec, weight, bias), state=state)
     out = conv.feed(chunk.data)
     if out.shape[1] == 0:

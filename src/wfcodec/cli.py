@@ -11,7 +11,10 @@ carries ``workers``, ``W``: the worker threads of the conv, the Haar kernels
 and the subband statistics (:mod:`wfcodec.blas`); no output bit depends on
 it. Input digests are the first 16 hex digits of the input file's SHA-256,
 computed from the data the command loaded, not by reading the file again.
-Output files are written atomically.
+Output files are written atomically. A report's ``command`` is the
+subcommand that ran. ``decode`` refuses (exit 2) a latent manifest that does
+not carry the tag that ``encode`` writes, ``"format": "wfcodec-latent",
+"version": 1``.
 
 A command runs its BLAS at one thread (:func:`wfcodec.blas.one_blas_thread`),
 restoring the old count afterwards, and ``WFCODEC_THREADS`` caps ``W``. When
@@ -62,10 +65,17 @@ from .wavelet import build_pyramid, dwt3d, idwt3d, reconstruct_pyramid
 DEFAULT_ROUNDTRIP_TOL = 1e-5
 DEFAULT_STREAM_TOL = 1e-6
 
+# The tag that opens every latent manifest: encode writes it, decode
+# requires it.
+_LATENT_TAG = {"format": "wfcodec-latent", "version": 1}
+
+# The ModelConfig fields that a flag of the same dest overrides.
+_CONFIG_FLAGS = ("base_channels", "c_flow", "blocks_per_stage", "norm", "groupnorm_groups")
+
 
 @dataclass
 class Report:
-    command: str
+    command: str = ""  # the subcommand; main sets it
     inputs: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
@@ -105,73 +115,35 @@ def _tolerance(args) -> float:
 
 
 def _config_from_args(args) -> ModelConfig:
-    overrides = {}
-    if args.c_flow is not None:
-        overrides["c_flow"] = args.c_flow
-    if args.blocks is not None:
-        overrides["blocks_per_stage"] = args.blocks
-    if getattr(args, "norm", None) is not None:
-        overrides["norm"] = args.norm
-    if getattr(args, "groupnorm_groups", None) is not None:
-        overrides["groupnorm_groups"] = args.groupnorm_groups
-    if args.base_channels is not None:
-        return ModelConfig(
-            base_channels=args.base_channels,
-            latent_channels=args.latent_channels,
-            **overrides,
-        )
+    overrides = {
+        name: getattr(args, name)
+        for name in _CONFIG_FLAGS
+        if getattr(args, name, None) is not None
+    }
+    if "base_channels" in overrides:
+        return ModelConfig(latent_channels=args.latent_channels, **overrides)
     return preset_config(args.preset, latent_channels=args.latent_channels, **overrides)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, with_norm: bool = False):
-    parser.add_argument(
-        "--preset",
-        default="wfvae-s",
-        choices=sorted(PRESET_BASE_CHANNELS),
-        help="named width preset (default: wfvae-s)",
-    )
-    parser.add_argument(
-        "--latent-channels", type=int, default=4, help="latent channels (default: 4)"
-    )
-    parser.add_argument(
-        "--base-channels",
-        type=int,
-        default=None,
-        help="override the preset's base width (useful for small experiments)",
-    )
-    parser.add_argument("--c-flow", type=int, default=None, help="energy-flow width")
-    parser.add_argument(
-        "--blocks", type=int, default=None, help="residual blocks per stage"
-    )
-    if with_norm:
-        parser.add_argument(
-            "--norm",
-            default=None,
-            choices=["frame_layernorm", "groupnorm"],
-            help="normalization kind; groupnorm is the streaming negative control",
-        )
-        parser.add_argument(
-            "--groupnorm-groups", type=int, default=None, help="groups for groupnorm"
-        )
+def _dwt_roundtrip(video: VideoTensor, levels: int) -> VideoTensor:
+    """``video`` through ``levels`` nested 3D DWTs, each of the band ``hhh``
+    of the one before, and back."""
+    bands = dwt3d(video)
+    if levels > 1:
+        bands = bands.replace("hhh", _dwt_roundtrip(bands["hhh"], levels - 1))
+    return idwt3d(bands, video.time)
 
 
 def cmd_roundtrip(args) -> Report:
     tol = _tolerance(args)
     video = load_tensor(args.input)
+    # Three levels are the pyramid, which needs height and width divisible by 8.
     if args.levels == 3:
-        error = _max_abs(
-            reconstruct_pyramid(build_pyramid(video), video.time).data, video.data
-        )
+        restored = reconstruct_pyramid(build_pyramid(video), video.time)
     else:
-        bands = dwt3d(video)
-        if args.levels == 1:
-            error = _max_abs(idwt3d(bands, video.time).data, video.data)
-        else:
-            inner = dwt3d(bands["hhh"])
-            restored = bands.replace("hhh", idwt3d(inner, bands.time))
-            error = _max_abs(idwt3d(restored, video.time).data, video.data)
+        restored = _dwt_roundtrip(video, args.levels)
+    error = _max_abs(restored.data, video.data)
     return Report(
-        command="roundtrip",
         inputs={"input": tensor_digest(video)[:16], "shape": list(video.shape)},
         metrics={"levels": args.levels, "max_abs_error": error},
         tolerances={"max_abs_error": tol},
@@ -185,11 +157,8 @@ def cmd_analyze(args) -> Report:
     records = analyze_pyramid(build_pyramid(video), bins=args.bins)
     degenerate = any(r["degenerate"] for r in records)
     return Report(
-        command="analyze",
         inputs={"input": tensor_digest(video)[:16], "shape": list(video.shape)},
         metrics={"bins": args.bins, "degenerate": degenerate, "subbands": records},
-        tolerances={},
-        verdict="pass",
     )
 
 
@@ -215,7 +184,6 @@ def cmd_cache_table(args) -> Report:
             {"m": m, "formula": formula, "simulated": simulated, "agree": agree}
         )
     return Report(
-        command="cache-table",
         inputs={"kernel_t": k_t, "stride_t": s_t, "chunk_size": t_chunk},
         metrics={"rows": rows},
         tolerances={"match": "exact integer equality"},
@@ -268,7 +236,6 @@ def cmd_verify_stream(args) -> Report:
             }
         )
     return Report(
-        command="verify-stream",
         inputs={
             "input": tensor_digest(video)[:16],
             "shape": list(video.shape),
@@ -298,8 +265,7 @@ def cmd_encode(args) -> Report:
     save_tensor(result.latent.mean, mean_path)
     save_tensor(result.latent.logvar, logvar_path)
     manifest = {
-        "format": "wfcodec-latent",
-        "version": 1,
+        **_LATENT_TAG,
         "original_shape": list(video.shape),
         "latent_shape": list(result.latent.shape),
         "config": asdict(config),
@@ -307,7 +273,6 @@ def cmd_encode(args) -> Report:
     }
     save_manifest(manifest, manifest_path)
     return Report(
-        command="encode",
         inputs={"input": tensor_digest(video)[:16], **weight_info},
         metrics={
             "mode": plan.describe(),
@@ -316,8 +281,6 @@ def cmd_encode(args) -> Report:
             "logvar_file": logvar_path,
             "manifest": manifest_path,
         },
-        tolerances={},
-        verdict="pass",
     )
 
 
@@ -337,6 +300,9 @@ def cmd_decode(args) -> Report:
     rng = None if args.sample_seed is None else Rng(args.sample_seed)
     mean_path, logvar_path, manifest_path = _latent_paths(args.latent)
     manifest = load_manifest(manifest_path)
+    tag = {key: manifest.get(key) for key in _LATENT_TAG}
+    if tag != _LATENT_TAG or type(tag["version"]) is not int:  # not 1.0 or true
+        raise FormatError(f"{manifest_path}: not a wfcodec-latent version 1 manifest")
     try:
         # The manifest records every config field; a missing one must not
         # silently fall back to a default.
@@ -369,7 +335,6 @@ def cmd_decode(args) -> Report:
     result = decode(z, config, weights, original_t=original_t, mode=plan)
     save_tensor(result.video, args.output)
     return Report(
-        command="decode",
         inputs={"latent": tensor_digest(mean)[:16], **weight_info},
         metrics={
             "mode": plan.describe(),
@@ -377,8 +342,6 @@ def cmd_decode(args) -> Report:
             "output": args.output,
             "sampled": args.sample_seed is not None,
         },
-        tolerances={},
-        verdict="pass",
     )
 
 
@@ -387,15 +350,12 @@ def cmd_init_weights(args) -> Report:
     weights = init_weights(config, Rng(args.seed))
     weights.save(args.output)
     return Report(
-        command="init-weights",
         inputs={"seed": args.seed, "config": asdict(config)},
         metrics={
             "output": args.output,
             "tensors": len(weights),
             "digest": weights.digest(),
         },
-        tolerances={},
-        verdict="pass",
     )
 
 
@@ -407,50 +367,66 @@ def cmd_loss_report(args) -> Report:
     recon = load_tensor(args.recon)
     p_original = build_pyramid(original)
     p_recon = build_pyramid(recon)
-    components = {
-        "l1_recon": l1_recon(original, recon),
-        "wl": wl_loss(
-            p_recon.level2, p_original.level2, p_recon.level3, p_original.level3
-        ),
-        "adv": args.adv,
-        "perceptual": args.perceptual,
-    }
+    recon_l1 = l1_recon(original, recon)
+    wl = wl_loss(p_recon.level2, p_original.level2, p_recon.level3, p_original.level3)
     inputs = {
         "input": tensor_digest(original)[:16],
         "recon": tensor_digest(recon)[:16],
     }
+    kl = 0.0
     if args.latent_mean:
         latent = GaussianLatent(
             load_tensor(args.latent_mean), load_tensor(args.latent_logvar)
         )
-        components["kl"] = kl_divergence(latent)
+        kl = kl_divergence(latent)
         inputs["latent_mean"] = tensor_digest(latent.mean)[:16]
         inputs["latent_logvar"] = tensor_digest(latent.logvar)[:16]
-    else:
-        components["kl"] = 0.0
-    components["total"] = total_loss(
-        LossComponents(
-            recon=components["l1_recon"],
-            adv=components["adv"],
-            kl=components["kl"],
-            wl=components["wl"],
-            perceptual=components["perceptual"],
-        ),
-        weights,
+    terms = LossComponents(
+        recon=recon_l1, adv=args.adv, kl=kl, wl=wl, perceptual=args.perceptual
     )
+    components = {
+        "l1_recon": recon_l1, "wl": wl, "adv": args.adv,
+        "perceptual": args.perceptual, "kl": kl, "total": total_loss(terms, weights),
+    }
     return Report(
-        command="loss-report",
         inputs=inputs,
-        metrics={
-            "components": components,
-            "weights": asdict(weights),
-        },
-        tolerances={},
-        verdict="pass",
+        metrics={"components": components, "weights": asdict(weights)},
     )
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Flags shared by several subcommands, each declared once.
+    weight_flags = argparse.ArgumentParser(add_help=False)
+    weight_flags.add_argument("--weights", default=None, help="weight file (.wfwt)")
+    weight_flags.add_argument(
+        "--init-seed", type=int, default=42, help="seed weights when no file given"
+    )
+    config_flags = argparse.ArgumentParser(add_help=False)
+    config_flags.add_argument(
+        "--preset",
+        default="wfvae-s",
+        choices=sorted(PRESET_BASE_CHANNELS),
+        help="named width preset (default: wfvae-s)",
+    )
+    config_flags.add_argument(
+        "--latent-channels", type=int, default=4, help="latent channels (default: 4)"
+    )
+    config_flags.add_argument(
+        "--base-channels",
+        type=int,
+        default=None,
+        help="override the preset's base width (useful for small experiments)",
+    )
+    config_flags.add_argument("--c-flow", type=int, default=None, help="energy-flow width")
+    config_flags.add_argument(
+        "--blocks",
+        dest="blocks_per_stage",
+        metavar="BLOCKS",
+        type=int,
+        default=None,
+        help="residual blocks per stage",
+    )
+
     parser = argparse.ArgumentParser(
         prog="wfcodec",
         description="Wavelet pyramids, causal streaming inference, and the "
@@ -475,20 +451,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser(
-        "verify-stream", help="streamed-vs-direct deviation for encode and decode"
+        "verify-stream",
+        parents=[weight_flags, config_flags],
+        help="streamed-vs-direct deviation for encode and decode",
     )
     p.add_argument("--input", required=True)
-    p.add_argument("--weights", default=None, help="weight file (.wfwt)")
-    p.add_argument(
-        "--init-seed", type=int, default=42, help="seed weights when no file given"
-    )
     p.add_argument(
         "--plan",
         action="append",
         help="chunk plan (canonical:N or explicit:a,b,c); repeatable",
     )
     p.add_argument("--tolerance", type=float, default=DEFAULT_STREAM_TOL)
-    _add_config_flags(p, with_norm=True)
+    p.add_argument(
+        "--norm",
+        default=None,
+        choices=["frame_layernorm", "groupnorm"],
+        help="normalization kind; groupnorm is the streaming negative control",
+    )
+    p.add_argument(
+        "--groupnorm-groups", type=int, default=None, help="groups for groupnorm"
+    )
     p.set_defaults(func=cmd_verify_stream)
 
     p = sub.add_parser("cache-table", help="cached-frame counts, formula vs simulation")
@@ -504,19 +486,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_cache_table)
 
-    p = sub.add_parser("encode", help="video -> latent mean/logvar files")
+    p = sub.add_parser(
+        "encode",
+        parents=[weight_flags, config_flags],
+        help="video -> latent mean/logvar files",
+    )
     p.add_argument("--input", required=True)
-    p.add_argument("--weights", default=None)
-    p.add_argument("--init-seed", type=int, default=42)
     p.add_argument("--plan", default="direct")
     p.add_argument("--output", required=True, help="output path prefix")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("decode", help="latent -> video file")
+    p = sub.add_parser("decode", parents=[weight_flags], help="latent -> video file")
     p.add_argument("--latent", required=True, help="prefix used at encode time")
-    p.add_argument("--weights", default=None)
-    p.add_argument("--init-seed", type=int, default=42)
     p.add_argument("--plan", default="direct")
     p.add_argument(
         "--sample-seed",
@@ -527,10 +508,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("init-weights", help="deterministic seeded weight file")
+    p = sub.add_parser(
+        "init-weights", parents=[config_flags], help="deterministic seeded weight file"
+    )
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--output", required=True)
-    _add_config_flags(p)
     p.set_defaults(func=cmd_init_weights)
 
     p = sub.add_parser("loss-report", help="loss components for a video pair")
@@ -581,6 +563,7 @@ def main(argv=None) -> int:
     except (WfcodecError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
+    report.command = args.subcommand
     usage = resource.getrusage(resource.RUSAGE_SELF)
     report.metrics.update(
         elapsed_s=elapsed, peak_rss_mib=usage.ru_maxrss / 1024,  # KiB on Linux

@@ -641,11 +641,14 @@ class TestInputErrors:
             lambda m: m.pop("latent_shape"),
             lambda m: m["latent_shape"].pop(),
             lambda m: m["latent_shape"].__setitem__(0, 4.0),
+            lambda m: m.update(format="something-else"),
+            lambda m: m.update(version=99),
+            lambda m: [m.pop(key) for key in ("format", "version")],
         ],
         ids=["unknown-key", "missing-config-key", "no-config", "no-shape",
              "zero-groups", "fractional-blocks", "float-latent-channels",
              "infinite-frames", "no-latent-shape", "three-dim-latent-shape",
-             "float-latent-shape"],
+             "float-latent-shape", "other-format", "other-version", "no-tag"],
     )
     def test_bad_latent_manifest_exits_2(self, capsys, tmp_path, video_file, edit):
         def write(path):
@@ -1110,3 +1113,15 @@ class TestExitCodeContract:
         else:
             report = json.loads(out.getvalue())
             assert report["verdict"] == ("pass" if code == 0 else "fail")
+
+
+@pytest.mark.parametrize("command", sorted(_argv_and_inputs(".")))
+def test_report_names_its_command(capsys, monkeypatch, tmp_path, contract_inputs, command):
+    """Every report, and the stderr summary, names the subcommand that ran."""
+    monkeypatch.delenv("WFCODEC_THREADS", raising=False)
+    shutil.copytree(contract_inputs, tmp_path, dirs_exist_ok=True)
+    argv, _ = _argv_and_inputs(tmp_path)[command]
+    code, report, err = run_cli(capsys, argv)
+    assert code in (0, 1)
+    assert report["command"] == command
+    assert err.splitlines() == [f"wfcodec {command}: {report['verdict']}"]

@@ -77,6 +77,8 @@ CASES = [
     ("conv-frame-below-kernel", ShapeError,
      "spatial extent (2, 2) smaller than kernel (3, 3)",
      lambda tmp: _conv(_video(h=2, w=2), ConvSpec(3, 4, (1, 3, 3)))),
+    ("conv-channels", ShapeError, "chunk has 2 channels, spec expects 3",
+     lambda tmp: _conv(_video(c=2), ConvSpec(3, 4, (1, 1, 1)))),
     ("stream-channels", ShapeError, "chunk has 2 channels, spec expects 3",
      lambda tmp: stream_conv3d(
          CacheState(), _video(c=2), ConvSpec(3, 4, (1, 1, 1)),
