@@ -550,7 +550,7 @@ class _EncoderStream(_Chain):
     def feed(self, frames: np.ndarray, final: bool):
         w1 = self.wave1.feed(frames)
         w2 = self.wave2.feed(w1["hhh"])
-        w3 = _analyze_2d(w2["hhh"])
+        w3, _ = _analyze_2d(w2["hhh"])
         # Popping the bands leaves the stacked copy as level 1's only one, and
         # the chain frees that once the stem has read it.
         x, _ = super().feed(
@@ -572,7 +572,7 @@ class _DecoderStream(_Chain):
         w1 = _split_bands(x, KEYS_3D)
         # The sums land in the conv outputs the bands are views of, which
         # nothing else reads, so the final synthesis holds no second hhh band.
-        w2["hhh"] += _synthesize_2d(w3)
+        w2["hhh"] += _synthesize_2d(w3)[0]
         contrib = self.idwt_w2.feed(w2)
         _check_rate("level 1", w1["hhh"], contrib)
         w1["hhh"] += contrib

@@ -16,7 +16,8 @@ File format ("VTensor", extension ``.wfvt``), little-endian throughout::
 
 This module also holds the file-format plumbing every other format shares:
 the one atomic writer, the one checked float32 payload reader, the one JSON
-manifest reader and writer, and the one SHA-256 digest of a serialization.
+manifest reader and writer, and the one SHA-256 digest of a serialization. It
+is also the one module that maps files into memory.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import contextlib
 import hashlib
 import json
 import math
+import mmap
 import os
 import struct
 
@@ -38,8 +40,9 @@ DTYPE_F32 = 0
 
 _HEADER = struct.Struct("<4sIII4I")
 
-# Block size of a checked payload read (:func:`read_f32`): small enough that
-# a block is still in cache when a caller inspects it.
+# Block size of a checked payload read (:func:`read_f32`) and of the range
+# scan of a mapped payload (:func:`load_tensor`): small enough that a block's
+# min and max are taken while it is still in cache.
 _READ_BYTES = 1 << 20
 
 # Largest per-axis extent the file header accepts. Keeps dims * 4 bytes well
@@ -245,13 +248,11 @@ def sha256_hex(blobs) -> str:
     return hasher.hexdigest()
 
 
-def read_f32(fh, dims, total: int, what: str, each=None) -> np.ndarray:
+def read_f32(fh, dims, total: int, what: str) -> np.ndarray:
     """Read a float32 array of shape ``dims`` from ``fh`` of ``total`` bytes.
 
     Corrupt dims must not become a huge array, so the size is checked first.
-    The payload is read in blocks of ``_READ_BYTES``; ``each(block)``, if
-    given, sees every flat block as soon as it is read, while it is still in
-    cache."""
+    The payload is read in blocks of ``_READ_BYTES``."""
     nbytes = 4 * math.prod(dims)
     left = total - fh.tell()
     if nbytes > left:
@@ -265,8 +266,6 @@ def read_f32(fh, dims, total: int, what: str, each=None) -> np.ndarray:
         if got != block.nbytes:
             got += 4 * start
             raise FormatError(f"{what}: truncated payload ({got} bytes, need {nbytes})")
-        if each is not None:
-            each(block)
     return values
 
 
@@ -307,10 +306,13 @@ def tensor_digest(tensor: VideoTensor) -> str:
 def load_tensor(path) -> VideoTensor:
     """Read a VTensor file; raises FormatError on any structural defect.
 
-    The payload is read in ``_READ_BYTES`` blocks through :func:`read_f32`,
-    and each block's min and max are taken while it is still in cache: a
-    NaN or infinity raises FormatError at the first block that holds one, and
-    the tensor is wrapped with the payload's exact range, never scanned again.
+    The payload is not copied: the file is mapped read-only and the tensor
+    is a view of the mapping, whose pages the OS reads in as they are first
+    touched. The view is scanned once, in ``_READ_BYTES`` blocks, for its
+    min and max: a NaN or infinity raises FormatError at the first block
+    that holds one, and the tensor is wrapped with the payload's exact
+    range, never scanned again. The mapping holds a duplicate of the file's
+    descriptor until the tensor and every view of it are gone.
     """
     with open(path, "rb") as fh:
         total = os.fstat(fh.fileno()).st_size
@@ -329,16 +331,24 @@ def load_tensor(path) -> VideoTensor:
         dims = (c, t, h, w)
         if min(dims) < 1 or max(dims) > MAX_DIM:
             raise FormatError(f"{path}: dimension out of range {dims}")
-        trailing = total - _HEADER.size - 4 * math.prod(dims)
+        nbytes = 4 * math.prod(dims)
+        trailing = total - _HEADER.size - nbytes
         if trailing > 0:
             raise FormatError(f"{path}: {trailing} trailing bytes")
-        bounds = None
-
-        def widen(block):
-            nonlocal bounds
-            bounds = _widen(bounds, block.min(), block.max())
-            if not (np.isfinite(bounds[0]) and np.isfinite(bounds[1])):
-                raise FormatError(f"{path}: payload contains non-finite values")
-
-        values = read_f32(fh, dims, total, path, widen)
-    return _with_range(values, *bounds)
+        try:
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError:  # the file is empty now
+            mapped = b""
+    # The file may have shrunk since fstat: check what the mapping holds.
+    left = len(mapped) - _HEADER.size
+    if nbytes > left:
+        raise FormatError(f"{path}: truncated payload ({max(left, 0)} bytes, need {nbytes})")
+    values = np.frombuffer(mapped, dtype="<f4", count=nbytes // 4, offset=_HEADER.size)
+    bounds = None
+    step = _READ_BYTES // 4
+    for start in range(0, values.size, step):
+        block = values[start : start + step]
+        bounds = _widen(bounds, block.min(), block.max())
+        if not (np.isfinite(bounds[0]) and np.isfinite(bounds[1])):
+            raise FormatError(f"{path}: payload contains non-finite values")
+    return _with_range(values.reshape(dims), *bounds)

@@ -40,7 +40,8 @@ KEYS_2D = ("hh", "hg", "gh", "gg")
 # block depends on the frame geometry alone, never on a chunk's length, and
 # every element sees the same float32 operations in any block. A call that
 # spans several blocks divides this scratch among its worker threads: each
-# holds the work arrays of only its own range of rows.
+# holds the work arrays of only its own range of rows. The 2D kernels take as
+# many frames per block as the 3D kernels take pairs.
 _BLOCK_BYTES = 1 << 20
 # Runs of blocks a split call cuts its time axis into, so that threads share
 # out tiles as they finish instead of waiting on the slowest (``_over_tiles``).
@@ -151,25 +152,47 @@ def _common_shape(bands, keys) -> tuple[int, ...]:
     return shapes.pop()
 
 
-def _analyze_2d(arr: np.ndarray) -> dict[str, np.ndarray]:
-    """Spatial analysis of (c, t, h, w) frames into bands keyed hh..gg."""
+def _analyze_2d(arr: np.ndarray):
+    """Spatial analysis of (c, t, h, w) frames into bands keyed hh..gg.
+
+    Runs a block of frames at a time (see ``_BLOCK_BYTES``) through one
+    (c, block, h/2, w) scratch array, and takes each band block's min and max
+    as soon as it is written. Returns the bands and their exact (min, max) by
+    key, None for a band of no frames.
+    """
     arr = np.asarray(arr, dtype=np.float32)
     c, t, h, w = arr.shape
     if h % 2 or w % 2:
         raise ShapeError(f"height and width must be even, got ({h}, {w})")
     bands = _empty_bands(KEYS_2D, c, t, h // 2, w // 2)
-    (row,) = _scratch(c, t, (h // 2, w))
-    _analyze_2d_into(arr, bands, "", ..., row)
-    return bands
+    size = max(1, min(_block_pairs(c, h, w), t))
+    (row,) = _scratch(c, size, (h // 2, w))
+    ranges = dict.fromkeys(KEYS_2D)
+    for start in range(0, t, size):
+        where = (slice(None), slice(start, start + size))
+        _analyze_2d_into(arr[where], bands, "", where, row[:, : t - start])
+        for key, band in bands.items():
+            part = band[where]
+            ranges[key] = _widen(ranges[key], part.min(), part.max())
+    return bands, ranges
 
 
-def _synthesize_2d(bands) -> np.ndarray:
-    """Exact inverse of :func:`_analyze_2d`."""
+def _synthesize_2d(bands):
+    """Exact inverse of :func:`_analyze_2d`, a block of frames at a time
+    through two (c, block, h, 2w) scratch arrays. Returns the frames and
+    their exact (min, max), taken from each block as it is written (None
+    for no frames)."""
     c, t, h, w = _common_shape(bands, KEYS_2D)
     out = np.empty((c, t, 2 * h, 2 * w), dtype=np.float32)
-    rows = _scratch(c, t, (h, 2 * w), (h, 2 * w))
-    _synthesize_2d_into(bands, "", ..., out, rows)
-    return out
+    size = max(1, min(_block_pairs(c, 2 * h, 2 * w), t))
+    rows = _scratch(c, size, (h, 2 * w), (h, 2 * w))
+    bounds = None
+    for start in range(0, t, size):
+        where = (slice(None), slice(start, start + size))
+        part = out[where]
+        _synthesize_2d_into(bands, "", where, part, [r[:, : t - start] for r in rows])
+        bounds = _widen(bounds, part.min(), part.max())
+    return out, bounds
 
 
 class _SubbandSet:
@@ -283,16 +306,17 @@ def idwt3d(s: SubbandSet3D, original_t: int) -> VideoTensor:
 def dwt2d(v: VideoTensor) -> SubbandSet2D:
     """Spatial-only analysis; the time axis passes through untouched.
 
-    Height and width must be even (ShapeError otherwise).
+    Height and width must be even (ShapeError otherwise). The kernel takes
+    each band's range as it writes it.
     """
-    bands = _analyze_2d(v.data)
-    return SubbandSet2D({key: _with_range(b, b.min(), b.max()) for key, b in bands.items()})
+    bands, ranges = _analyze_2d(v.data)
+    return SubbandSet2D({key: _with_range(b, *ranges[key]) for key, b in bands.items()})
 
 
 def idwt2d(s: SubbandSet2D) -> VideoTensor:
-    """Exact inverse of :func:`dwt2d`."""
-    out = _synthesize_2d({key: band.data for key, band in s.items()})
-    return _with_range(out, out.min(), out.max())
+    """Exact inverse of :func:`dwt2d`; the kernel takes the range as it writes."""
+    out, bounds = _synthesize_2d({key: band.data for key, band in s.items()})
+    return _with_range(out, *bounds)
 
 
 @dataclass(frozen=True)

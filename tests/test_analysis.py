@@ -255,6 +255,33 @@ class TestAnalyzePyramid:
         assert [tuple(r.values()) for r in records] == expected
 
 
+class TestEnergyRuns:
+    """Energies are float64 sums over fixed runs of each band, combined
+    exactly: on bands of several runs and a short last one, split into
+    blocks that cut runs or hold several, at any worker count."""
+
+    @staticmethod
+    def _energies(p, block, workers):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blas, "worker_count", lambda: workers)
+            mp.setattr(analysis, "_BLOCK", block)
+            return [s.energy for level in (p.level1, p.level2, p.level3)
+                    for s in subband_energy(level)]
+
+    def test_energy_is_the_float64_sum_of_squares(self):
+        p = build_pyramid(make_random(79, (3, 17, 40, 24)))
+        bands = [band for level in (p.level1, p.level2, p.level3)
+                 for _, band in level.items()]
+        assert bands[0].data.size > 6 * analysis._RUN
+        assert bands[0].data.size % analysis._RUN
+        expected = [np.sum(b.data.astype(np.float64) ** 2) for b in bands]
+        for block in (97, 1000, 3 * analysis._RUN, analysis._BLOCK):
+            for workers in (1, 3):
+                energies = self._energies(p, block, workers)
+                assert energies == pytest.approx(expected, rel=1e-12, abs=0)
+                assert energies == self._energies(p, analysis._BLOCK, 1), (block, workers)
+
+
 class TestWorkerCount:
     """Bands are spread over worker threads; records do not depend on how many."""
 

@@ -158,6 +158,50 @@ def test_threads_live_in_one_module():
     assert not found, f"threads or BLAS setters outside wfcodec.blas: {sorted(found)}"
 
 
+# Part of every name that maps a file into memory: ``mmap``, numpy's
+# ``memmap`` and ``open_memmap``.
+_MAPPING = "mmap"
+
+
+def _mapping_uses(source: str) -> list[int]:
+    """Lines of ``source`` with a name, attribute or module that holds
+    ``_MAPPING``."""
+    lines = []
+    for n in ast.walk(ast.parse(source)):
+        names = [a.name.split(".")[-1] for a in getattr(n, "names", [])
+                 if isinstance(a, ast.alias)]
+        names += [getattr(n, "id", None), getattr(n, "attr", None)]
+        names.append(getattr(n, "module", None))
+        if any(_MAPPING in name for name in names if name):
+            lines.append(n.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("source", [
+    "import mmap",
+    "from mmap import ACCESS_READ",
+    "import mmap as m",
+    "np.memmap(path, dtype='<f4', mode='r')",
+    "from numpy import memmap",
+    "numpy.lib.format.open_memmap(path)",
+])
+def test_mapping_guard_sees(source):
+    assert _mapping_uses(source)
+
+
+def test_files_are_mapped_in_one_place():
+    """Only ``wfcodec.tensor`` maps files: a mapped array is read-only and
+    lives on a file whose truncation in place ends the process with SIGBUS,
+    so every mapping goes through the loader that checks and documents it."""
+    found = {
+        f"{path.name}:{line}"
+        for path in ROOT.glob("src/wfcodec/*.py") if path.name != "tensor.py"
+        for line in _mapping_uses(path.read_text())
+    }
+    assert not found, f"file mappings outside wfcodec.tensor: {sorted(found)}"
+    assert _mapping_uses((ROOT / "src/wfcodec/tensor.py").read_text())
+
+
 # Calls that run a GEMM in the BLAS, besides the ``@`` operator.
 _GEMM_CALLS = ("matmul", "dot", "tensordot", "vdot", "inner")
 

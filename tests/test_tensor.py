@@ -313,6 +313,47 @@ class TestFileFormat:
         assert peak < 1 << 20
 
 
+class TestMappedLoad:
+    """load_tensor maps the payload read-only instead of copying it."""
+
+    def test_load_copies_no_payload(self, tmp_path):
+        path = tmp_path / "t.wfvt"
+        save_tensor(make_random(4, (1, 16, 256, 256)), path)  # 4 MiB payload
+        _, peak = traced_peak(lambda: load_tensor(path))
+        assert peak < 1 << 20
+
+    def test_replacing_the_file_leaves_a_loaded_tensor(self, tmp_path):
+        """save_tensor replaces the file, so the mapping keeps the old inode."""
+        path = tmp_path / "t.wfvt"
+        old = make_random(1, (2, 3, 4, 4))
+        save_tensor(old, path)
+        loaded = load_tensor(path)
+        new = make_random(2, (2, 3, 4, 4))
+        save_tensor(new, path)
+        assert loaded == old
+        assert loaded.value_range == old.value_range
+        assert load_tensor(path) == new
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_dropped_tensors_release_their_descriptors(self, tmp_path):
+        path = tmp_path / "t.wfvt"
+        save_tensor(make_random(3, (1, 2, 4, 4)), path)
+        before = len(os.listdir("/proc/self/fd"))
+        held = [load_tensor(path) for _ in range(64)]
+        assert len(os.listdir("/proc/self/fd")) <= before + len(held)
+        del held
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_loaded_data_cannot_be_written(self, tmp_path):
+        path = tmp_path / "t.wfvt"
+        save_tensor(make_random(5, (1, 2, 4, 4)), path)
+        loaded = load_tensor(path)
+        with pytest.raises(ValueError):
+            loaded.data[0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            loaded.data.flags.writeable = True
+
+
 class TestManifest:
     @pytest.mark.parametrize(
         "raw",

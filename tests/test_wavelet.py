@@ -719,10 +719,39 @@ class TestCarriedRanges:
                 with pytest.raises(ShapeError, match="NaN or Inf"):
                     idwt3d(SubbandSet3D(bands), 9)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        t=st.integers(1, 12),
+        workers=st.sampled_from([1, 2, 3]),
+        frames=st.sampled_from([1, 2, 5, None]),
+        spike=st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
+        sign=st.sampled_from([-1.0, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_dwt2d_and_idwt2d(self, t, workers, frames, spike, sign, seed):
+        """``frames`` frames per 2D block (None keeps the default: one
+        block). Blocks change no bit of the one-block round trip, which is
+        exact to the float32 rounding of the 100.0 spike."""
+        arr = Rng(seed).normal((2, t, 6, 4))
+        arr[1, int(spike[0] * t), int(spike[1] * 6), 1] = sign * 100.0
+        with pytest.MonkeyPatch.context() as mp:
+            _at_workers(mp, workers)
+            if frames:
+                mp.setattr(wavelet, "_BLOCK_BYTES", _blocks_of(frames, 2, 6, 4))
+            bands = dwt2d(VideoTensor(arr))
+            restored = idwt2d(bands)
+        for key, band in bands.items():
+            assert _exact_range(band), key
+        assert _exact_range(restored)
+        assert restored == idwt2d(dwt2d(VideoTensor(arr)))
+        assert max_abs_diff(restored, arr) <= 1e-4
+
     def test_pipeline_makes_no_wrap_scan(self, tmp_path, monkeypatch):
         """load_tensor -> build_pyramid -> reconstruct_pyramid and
         analyze_pyramid never scan a whole tensor for its range: every wrap
-        takes the range its producer computed. The clip spans several read
+        takes the range its producer computed. Neither ``_scan`` nor a min or
+        max over a whole array a kernel made runs; the kernels take ranges
+        from views of the blocks they write. The clip spans several read
         blocks and several Haar blocks, and the kernels run on 2 workers."""
         path = tmp_path / "clip.wfvt"
         save_tensor(make_random(5, (2, 9, 16, 8)), path)
@@ -731,6 +760,39 @@ class TestCarriedRanges:
         monkeypatch.setattr(
             tensor_module, "_scan", lambda arr: scans.append(arr.shape) or real_scan(arr)
         )
+        whole = []
+
+        class Watched(np.ndarray):
+            """An array the kernels made; slicing it gives views that are not."""
+
+            made = False
+
+            def __array_finalize__(self, obj):
+                self.made = False
+
+            def min(self, *args, **kwargs):
+                if self.made:
+                    whole.append(("min", self.shape))
+                return super().min(*args, **kwargs)
+
+            def max(self, *args, **kwargs):
+                if self.made:
+                    whole.append(("max", self.shape))
+                return super().max(*args, **kwargs)
+
+        class WatchedNumpy:
+            """numpy, but every array ``np.empty`` makes is Watched."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(*args, **kwargs):
+                arr = np.empty(*args, **kwargs).view(Watched)
+                arr.made = True
+                return arr
+
+        monkeypatch.setattr(wavelet, "np", WatchedNumpy())
         monkeypatch.setattr(tensor_module, "_READ_BYTES", 1000)
         monkeypatch.setattr(wavelet, "_BLOCK_BYTES", _blocks_of(1, 2, 16, 8))
         _at_workers(monkeypatch, 2)
@@ -739,8 +801,11 @@ class TestCarriedRanges:
         reconstruct_pyramid(pyramid, video.time)
         analyze_pyramid(pyramid)
         assert scans == []
+        assert whole == []
         VideoTensor(video.data)  # the public constructor still scans
         assert scans == [video.shape]
+        wavelet._empty_bands(KEYS_2D, 1, 1, 1, 1)["hh"].min()  # and the spy sees
+        assert whole == [("min", (1, 1, 1, 1))]
 
     def test_clip_near_float32_max_is_shape_error(self):
         v = new_tensor(3, 9, 16, 16, float(np.finfo(np.float32).max) * 0.9)
