@@ -29,7 +29,6 @@ width divisible by 8. The latent then has shape
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, fields, replace
 from typing import ClassVar
@@ -45,7 +44,7 @@ from .causal import (
     silu,
 )
 from .errors import FormatError, ParameterError, ShapeError, WeightError
-from .tensor import Rng, VideoTensor, read_f32, sha256_hex, write_atomic
+from .tensor import Rng, VideoTensor, _map_file, _payload, sha256_hex, write_atomic
 from .wavelet import (
     KEYS_2D,
     KEYS_3D,
@@ -149,12 +148,15 @@ def preset_config(name: str, latent_channels: int = 4, **overrides) -> ModelConf
 # Weight container and its file format.
 #
 # Weight file ("WFWT", extension .wfwt), little-endian:
-#   magic "WFWT", version u32=1, entry count u32, then per entry (sorted by
-#   name): name length u16, UTF-8 name, ndim u32, dims u32[ndim], f32 payload.
+#   magic "WFWT", version u32, entry count u32, then per entry (sorted by
+#   name): name length u16, UTF-8 name, ndim u32, dims u32[ndim], zero pad,
+#   f32 payload. The pad puts each payload at a 64-byte file offset in
+#   version 2 and is empty in version 1, which is still read.
 # ---------------------------------------------------------------------------
 
 _WEIGHT_MAGIC = b"WFWT"
-_WEIGHT_VERSION = 1
+_WEIGHT_VERSION = 2
+_PAYLOAD_ALIGN = {1: 1, 2: 64}  # per version
 
 
 class WeightStore:
@@ -162,6 +164,7 @@ class WeightStore:
 
     def __init__(self, tensors: dict[str, np.ndarray] | None = None):
         self._tensors: dict[str, np.ndarray] = {}
+        self._version = _WEIGHT_VERSION  # the layout digest() hashes
         if tensors:
             for name, arr in tensors.items():
                 self.put(name, arr)
@@ -187,60 +190,76 @@ class WeightStore:
     def __len__(self) -> int:
         return len(self._tensors)
 
-    def _serialized(self):
-        yield _WEIGHT_MAGIC
-        yield struct.pack("<II", _WEIGHT_VERSION, len(self._tensors))
+    def _serialized(self, version: int):
+        align = _PAYLOAD_ALIGN[version]
+        yield _WEIGHT_MAGIC + struct.pack("<II", version, len(self._tensors))
+        offset = 12
         for name, arr in self.items():
             encoded = name.encode("utf-8")
-            yield struct.pack("<H", len(encoded))
-            yield encoded
-            yield struct.pack("<I", arr.ndim)
-            yield struct.pack(f"<{arr.ndim}I", *arr.shape)
+            entry = struct.pack(
+                f"<H{len(encoded)}sI{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape
+            )
+            pad = -(offset + len(entry)) % align
+            yield entry + bytes(pad)
             yield arr
+            offset += len(entry) + pad + arr.nbytes
 
     def digest(self) -> str:
-        """SHA-256 hex of the ``.wfwt`` file :meth:`save` writes; for a loaded
-        store, the hash of its file, as :meth:`load` takes only that layout."""
-        return sha256_hex(self._serialized())
+        """SHA-256 hex of the ``.wfwt`` file this store was loaded from, in
+        its version; for a store built in memory, of the file :meth:`save`
+        writes. :meth:`load` takes only that layout (sorted names, zero
+        pads), so the two agree."""
+        return sha256_hex(self._serialized(self._version))
 
     def save(self, path) -> None:
-        write_atomic(path, self._serialized())
+        """Write a version 2 ``.wfwt`` file."""
+        write_atomic(path, self._serialized(_WEIGHT_VERSION))
 
     @classmethod
     def load(cls, path) -> "WeightStore":
-        """Read a ``.wfwt`` file; every tensor is its own aligned array."""
-        with open(path, "rb") as fh:
-            total = os.fstat(fh.fileno()).st_size
-            head = fh.read(12)
-            if len(head) < 12 or head[:4] != _WEIGHT_MAGIC:
-                raise FormatError(f"{path}: not a weight file")
-            version, count = struct.unpack_from("<II", head, 4)
-            if version != _WEIGHT_VERSION:
-                raise FormatError(f"{path}: unsupported weight version {version}")
-            store = cls()
-            previous = None
-            for _ in range(count):
-                try:
-                    (name_len,) = struct.unpack("<H", fh.read(2))
-                    name = fh.read(name_len).decode("utf-8")
-                    (ndim,) = struct.unpack("<I", fh.read(4))
-                    if not 1 <= ndim <= 5:
-                        raise FormatError(f"{path}: bad rank {ndim} for {name!r}")
-                    dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-                except struct.error as exc:
-                    raise FormatError(f"{path}: truncated entry table") from exc
-                except UnicodeDecodeError as exc:
-                    raise FormatError(f"{path}: parameter name is not UTF-8") from exc
-                # Code point order of str equals byte order of UTF-8.
-                if previous is not None and name <= previous:
-                    raise FormatError(
-                        f"{path}: entry {name!r} does not sort after {previous!r}"
-                    )
-                previous = name
-                store.put(name, read_f32(fh, dims, total, f"{path}: {name!r}"))
-            trailing = total - fh.tell()
-        if trailing:
-            raise FormatError(f"{path}: {trailing} trailing bytes")
+        """Read a ``.wfwt`` file of either version. The file is mapped once
+        (:func:`tensor._map_file`, which documents the mapping's lifetime),
+        and every tensor is a read-only, aligned view of the mapping, or a
+        read-only copy of a version 1 payload at an unaligned offset. Each
+        payload is scanned once, so a NaN or infinity is FormatError naming
+        its entry."""
+        mapped = _map_file(path)
+        if len(mapped) < 12 or mapped[:4] != _WEIGHT_MAGIC:
+            raise FormatError(f"{path}: not a weight file")
+        version, count = struct.unpack_from("<II", mapped, 4)
+        if version not in _PAYLOAD_ALIGN:
+            raise FormatError(f"{path}: unsupported weight version {version}")
+        store = cls()
+        store._version = version
+        offset, previous = 12, None
+        for _ in range(count):
+            try:
+                (name_len,) = struct.unpack_from("<H", mapped, offset)
+                name = mapped[offset + 2 : offset + 2 + name_len].decode("utf-8")
+                (ndim,) = struct.unpack_from("<I", mapped, offset + 2 + name_len)
+                if not 1 <= ndim <= 5:
+                    raise FormatError(f"{path}: bad rank {ndim} for {name!r}")
+                dims = struct.unpack_from(f"<{ndim}I", mapped, offset + 6 + name_len)
+            except struct.error as exc:
+                raise FormatError(f"{path}: truncated entry table") from exc
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: parameter name is not UTF-8") from exc
+            # Code point order of str equals byte order of UTF-8.
+            if previous is not None and name <= previous:
+                raise FormatError(
+                    f"{path}: entry {name!r} does not sort after {previous!r}"
+                )
+            previous = name
+            offset += 6 + name_len + 4 * ndim
+            pad = -offset % _PAYLOAD_ALIGN[version]
+            if any(mapped[offset : offset + pad]):
+                raise FormatError(f"{path}: non-zero pad before {name!r}")
+            offset += pad
+            values, _ = _payload(mapped, offset, dims, f"{path}: {name!r}")
+            store.put(name, values)
+            offset += values.nbytes
+        if len(mapped) > offset:
+            raise FormatError(f"{path}: {len(mapped) - offset} trailing bytes")
         return store
 
     def validate(self, config: ModelConfig) -> None:

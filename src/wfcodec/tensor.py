@@ -15,9 +15,9 @@ File format ("VTensor", extension ``.wfvt``), little-endian throughout::
     payload c*t*h*w float32 values, row-major, no padding, no checksum
 
 This module also holds the file-format plumbing every other format shares:
-the one atomic writer, the one checked float32 payload reader, the one JSON
-manifest reader and writer, and the one SHA-256 digest of a serialization. It
-is also the one module that maps files into memory.
+the one atomic writer, the one file mapping (:func:`_map_file`), the one
+checked float32 payload view (:func:`_payload`), the one JSON manifest reader
+and writer, and the one SHA-256 digest of a serialization.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ DTYPE_F32 = 0
 
 _HEADER = struct.Struct("<4sIII4I")
 
-# Block size of a checked payload read (:func:`read_f32`) and of the range
-# scan of a mapped payload (:func:`load_tensor`): small enough that a block's
-# min and max are taken while it is still in cache.
+# Block size of the range scan of a mapped payload (:func:`_payload`): small
+# enough that a block's min and max are taken while it is still in cache.
 _READ_BYTES = 1 << 20
 
 # Largest per-axis extent the file header accepts. Keeps dims * 4 bytes well
@@ -248,27 +247,6 @@ def sha256_hex(blobs) -> str:
     return hasher.hexdigest()
 
 
-def read_f32(fh, dims, total: int, what: str) -> np.ndarray:
-    """Read a float32 array of shape ``dims`` from ``fh`` of ``total`` bytes.
-
-    Corrupt dims must not become a huge array, so the size is checked first.
-    The payload is read in blocks of ``_READ_BYTES``."""
-    nbytes = 4 * math.prod(dims)
-    left = total - fh.tell()
-    if nbytes > left:
-        raise FormatError(f"{what}: truncated payload ({left} bytes, need {nbytes})")
-    values = np.empty(dims, dtype="<f4")
-    flat = values.reshape(-1)
-    step = _READ_BYTES // 4
-    for start in range(0, flat.size, step):
-        block = flat[start : start + step]
-        got = fh.readinto(block)
-        if got != block.nbytes:
-            got += 4 * start
-            raise FormatError(f"{what}: truncated payload ({got} bytes, need {nbytes})")
-    return values
-
-
 def save_manifest(manifest: dict, path) -> None:
     """Write a JSON manifest atomically, indented, with a final newline."""
     write_atomic(path, [(json.dumps(manifest, indent=2) + "\n").encode()])
@@ -303,52 +281,89 @@ def tensor_digest(tensor: VideoTensor) -> str:
     return sha256_hex(_serialized(tensor))
 
 
-def load_tensor(path) -> VideoTensor:
-    """Read a VTensor file; raises FormatError on any structural defect.
+def _map_file(path):
+    """The bytes of the file at ``path``, mapped read-only; ``b""`` for an
+    empty file, which cannot be mapped. The one place this package maps a
+    file.
 
-    The payload is not copied: the file is mapped read-only and the tensor
-    is a view of the mapping, whose pages the OS reads in as they are first
-    touched. The view is scanned once, in ``_READ_BYTES`` blocks, for its
-    min and max: a NaN or infinity raises FormatError at the first block
-    that holds one, and the tensor is wrapped with the payload's exact
-    range, never scanned again. The mapping holds a duplicate of the file's
-    descriptor until the tensor and every view of it are gone.
+    The file is opened, sized with ``fstat`` and mapped at that size, so a
+    file that shrank in between is FormatError "truncated". Views of the
+    mapping read pages in as they are first touched, and the mapping holds a
+    duplicate of the file's descriptor until it and every view of it are
+    gone. Replacing the file leaves the views as they were; truncating it in
+    place while a view lives can end the process with SIGBUS on its next
+    read, which :func:`write_atomic`, the one writer, never does.
     """
     with open(path, "rb") as fh:
         total = os.fstat(fh.fileno()).st_size
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise FormatError(f"{path}: file shorter than header")
-        magic, version, dtype, ndim, c, t, h, w = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        if dtype != DTYPE_F32:
-            raise FormatError(f"{path}: unsupported dtype code {dtype}")
-        if ndim != 4:
-            raise FormatError(f"{path}: expected 4 dims, header says {ndim}")
-        dims = (c, t, h, w)
-        if min(dims) < 1 or max(dims) > MAX_DIM:
-            raise FormatError(f"{path}: dimension out of range {dims}")
-        nbytes = 4 * math.prod(dims)
-        trailing = total - _HEADER.size - nbytes
-        if trailing > 0:
-            raise FormatError(f"{path}: {trailing} trailing bytes")
+        if not total:
+            return b""
         try:
-            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except ValueError:  # the file is empty now
-            mapped = b""
-    # The file may have shrunk since fstat: check what the mapping holds.
-    left = len(mapped) - _HEADER.size
-    if nbytes > left:
-        raise FormatError(f"{path}: truncated payload ({max(left, 0)} bytes, need {nbytes})")
-    values = np.frombuffer(mapped, dtype="<f4", count=nbytes // 4, offset=_HEADER.size)
+            return mmap.mmap(fh.fileno(), total, access=mmap.ACCESS_READ)
+        except ValueError:  # "mmap length is greater than file size"
+            raise FormatError(f"{path}: truncated file (shorter than {total} bytes)") from None
+
+
+def _payload(mapped, offset: int, dims, what: str):
+    """The float32 array of shape ``dims`` at byte ``offset`` of ``mapped``,
+    and its (min, max) (None for no values).
+
+    Corrupt dims must not reach past the file, so the size is checked first.
+    The array is a read-only view of the mapping, or a read-only copy where
+    ``offset`` is not 4-byte aligned. It is scanned once, in ``_READ_BYTES``
+    blocks, for its min and max: a NaN or infinity raises FormatError naming
+    ``what`` at the first block that holds one.
+    """
+    count = math.prod(dims)
+    left = len(mapped) - offset
+    if 4 * count > left:
+        raise FormatError(f"{what}: truncated payload ({max(left, 0)} bytes, need {4 * count})")
+    values = np.frombuffer(mapped, dtype="<f4", count=count, offset=offset)
     bounds = None
     step = _READ_BYTES // 4
-    for start in range(0, values.size, step):
+    for start in range(0, count, step):
         block = values[start : start + step]
         bounds = _widen(bounds, block.min(), block.max())
         if not (np.isfinite(bounds[0]) and np.isfinite(bounds[1])):
-            raise FormatError(f"{path}: payload contains non-finite values")
-    return _with_range(values.reshape(dims), *bounds)
+            raise FormatError(f"{what}: payload contains non-finite values")
+    if not values.flags.aligned:
+        values = values.copy()
+        values.flags.writeable = False
+        # The pages wholly inside the copied payload leave this process's
+        # resident set (the page cache keeps them), so the copy is not
+        # counted twice.
+        page = mmap.PAGESIZE
+        first, stop = -(-offset // page) * page, (offset + 4 * count) // page * page
+        if stop > first:
+            mapped.madvise(mmap.MADV_DONTNEED, first, stop - first)
+    return values.reshape(dims), bounds
+
+
+def load_tensor(path) -> VideoTensor:
+    """Read a VTensor file; raises FormatError on any structural defect.
+
+    The payload is not copied: the tensor is a view of the file's read-only
+    mapping (:func:`_map_file`), scanned once for its min and max by
+    :func:`_payload`, so it is wrapped with the payload's exact range and
+    never scanned again.
+    """
+    mapped = _map_file(path)
+    if len(mapped) < _HEADER.size:
+        raise FormatError(f"{path}: file shorter than header")
+    magic, version, dtype, ndim, c, t, h, w = _HEADER.unpack_from(mapped)
+    if magic != MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}")
+    if version != FORMAT_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    if dtype != DTYPE_F32:
+        raise FormatError(f"{path}: unsupported dtype code {dtype}")
+    if ndim != 4:
+        raise FormatError(f"{path}: expected 4 dims, header says {ndim}")
+    dims = (c, t, h, w)
+    if min(dims) < 1 or max(dims) > MAX_DIM:
+        raise FormatError(f"{path}: dimension out of range {dims}")
+    trailing = len(mapped) - _HEADER.size - 4 * math.prod(dims)
+    if trailing > 0:
+        raise FormatError(f"{path}: {trailing} trailing bytes")
+    values, bounds = _payload(mapped, _HEADER.size, dims, str(path))
+    return _with_range(values, *bounds)

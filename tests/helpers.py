@@ -207,14 +207,17 @@ def per_tap_conv3d(x, weight, bias, spec: ConvSpec, rows: int) -> np.ndarray:
 _HAAR_SIGNS = {"h": (1.0, 1.0), "g": (1.0, -1.0)}
 
 
-def wfwt_bytes(entries) -> bytes:
-    """A ``.wfwt`` file holding ``(name, values)`` entries in the given order."""
-    out = [b"WFWT", struct.pack("<II", 1, len(entries))]
+def wfwt_bytes(entries, version: int = 1) -> bytes:
+    """A ``.wfwt`` file of ``version`` holding ``(name, values)`` entries in
+    the given order; version 2 zero-pads each payload to a 64-byte offset."""
+    out = [b"WFWT", struct.pack("<II", version, len(entries))]
     for name, values in entries:
         encoded = name.encode("utf-8")
         arr = np.asarray(values, dtype="<f4")
         out.append(struct.pack("<H", len(encoded)) + encoded)
         out.append(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
+        if version == 2:
+            out.append(bytes(-sum(map(len, out)) % 64))
         out.append(arr.tobytes())
     return b"".join(out)
 

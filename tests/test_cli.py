@@ -21,6 +21,7 @@ import wfcodec
 from wfcodec import (
     Rng,
     VideoTensor,
+    WeightStore,
     load_tensor,
     new_tensor,
     random_normal,
@@ -507,6 +508,25 @@ class TestInputDigests:
                 assert report["inputs"][key] == _file_hash(path), (argv[0], key)
 
 
+    def test_version_1_weights_digest_is_their_file_hash(self, capsys, tmp_path, video_file):
+        v2 = tmp_path / "w2.wfwt"
+        code, _, _ = run_cli(
+            capsys, ["init-weights", "--seed", "4", "--output", str(v2), *TINY_FLAGS]
+        )
+        assert code == 0
+        v1 = tmp_path / "w1.wfwt"
+        v1.write_bytes(wfwt_bytes(list(WeightStore.load(v2).items())))
+        for weights in (v1, v2):
+            code, report, _ = run_cli(
+                capsys,
+                ["encode", "--input", video_file, "--weights", str(weights),
+                 "--output", str(tmp_path / "latent"), *TINY_FLAGS],
+            )
+            assert code == 0
+            assert report["inputs"]["weights"] == _file_hash(weights), weights.name
+        assert _file_hash(v1) != _file_hash(v2)
+
+
 class TestAtomicOutputs:
     """An interrupted encode leaves no manifest, so the prefix cannot be
     decoded with a configuration that does not match its tensors."""
@@ -712,6 +732,32 @@ class TestInputErrors:
              "--output", str(tmp_path / "latent"), *TINY_FLAGS],
         )
         assert_input_error(code, report, err, "FormatError")
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_nan_weight_exits_2_before_the_model_runs(
+        self, capsys, tmp_path, video_file, monkeypatch, version
+    ):
+        good = tmp_path / "good.wfwt"
+        code, _, _ = run_cli(
+            capsys, ["init-weights", "--seed", "4", "--output", str(good), *TINY_FLAGS]
+        )
+        assert code == 0
+        entries = [(name, np.array(arr)) for name, arr in WeightStore.load(good).items()]
+        dict(entries)["enc.down1.weight"].reshape(-1)[0] = np.nan
+        weights = tmp_path / "nan.wfwt"
+        weights.write_bytes(wfwt_bytes(entries, version))
+
+        def model_runs(*args, **kwargs):
+            raise AssertionError("the model ran on a weight file with NaN")
+
+        monkeypatch.setattr(cli, "encode", model_runs)
+        code, report, err = run_cli(
+            capsys,
+            ["encode", "--input", video_file, "--weights", str(weights),
+             "--output", str(tmp_path / "latent"), *TINY_FLAGS],
+        )
+        assert_input_error(code, report, err, "FormatError")
+        assert "'enc.down1.weight'" in json.loads(err)["message"]
 
     def test_non_utf8_weight_name_exits_2(self, capsys, tmp_path, video_file):
         weights = _non_utf8_weights(tmp_path / "bad.wfwt")

@@ -1,11 +1,13 @@
 """Autoencoder graph: shape laws, determinism, streamed/direct identity,
 recombination linearity, and weight-store round trips."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -316,6 +318,143 @@ class TestWeightStore:
         # Weights initialized for TINY cannot drive a different geometry.
         with pytest.raises(WeightError):
             tiny_weights.validate(TINY2)
+
+
+# Names of uneven length: in a version 1 file the payload of "a" starts at
+# byte 23, so version 1 payloads sit at unaligned offsets.
+_ODD_ENTRIES = [
+    ("a", np.arange(3, dtype=np.float32)),
+    ("bb", np.full((2, 2), -1.5, dtype=np.float32)),
+    ("ccc", np.array([7.0], dtype=np.float32)),
+    ("dddd.weight", np.arange(24, dtype=np.float32).reshape(1, 2, 3, 2, 2)),
+]
+
+
+class TestWeightFileVersions:
+    """``save`` writes version 2, whose payloads start on 64-byte offsets;
+    version 1 files, with no pad, still load."""
+
+    def test_save_writes_version_2(self, tmp_path):
+        path = tmp_path / "w.wfwt"
+        WeightStore(dict(_ODD_ENTRIES)).save(path)
+        assert path.read_bytes() == wfwt_bytes(_ODD_ENTRIES, version=2)
+
+    def test_version_1_file_loads_bit_exact_and_aligned(self, tmp_path):
+        path = tmp_path / "v1.wfwt"
+        raw = wfwt_bytes(_ODD_ENTRIES)
+        path.write_bytes(raw)
+        loaded = WeightStore.load(path)
+        assert loaded.names() == [name for name, _ in _ODD_ENTRIES]
+        for name, values in _ODD_ENTRIES:
+            arr = loaded.get(name)
+            assert arr.flags.aligned and not arr.flags.writeable, name
+            assert arr.dtype == np.float32 and arr.shape == values.shape, name
+            assert arr.tobytes() == values.tobytes(), name
+
+    def test_version_1_digest_is_its_file_hash_and_save_writes_version_2(self, tmp_path):
+        path = tmp_path / "v1.wfwt"
+        raw = wfwt_bytes(_ODD_ENTRIES)
+        path.write_bytes(raw)
+        loaded = WeightStore.load(path)
+        assert loaded.digest() == hashlib.sha256(raw).hexdigest()
+        copy = tmp_path / "v2.wfwt"
+        loaded.save(copy)
+        assert copy.read_bytes() == wfwt_bytes(_ODD_ENTRIES, version=2)
+        assert WeightStore.load(copy).digest() == hashlib.sha256(copy.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_is_format_error_naming_its_entry(self, tmp_path, version, bad):
+        path = tmp_path / "w.wfwt"
+        entries = [("a", [1.0, 2.0]), ("b.weight", [0.0, bad, 3.0])]
+        path.write_bytes(wfwt_bytes(entries, version))
+        with pytest.raises(FormatError, match=r"'b\.weight'.*non-finite"):
+            WeightStore.load(path)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+    def test_copied_payloads_leave_the_resident_set(self, tmp_path):
+        """A version 1 payload at an unaligned offset is copied, so its
+        mapped pages must not stay resident beside the copy."""
+
+        def resident_file_kib():
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) for line in fh if line.startswith("RssFile:"))
+
+        # A 4 MiB payload at byte 35, copied, then one at an aligned offset,
+        # a view, which keeps the mapping alive.
+        entries = [("a", make_random(4, (1, 16, 256, 256)).data), ("bbb", [1.0])]
+        path = tmp_path / "v1.wfwt"
+        path.write_bytes(wfwt_bytes(entries))
+        before = resident_file_kib()
+        loaded = WeightStore.load(path)
+        assert resident_file_kib() - before < 1024
+        assert loaded.get("bbb")[0] == 1.0
+
+    def test_non_zero_pad_is_format_error(self, tmp_path):
+        """A pad must be zero, as names must sort: otherwise ``digest()``
+        would differ from the file hash."""
+        path = tmp_path / "w.wfwt"
+        raw = bytearray(wfwt_bytes([("a", [1.0])], version=2))
+        assert raw[23:64] == bytes(41)  # the pad between the dims and byte 64
+        raw[40] = 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="non-zero pad before 'a'"):
+            WeightStore.load(path)
+
+
+class TestMappedWeights:
+    """``WeightStore.load`` maps the file once, and every tensor is a
+    read-only view of that mapping."""
+
+    def test_load_copies_no_payload(self, tmp_path):
+        path = tmp_path / "w.wfwt"
+        WeightStore({"w": make_random(4, (1, 16, 256, 256)).data}).save(path)  # 4 MiB
+        _, peak = traced_peak(lambda: WeightStore.load(path))
+        assert peak < 1 << 20
+
+    def test_loaded_arrays_cannot_be_written(self, tmp_path, tiny_weights):
+        path = tmp_path / "w.wfwt"
+        tiny_weights.save(path)
+        loaded = WeightStore.load(path)
+        for name, arr in loaded.items():
+            assert not arr.flags.writeable, name
+        arr = loaded.get("enc.stem.weight")
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+
+    def test_replacing_the_file_leaves_a_loaded_store(self, tmp_path, tiny_weights):
+        """``save`` replaces the file, so the mapping keeps the old inode."""
+        path = tmp_path / "w.wfwt"
+        tiny_weights.save(path)
+        loaded = WeightStore.load(path)
+        other = init_weights(TINY, Rng(7))
+        other.save(path)
+        for name, arr in tiny_weights.items():
+            assert np.array_equal(loaded.get(name), arr), name
+        assert loaded.digest() == tiny_weights.digest()
+        assert WeightStore.load(path).digest() == other.digest()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_dropped_stores_release_their_descriptors(self, tmp_path, tiny_weights):
+        path = tmp_path / "w.wfwt"
+        tiny_weights.save(path)
+        before = len(os.listdir("/proc/self/fd"))
+        held = [WeightStore.load(path) for _ in range(64)]
+        assert len(os.listdir("/proc/self/fd")) <= before + len(held)
+        del held
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_file_that_shrank_after_fstat_is_truncated(self, tmp_path, monkeypatch, tiny_weights):
+        path = tmp_path / "w.wfwt"
+        tiny_weights.save(path)
+        full = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-4])
+        with monkeypatch.context() as m:
+            m.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=full))
+            with pytest.raises(FormatError, match="truncated"):
+                WeightStore.load(path)
 
 
 class TestEncodeShapes:

@@ -2,8 +2,10 @@
 (``stream_conv3d`` over a ``CacheState``, and the conv stream it wraps,
 which alone takes a final or an empty chunk), ``Dwt3dStream`` and
 ``Idwt3dStream``. Each machine cuts valid chunks of any length, none
-included, from one clip, and mixes in chunks of another (c, h, w) and, for
-the conv, final chunks and feeds after them.
+included, from one clip, feeds some of them as non-contiguous views of the
+same values (Fortran order, reversed strides, every other element of a wider
+row, read-only), and mixes in chunks of another (c, h, w) and, for the conv,
+final chunks and feeds after them.
 
 After every step, what the valid feeds returned is bit for bit what a
 one-chunk run over the same frames emits. A chunk of another (c, h, w) and
@@ -32,6 +34,22 @@ def _other(n: int, axis: int):
     return tuple(shape)
 
 
+def _spaced(a):
+    """``a``'s values as every other element of a row twice as wide."""
+    wide = np.zeros((*a.shape[:-1], 2 * a.shape[-1]), dtype=a.dtype)
+    wide[..., ::2] = a
+    return wide[..., ::2]
+
+
+# Non-contiguous views of a chunk's values, by name.
+_LAYOUTS = {
+    "fortran": np.asfortranarray,
+    "reversed": lambda a: np.ascontiguousarray(a[..., ::-1])[..., ::-1],
+    "spaced": _spaced,
+    "read-only": lambda a: np.lib.stride_tricks.as_strided(_spaced(a), writeable=False),
+}
+
+
 class _StreamMachine(RuleBasedStateMachine):
     """Feeds one stream; a subclass builds it and its clip (``start``) and
     says how to feed a chunk and what a one-chunk run emits."""
@@ -55,6 +73,20 @@ class _StreamMachine(RuleBasedStateMachine):
         self.emitted.append(self.feed(chunk, final))
         self.fed, self.ended = self.fed + n, final
 
+    @rule(data=st.data())
+    def feed_valid_as_other_layout(self, data):
+        """A valid chunk as a non-contiguous view of the same values."""
+        n = data.draw(st.integers(0, FRAMES - self.fed), label="frames")
+        layout = data.draw(st.sampled_from(sorted(_LAYOUTS)), label="layout")
+        final = self.can_end and data.draw(st.booleans(), label="final")
+        chunk = self.relayout(self.cut(self.fed, self.fed + n), _LAYOUTS[layout])
+        if self.ended:
+            with pytest.raises(StateError):
+                self.feed_view(chunk, final)
+            return
+        self.emitted.append(self.feed_view(chunk, final))
+        self.fed, self.ended = self.fed + n, final
+
     @precondition(lambda self: self.fed > 0)
     @rule(data=st.data())
     def feed_another_frame(self, data):
@@ -69,6 +101,12 @@ class _StreamMachine(RuleBasedStateMachine):
 
     def other(self, n, axis):
         return np.ones(_other(n, axis), dtype=np.float32)
+
+    def relayout(self, chunk, layout):
+        return layout(chunk)
+
+    def feed_view(self, chunk, final):
+        return self.feed(chunk, final)
 
     @invariant()
     def emitted_frames_match_the_one_chunk_run(self):
@@ -104,6 +142,11 @@ class ConvMachine(_StreamMachine):
         if out is None:  # no window completed, so no frames
             return self.one_chunk(0)
         return out.data
+
+    def feed_view(self, chunk, final):
+        """A view goes to the conv stream, which the executor feeds with
+        views; ``stream_conv3d`` would copy it into a contiguous tensor."""
+        return self.conv.feed(chunk, final)
 
     def one_chunk(self, m):
         return causal._ConvStream(self.spec, self.weight, self.bias).feed(
@@ -142,6 +185,9 @@ class IdwtMachine(_StreamMachine):
 
     def other(self, n, axis):
         return {key: np.ones(_other(n, axis), dtype=np.float32) for key in KEYS_3D}
+
+    def relayout(self, chunk, layout):
+        return {key: layout(band) for key, band in chunk.items()}
 
     def feed(self, chunk, final):
         return self.stream.feed(chunk)
