@@ -14,10 +14,14 @@ so low-frequency content travels to and from the latent along a short linear
 path. The final video is the inverse 3D transform of the predicted level-1
 set.
 
-Every temporal operation in the graph is causal, so encode and decode run
-through one chunk executor for any chunk plan with identical results; direct
-mode is the plan of a single chunk. See :mod:`wfcodec.causal` for the
-caching machinery. Each conv feed runs its GEMMs with the BLAS at one thread
+The whole codec is one graph, defined once in ``_graph`` as two node lists:
+the Haar analysis levels, the convs, the residual blocks, the energy-flow
+branches, the syntheses and both recombinations are nodes, which hand
+subband sets to each other by name (``w1``, ``w2``, ``w3``). Every temporal
+operation in the graph is causal, so encode and decode each run their list
+through one chunk executor, ``_Chain``, for any chunk plan with identical
+results; direct mode is the plan of a single chunk. See
+:mod:`wfcodec.causal` for the caching machinery. Each conv feed runs its GEMMs with the BLAS at one thread
 and shares its row tiles out to ``W`` workers (:mod:`wfcodec.blas`), so the
 output bits depend on neither thread count.
 
@@ -286,14 +290,25 @@ class WeightStore:
 
 @dataclass(frozen=True, slots=True)
 class _Node:
-    """One graph node: a conv, a residual block, or an energy-flow branch.
+    """One graph node: a conv, a residual block, an energy-flow branch or a
+    Haar level.
 
-    ``kind`` is conv, block, inflow or outflow. ``spec`` is the conv
-    geometry of conv and branch nodes. A conv reads its input through the
-    nearest upsample ``factors``, or through SiLU of the norm named ``norm``
-    (a layer with a gain and a bias over the input channels). ``keys`` are
-    the subbands a branch carries; a block runs ``body`` and adds its input,
-    through the ``skip`` conv when the width changes.
+    ``kind`` is conv, block, inflow, outflow, dwt or idwt. ``spec`` is the
+    conv geometry of conv and branch nodes. A conv reads its input through
+    the nearest upsample ``factors``, or through SiLU of the norm named
+    ``norm`` (a layer with a gain and a bias over the input channels). A
+    block runs ``body`` and adds its input, through the ``skip`` conv when
+    the width changes.
+
+    ``src`` and ``dst`` name the subband set a node reads and the one it
+    writes, ``w1``, ``w2`` or ``w3``; "" is the backbone. ``keys`` are the
+    bands of that set, in the order a conv stacks them on its channels: a
+    conv or an inflow that reads a set reads its bands stacked, and a conv or
+    an outflow that writes one splits its output. A dwt analyzes the
+    backbone, or the ``hhh`` band of set ``src``, into set ``dst``; an idwt
+    synthesizes set ``src`` and adds the result into the ``hhh`` band of set
+    ``dst``, or, with no ``dst``, makes it the backbone. ``keys`` make a Haar
+    level 3D or 2D.
     """
 
     kind: str
@@ -302,22 +317,24 @@ class _Node:
     norm: str = ""
     factors: tuple[int, int, int] = (1, 1, 1)
     keys: tuple[str, ...] = ()
+    src: str = ""
+    dst: str = ""
     body: tuple[_Node, ...] = ()
     skip: _Node | None = None
 
 
 def _conv(
     name: str, cin: int, cout: int, kernel=(3, 3, 3), stride=(1, 1, 1),
-    factors=(1, 1, 1), norm: str = "",
+    factors=(1, 1, 1), norm: str = "", **bands,
 ) -> _Node:
     pad = ((kernel[1] - 1) // 2, (kernel[2] - 1) // 2)
     spec = ConvSpec(cin, cout, tuple(kernel), tuple(stride), pad)
-    return _Node("conv", name, spec, norm, factors)
+    return _Node("conv", name, spec, norm, factors, **bands)
 
 
-def _branch(kind: str, name: str, cin: int, cout: int, keys) -> _Node:
-    """A 1x1x1 conv between the backbone and a wavelet subband stack."""
-    return replace(_conv(name, cin, cout, kernel=(1, 1, 1)), kind=kind, keys=keys)
+def _branch(kind: str, name: str, cin: int, cout: int, **bands) -> _Node:
+    """A 1x1x1 conv between the backbone and a wavelet subband set."""
+    return replace(_conv(name, cin, cout, kernel=(1, 1, 1), **bands), kind=kind)
 
 
 def _stage(prefix: str, cin: int, cout: int, blocks: int) -> list[_Node]:
@@ -334,31 +351,38 @@ def _stage(prefix: str, cin: int, cout: int, blocks: int) -> list[_Node]:
 
 
 def _graph(config: ModelConfig) -> tuple[list[_Node], list[_Node]]:
-    """The encoder and the decoder, each in execution order."""
+    """The encoder and the decoder, each in execution order: from the video
+    to the latent, and from the latent to the video."""
     w0, w1, w2 = config.stage_widths
     cf, blocks, chn = config.c_flow, config.blocks_per_stage, config.latent_channels
     stack3d, stack2d = 8 * config.input_channels, 4 * config.input_channels
     encoder = [
-        _conv("enc.stem", stack3d, w0),
+        _Node("dwt", "enc.dwt1", keys=KEYS_3D, dst="w1"),
+        _Node("dwt", "enc.dwt2", keys=KEYS_3D, src="w1", dst="w2"),
+        _Node("dwt", "enc.dwt3", keys=KEYS_2D, src="w2", dst="w3"),
+        _conv("enc.stem", stack3d, w0, keys=KEYS_3D, src="w1"),
         *_stage("enc.stage1", w0, w0, blocks),
         _conv("enc.down1", w0, w1, stride=(2, 2, 2)),
-        _branch("inflow", "enc.inflow2", stack3d, cf, KEYS_3D),
+        _branch("inflow", "enc.inflow2", stack3d, cf, keys=KEYS_3D, src="w2"),
         *_stage("enc.stage2", w1 + cf, w1, blocks),
         _conv("enc.down2", w1, w2, stride=(1, 2, 2)),
-        _branch("inflow", "enc.inflow3", stack2d, cf, KEYS_2D),
+        _branch("inflow", "enc.inflow3", stack2d, cf, keys=KEYS_2D, src="w3"),
         *_stage("enc.stage3", w2 + cf, w2, blocks),
         _conv("enc.head.conv", w2, 2 * chn, norm="enc.head.norm"),
     ]
     decoder = [
         _conv("dec.stem", chn, w2),
         *_stage("dec.stage3", w2, w2, blocks),
-        _branch("outflow", "dec.outflow3", cf, stack2d, KEYS_2D),
+        _branch("outflow", "dec.outflow3", cf, stack2d, keys=KEYS_2D, dst="w3"),
         _conv("dec.up2", w2, w1, factors=(1, 2, 2)),
         *_stage("dec.stage2", w1, w1, blocks),
-        _branch("outflow", "dec.outflow2", cf, stack3d, KEYS_3D),
+        _branch("outflow", "dec.outflow2", cf, stack3d, keys=KEYS_3D, dst="w2"),
         _conv("dec.up1", w1, w0, factors=(2, 2, 2)),
         *_stage("dec.stage1", w0, w0, blocks),
-        _conv("dec.out.conv", w0, stack3d, norm="dec.out.norm"),
+        _conv("dec.out.conv", w0, stack3d, norm="dec.out.norm", keys=KEYS_3D, dst="w1"),
+        _Node("idwt", "dec.idwt3", keys=KEYS_2D, src="w3", dst="w2"),
+        _Node("idwt", "dec.idwt2", keys=KEYS_3D, src="w2", dst="w1"),
+        _Node("idwt", "dec.idwt1", keys=KEYS_3D, src="w1"),
     ]
     return encoder, decoder
 
@@ -461,11 +485,18 @@ class ForwardResult:
 # ---------------------------------------------------------------------------
 # Execution: one chunk executor for every plan; direct mode is the plan with
 # a single chunk. The encoder and the decoder are each one _Chain: a table of
-# every conv's stream, keyed by node name, and one walk over the graph's
-# _Nodes that feeds them. Only the walk holds an activation, so each is freed
-# as soon as the next node has consumed it; that keeps peak memory at that of
-# a hand-written whole-clip pass.
+# every conv's stream and one of every Haar level's transform, both keyed by
+# node name, and one walk over the graph's _Nodes that feeds them. Only the
+# walk holds an activation or a subband set, so each is freed as soon as the
+# last node that reads it has run; that keeps peak memory at that of a
+# hand-written whole-clip pass.
 # ---------------------------------------------------------------------------
+
+
+def _stack(bands: dict[str, np.ndarray], keys) -> np.ndarray:
+    """The bands ``keys`` stacked on the channel axis. A set handed to this
+    call alone is freed once its stack is made."""
+    return np.concatenate([bands[key] for key in keys])
 
 
 def _split_bands(stack: np.ndarray, keys) -> dict[str, np.ndarray]:
@@ -487,7 +518,10 @@ class _Chain:
     ``convs`` maps every conv node's name, block bodies and skips included,
     to its cached conv stream. A conv after a norm reads through the norm and
     SiLU (group norm, the negative control, takes its statistics over the
-    chunk), an outflow conv through SiLU alone.
+    chunk), an outflow conv through SiLU alone. ``haar`` maps every Haar
+    level's name to its transform of one chunk: a 3D level is a
+    ``Dwt3dStream``/``Idwt3dStream``, which carries frames from chunk to
+    chunk, and a 2D level transforms each frame on its own.
 
     A residual block adds its body to its input, through the skip conv when
     the width changes. The body runs one frame at a time: slice k of the
@@ -501,9 +535,14 @@ class _Chain:
     before the sum lands there. Group norm feeds the body the chunk as one
     slice, and holds its whole output before the add.
 
-    An inflow appends act(conv(bands)) to the backbone, the bands being the
-    next subband set of ``inflows``; an outflow passes the backbone through
-    and predicts its subband set as conv(act(x[:c_flow])).
+    An inflow appends act(conv(bands)) to the backbone, the bands being set
+    ``src`` stacked; an outflow passes the backbone through and predicts set
+    ``dst`` as conv(act(x[:c_flow])). A recombination adds its synthesis
+    into the ``hhh`` band of set ``dst`` in place: that band is a view of the
+    conv output that predicted it, which nothing else reads, so the next
+    synthesis holds no second copy of it. A node that makes the backbone from
+    a set (the encoder's stem, the decoder's last synthesis) consumes that
+    set; the sets that no node consumes are the subband echo.
     """
 
     def __init__(self, nodes: list[_Node], config: ModelConfig, weights: WeightStore):
@@ -523,15 +562,29 @@ class _Chain:
                 conv.spec, weights.get(f"{conv.name}.weight"),
                 weights.get(f"{conv.name}.bias"), conv.factors, prologue,
             )
+        # Inputs are 4k+1 frames, and so is level 1's hhh band: both 3D
+        # levels pad frame 0 before analysis and drop its copy after synthesis.
+        self.haar = {}
+        for node in nodes:
+            if node.kind == "dwt" and node.keys == KEYS_3D:
+                self.haar[node.name] = Dwt3dStream(pad_first=True).feed
+            elif node.kind == "idwt" and node.keys == KEYS_3D:
+                self.haar[node.name] = Idwt3dStream(drop_first=True).feed
+            elif node.kind == "dwt":
+                self.haar[node.name] = lambda frames: _analyze_2d(frames)[0]
+            elif node.kind == "idwt":
+                self.haar[node.name] = lambda bands: _synthesize_2d(bands)[0]
 
-    def feed(self, x: np.ndarray, final: bool, inflows=()):
+    def feed(self, x: np.ndarray, final: bool):
         """Feed one chunk through the nodes in order; returns the backbone's
-        output and the outflows' subband sets, in graph order."""
-        inflows, outflows = iter(inflows), []
+        output and, by name, the subband sets that no node consumed."""
+        sets: dict[str, dict[str, np.ndarray]] = {}
         for node in self.nodes:
-            conv = self.convs.get(node.name)
+            conv, haar = self.convs.get(node.name), self.haar.get(node.name)
             if node.kind == "conv":
-                x = conv.feed(x, final)
+                x = conv.feed(_stack(sets.pop(node.src), node.keys) if node.src else x, final)
+                if node.dst:
+                    sets[node.dst], x = _split_bands(x, node.keys), None
             elif node.kind == "block":
                 skip = self.convs[node.skip.name].feed(x, final) if node.skip else x
                 n = x.shape[1]
@@ -542,77 +595,42 @@ class _Chain:
                     for body in node.body:
                         y = self.convs[body.name].feed(y, final and k + step >= n)
                     skip[:, k : k + step] += y
-                del y  # no activation outlives the node that reads it
                 x = skip
+                del y, skip  # no activation outlives the node that reads it
             elif node.kind == "inflow":
-                bands = next(inflows)
-                flow = silu(conv.feed(np.concatenate([bands[k] for k in node.keys]), final))
+                flow = silu(conv.feed(_stack(sets[node.src], node.keys), final))
                 _check_rate(node.name, x, flow)
                 x = np.concatenate([x, flow])
                 del flow
-            else:  # outflow
+            elif node.kind == "outflow":
                 out = conv.feed(x[: node.spec.in_channels], final)
-                outflows.append(_split_bands(out, node.keys))
-        return x, outflows
+                sets[node.dst] = _split_bands(out, node.keys)
+            elif node.kind == "dwt":
+                sets[node.dst] = haar(sets[node.src]["hhh"] if node.src else x)
+            elif node.dst:  # s_hhh = idwt(w_hat) + outflow_hhh
+                out = haar(sets[node.src])
+                _check_rate(node.name, sets[node.dst]["hhh"], out)
+                sets[node.dst]["hhh"] += out
+                del out
+            else:  # the last synthesis: the video
+                x = haar(sets.pop(node.src))
+        return x, sets
 
 
-class _EncoderStream(_Chain):
-    """Chunk-by-chunk encoder; emissions align across branches at every rate."""
-
-    def __init__(self, config: ModelConfig, weights: WeightStore):
-        super().__init__(_graph(config)[0], config, weights)
-        self.latent_channels = config.latent_channels
-        # Inputs are 4k+1 frames, and so is level 1's hhh band: both pad.
-        self.wave1 = Dwt3dStream(pad_first=True)
-        self.wave2 = Dwt3dStream(pad_first=True)
-
-    def feed(self, frames: np.ndarray, final: bool):
-        w1 = self.wave1.feed(frames)
-        w2 = self.wave2.feed(w1["hhh"])
-        w3, _ = _analyze_2d(w2["hhh"])
-        # Popping the bands leaves the stacked copy as level 1's only one, and
-        # the chain frees that once the stem has read it.
-        x, _ = super().feed(
-            np.concatenate([w1.pop(k) for k in KEYS_3D]), final, (w2, w3)
-        )
-        chn = self.latent_channels
-        return x[:chn], x[chn:], w2, w3
-
-
-class _DecoderStream(_Chain):
-    def __init__(self, config: ModelConfig, weights: WeightStore):
-        super().__init__(_graph(config)[1], config, weights)
-        # Videos are 4k+1 frames and level 1 has 2k+1: both drop the pad.
-        self.idwt_w2 = Idwt3dStream(drop_first=True)
-        self.idwt_final = Idwt3dStream(drop_first=True)
-
-    def feed(self, z_frames: np.ndarray, final: bool):
-        x, (w3, w2) = super().feed(z_frames, final)
-        w1 = _split_bands(x, KEYS_3D)
-        # The sums land in the conv outputs the bands are views of, which
-        # nothing else reads, so the final synthesis holds no second hhh band.
-        w2["hhh"] += _synthesize_2d(w3)[0]
-        contrib = self.idwt_w2.feed(w2)
-        _check_rate("level 1", w1["hhh"], contrib)
-        w1["hhh"] += contrib
-        return self.idwt_final.feed(w1), w2, w3
-
-
-def _run(stream, frames: np.ndarray, plan: ChunkPlan | None):
-    """Feed ``frames`` through ``stream`` chunk by chunk; each of the stream's
-    outputs, as a tuple over the chunks."""
+def _run(chain: _Chain, frames: np.ndarray, plan: ChunkPlan | None):
+    """Feed ``frames`` through ``chain`` chunk by chunk. Returns the
+    backbone's output chunks, then the echo's sets w2 and w3, each band's
+    chunks concatenated in time."""
     plan = plan or ChunkPlan.direct()
-    return zip(*(stream.feed(chunk, final) for chunk, final in _iter_chunks(frames, plan)))
+    chunks, echoes = zip(*(chain.feed(c, final) for c, final in _iter_chunks(frames, plan)))
+    return chunks, *(
+        cls({key: _concat([echo[name][key] for echo in echoes]) for key in cls.KEYS})
+        for cls, name in ((SubbandSet3D, "w2"), (SubbandSet2D, "w3"))
+    )
 
 
 def _concat(chunks: list[np.ndarray]) -> VideoTensor:
     return VideoTensor(np.concatenate(chunks, axis=1))
-
-
-def _bands(cls, chunks: tuple[dict[str, np.ndarray], ...]):
-    """The subband set ``cls`` of a stream's band chunks, each key's chunks
-    concatenated in time."""
-    return cls({key: _concat([chunk[key] for chunk in chunks]) for key in cls.KEYS})
 
 
 # ---------------------------------------------------------------------------
@@ -648,12 +666,11 @@ def encode(
     """
     _validate_encode_input(v, config)
     weights.validate(config)
-    mean, logvar, w2, w3 = _run(_EncoderStream(config, weights), v.data, mode)
+    latent, w2, w3 = _run(_Chain(_graph(config)[0], config, weights), v.data, mode)
+    chn = config.latent_channels
+    mean, logvar = _concat([x[:chn] for x in latent]), _concat([x[chn:] for x in latent])
     result = EncodeResult(
-        GaussianLatent(_concat(mean), _concat(logvar)),
-        _bands(SubbandSet3D, w2),
-        _bands(SubbandSet2D, w3),
-        tuple(part.shape[1] for part in mean),
+        GaussianLatent(mean, logvar), w2, w3, tuple(x.shape[1] for x in latent)
     )
     expected_t = config.latent_time(v.time)
     if result.latent.shape[1] != expected_t:
@@ -685,8 +702,8 @@ def decode(
             f"{expected_t}"
         )
     weights.validate(config)
-    video, w2, w3 = _run(_DecoderStream(config, weights), z.data, mode)
-    result = DecodeResult(_concat(video), _bands(SubbandSet3D, w2), _bands(SubbandSet2D, w3))
+    video, w2, w3 = _run(_Chain(_graph(config)[1], config, weights), z.data, mode)
+    result = DecodeResult(_concat(video), w2, w3)
     if result.video.time != original_t:
         raise ShapeError(
             f"decode produced {result.video.time} frames, expected {original_t}"
@@ -710,10 +727,5 @@ def forward(
     z = sample_latent(enc.latent, rng)
     dec = decode(z, config, weights, v.time, mode)
     return ForwardResult(
-        reconstruction=dec.video,
-        latent=enc.latent,
-        w2_hat=dec.w2_hat,
-        w3_hat=dec.w3_hat,
-        w2=enc.w2,
-        w3=enc.w3,
+        dec.video, enc.latent, w2_hat=dec.w2_hat, w3_hat=dec.w3_hat, w2=enc.w2, w3=enc.w3
     )

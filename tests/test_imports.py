@@ -272,9 +272,14 @@ def test_gemms_run_inside_the_blas_pin():
     assert not found, f"GEMMs outside one_blas_thread: {sorted(found)}"
 
 
-def _convs_built_outside_the_chain(source: str) -> list[int]:
-    """Lines of ``source`` that construct a ``_ConvStream`` anywhere but in
-    ``_Chain.__init__``."""
+# What model.py builds or calls only where ``_Chain.__init__`` fills its
+# name-keyed tables: the conv streams and the Haar levels' transforms.
+_CHAIN_TABLE_CALLS = ("_ConvStream", "Dwt3dStream", "Idwt3dStream", "_analyze_2d", "_synthesize_2d")
+
+
+def _built_outside_the_chain(source: str) -> list[int]:
+    """Lines of ``source`` that call one of ``_CHAIN_TABLE_CALLS`` anywhere
+    but in ``_Chain.__init__``."""
     tree = ast.parse(source)
     inside = {
         id(node)
@@ -285,7 +290,8 @@ def _convs_built_outside_the_chain(source: str) -> list[int]:
     return [
         node.lineno for node in ast.walk(tree)
         if isinstance(node, ast.Call) and id(node) not in inside
-        and "_ConvStream" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        and {getattr(node.func, "attr", None), getattr(node.func, "id", None)}
+        & set(_CHAIN_TABLE_CALLS)
     ]
 
 
@@ -295,15 +301,22 @@ def _convs_built_outside_the_chain(source: str) -> list[int]:
     "def __init__(self):\n    self.conv = _ConvStream(spec, weight, bias)",
     "class _Block:\n    def __init__(self):\n        self.conv = _ConvStream(spec, w, b)",
     "class _Chain:\n    def feed(self):\n        return _ConvStream(spec, weight, bias)",
+    "wavelet.Dwt3dStream(pad_first=True)",
+    "class _Levels:\n    def __init__(self):\n        self.wave1 = Dwt3dStream(True)",
+    "class _Chain:\n    def feed(self, bands):\n        return Idwt3dStream(True).feed(bands)",
+    "w3, _ = _analyze_2d(w2['hhh'])",
+    "class _Chain:\n    def feed(self, w2, w3):\n        w2['hhh'] += _synthesize_2d(w3)[0]",
 ])
 def test_conv_construction_guard_sees(source):
-    assert _convs_built_outside_the_chain(source)
+    assert _built_outside_the_chain(source)
 
 
 def test_model_convs_built_in_one_place():
-    """The model builds every conv stream in ``_Chain.__init__``, into the
-    one name-keyed table its walk feeds, so a hook there sees every conv."""
+    """The model builds every conv stream and every Haar level's transform
+    in ``_Chain.__init__``, into the name-keyed tables its walk feeds, so a
+    hook there sees every node."""
     source = (ROOT / "src/wfcodec/model.py").read_text()
-    assert "_ConvStream(" in source
-    found = _convs_built_outside_the_chain(source)
-    assert not found, f"_ConvStream built outside _Chain.__init__ in model.py: {found}"
+    for name in _CHAIN_TABLE_CALLS:
+        assert f"{name}(" in source, name
+    found = _built_outside_the_chain(source)
+    assert not found, f"conv or Haar built outside _Chain.__init__ in model.py: {found}"

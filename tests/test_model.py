@@ -25,9 +25,11 @@ from wfcodec import (
     VideoTensor,
     WeightError,
     WeightStore,
+    build_pyramid,
     decode,
     encode,
     forward,
+    idwt2d,
     idwt3d,
     init_weights,
     new_tensor,
@@ -39,7 +41,7 @@ from wfcodec import (
 from wfcodec import blas, causal, model
 from wfcodec.cli import main
 from wfcodec.model import PRESET_BASE_CHANNELS
-from wfcodec.wavelet import KEYS_3D, SubbandSet3D
+from wfcodec.wavelet import KEYS_3D, SubbandSet2D, SubbandSet3D
 
 from helpers import (
     child_env, draw_chunk_sizes, make_random, max_abs_diff, oracle_decode, oracle_encode,
@@ -607,7 +609,7 @@ class TestExecutorMemory:
     def test_upsampling_convs_cache_source_frames(self, tiny_weights, tiny_video):
         """dec.up2 and dec.up1 cache their input before it is upsampled."""
         z = encode(tiny_video, TINY, tiny_weights).latent.mean.data
-        stream = model._DecoderStream(TINY, tiny_weights)
+        stream = model._Chain(model._graph(TINY)[1], TINY, tiny_weights)
         stream.feed(z[:, :2], final=False)
         _, w1, w2 = TINY.stage_widths
         h, w = z.shape[2:]
@@ -709,6 +711,16 @@ class TestStreamingIdentity:
         ):
             streamed = decode(z, TINY, tiny_weights, original_t=17, mode=plan)
             assert_decodings_equal(streamed, direct)
+
+    @pytest.mark.parametrize("plan", ["direct", "canonical:4", "explicit:2,5,10"])
+    def test_echo_is_the_pyramid(self, tiny_weights, tiny_video, plan):
+        """The encoder's analysis nodes are the wavelet pyramid: in any
+        chunking, its echo is build_pyramid's level 2 and level 3 bit for
+        bit."""
+        result = encode(tiny_video, TINY, tiny_weights, mode=ChunkPlan.parse(plan))
+        pyramid = build_pyramid(tiny_video)
+        assert np.array_equal(result.w2.stack(), pyramid.level2.stack())
+        assert np.array_equal(result.w3.stack(), pyramid.level3.stack())
 
     def test_deeper_config_streams_lossless(self):
         config = TINY2
@@ -843,6 +855,25 @@ class TestDecode:
         expected = base.video.data + idwt3d(delta, original_t=17).data
         assert max_abs_diff(full.video.data, expected) <= 1e-5
 
+    def test_recombinations_are_the_graph_tail(self, tiny_weights, tiny_video):
+        """The decoder's nodes up to its first synthesis, then the tail
+        rebuilt with the public inverses, reproduce decode bit for bit:
+        s2_hhh = idwt2d(w3_hat) + outflow2_hhh, s1_hhh = idwt3d(w2_hat) +
+        outflow1_hhh, and the video is the synthesis of the level-1 set."""
+        z = encode(tiny_video, TINY, tiny_weights).latent.mean
+        full = decode(z, TINY, tiny_weights, original_t=17)
+        nodes = model._graph(TINY)[1]
+        head = nodes[: next(i for i, node in enumerate(nodes) if node.kind == "idwt")]
+        _, sets = model._Chain(head, TINY, tiny_weights).feed(z.data, final=True)
+        assert sorted(sets) == ["w1", "w2", "w3"]
+        outflow2, outflow1 = SubbandSet3D(sets["w2"]), SubbandSet3D(sets["w1"])
+        s2_hhh = idwt2d(SubbandSet2D(sets["w3"])).data + outflow2["hhh"].data
+        w2_hat = outflow2.replace("hhh", VideoTensor(s2_hhh))
+        s1_hhh = idwt3d(w2_hat, original_t=9).data + outflow1["hhh"].data
+        video = idwt3d(outflow1.replace("hhh", VideoTensor(s1_hhh)), original_t=17)
+        assert np.array_equal(w2_hat["hhh"].data, full.w2_hat["hhh"].data)
+        assert np.array_equal(video.data, full.video.data)
+
 
 def _strided(stride):
     return lambda node: replace(node, spec=replace(node.spec, stride=stride))
@@ -859,7 +890,9 @@ class TestExecutorGuards:
         ("enc.down2", _strided((2, 2, 2)), "encode",
          "backbone/wavelet rate mismatch at enc.inflow3: 3 vs 5 frames"),
         ("dec.up1", lambda node: replace(node, factors=(1, 2, 2)), "decode",
-         "backbone/wavelet rate mismatch at level 1: 5 vs 9 frames"),
+         "backbone/wavelet rate mismatch at dec.idwt2: 5 vs 9 frames"),
+        ("dec.up2", lambda node: replace(node, factors=(2, 2, 2)), "decode",
+         "backbone/wavelet rate mismatch at dec.idwt3: 9 vs 5 frames"),
         ("enc.head.conv", _strided((2, 1, 1)), "encode",
          "latent has 3 frames, expected 5"),
         ("dec.stem", _strided((2, 1, 1)), "decode",

@@ -4,8 +4,9 @@ which alone takes a final or an empty chunk), ``Dwt3dStream`` and
 ``Idwt3dStream``. Each machine cuts valid chunks of any length, none
 included, from one clip, feeds some of them as non-contiguous views of the
 same values (Fortran order, reversed strides, every other element of a wider
-row, read-only), and mixes in chunks of another (c, h, w) and, for the conv,
-final chunks and feeds after them.
+row, read-only) or as a float64 copy, and mixes in chunks of another
+(c, h, w) and, for the conv, final chunks and feeds after them. Every
+stream emits float32.
 
 After every step, what the valid feeds returned is bit for bit what a
 one-chunk run over the same frames emits. A chunk of another (c, h, w) and
@@ -41,12 +42,14 @@ def _spaced(a):
     return wide[..., ::2]
 
 
-# Non-contiguous views of a chunk's values, by name.
+# Other layouts of a chunk's values, by name: non-contiguous views, and a
+# float64 copy, which every stream casts to float32.
 _LAYOUTS = {
     "fortran": np.asfortranarray,
     "reversed": lambda a: np.ascontiguousarray(a[..., ::-1])[..., ::-1],
     "spaced": _spaced,
     "read-only": lambda a: np.lib.stride_tricks.as_strided(_spaced(a), writeable=False),
+    "float64": lambda a: a.astype(np.float64),
 }
 
 
@@ -75,7 +78,8 @@ class _StreamMachine(RuleBasedStateMachine):
 
     @rule(data=st.data())
     def feed_valid_as_other_layout(self, data):
-        """A valid chunk as a non-contiguous view of the same values."""
+        """A valid chunk as a non-contiguous view or a float64 copy of the
+        same values."""
         n = data.draw(st.integers(0, FRAMES - self.fed), label="frames")
         layout = data.draw(st.sampled_from(sorted(_LAYOUTS)), label="layout")
         final = self.can_end and data.draw(st.booleans(), label="final")
@@ -112,6 +116,7 @@ class _StreamMachine(RuleBasedStateMachine):
     def emitted_frames_match_the_one_chunk_run(self):
         want = self.one_chunk(self.fed)
         got = np.concatenate([want[:, :0], *self.emitted], axis=1)
+        assert got.dtype == want.dtype == np.float32
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
