@@ -10,6 +10,12 @@ on first use and kept for the life of the process. Every item of work sees
 the same operations whichever worker runs it, so no output bit depends on
 ``W``.
 
+A streamed encode can instead run as a two-stage pipeline
+(:func:`pipeline`): the caller runs the front stage on item k + 1 while one
+pool thread runs the back stage on item k. Inside a stage :func:`workers` is
+1, so each stage's kernels run every tile on their own thread, the same
+one-thread GEMMs a share-out runs.
+
 The BLAS's own threads have no say in that. numpy ships OpenBLAS inside its
 wheels; this module finds that library among the shared objects mapped into
 the process (``/proc/self/maps``) and calls its thread-count getter and
@@ -29,6 +35,7 @@ import contextvars
 import ctypes
 import functools
 import os
+import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -106,7 +113,7 @@ def one_blas_thread():
             setter(1)
         _Pin.depth += 1
     try:
-        yield worker_count()
+        yield workers()
     finally:
         with _Pin.lock:
             _Pin.depth -= 1
@@ -130,6 +137,16 @@ def worker_count() -> int:
     else:
         cpus = os.cpu_count() or 1
     return min(cpus, thread_cap() or cpus)
+
+
+# Set inside a stage of :func:`pipeline`, where a call runs on one worker.
+_in_stage = contextvars.ContextVar("wfcodec_in_stage", default=False)
+
+
+def workers() -> int:
+    """The workers a kernel call may share its work out to here: ``W``, or
+    1 inside a stage of :func:`pipeline`."""
+    return 1 if _in_stage.get() else worker_count()
 
 
 _pool_lock = threading.Lock()
@@ -156,6 +173,18 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+@contextlib.contextmanager
+def _buffer_share(workers: int):
+    """Run at 1/``workers`` of the ufunc buffer size, in the 16s numpy
+    wants: ``workers`` threads that run at once hold no more iterator
+    buffers together than one call does."""
+    previous = np.setbufsize(max(16, np.getbufsize() // workers // 16 * 16))
+    try:
+        yield
+    finally:
+        np.setbufsize(previous)
+
+
 def share_out(items: int, workers: int, work) -> list:
     """``[work(worker, i) for i in range(items)]``, in item order.
 
@@ -170,7 +199,6 @@ def share_out(items: int, workers: int, work) -> list:
     worker raised is raised again.
     """
     workers = max(1, min(workers, items))
-    bufsize = max(16, np.getbufsize() // workers // 16 * 16)  # numpy wants 16s
     lock = threading.Lock()
     results = [None] * items
     # Emptied on return: a cancelled worker stays queued on the pool until a
@@ -178,16 +206,13 @@ def share_out(items: int, workers: int, work) -> list:
     shared = [work, iter(range(items))]
 
     def run(worker: int) -> None:
-        previous = np.setbufsize(bufsize)
-        try:
+        with _buffer_share(workers):
             while True:
                 with lock:
                     item = next(shared[1], None)
                 if item is None:
                     return
                 results[item] = shared[0](worker, item)
-        finally:
-            np.setbufsize(previous)
 
     helpers = [
         _shared_pool().submit(contextvars.copy_context().run, run, worker)
@@ -201,4 +226,67 @@ def share_out(items: int, workers: int, work) -> list:
     for error in errors:
         if error is not None:
             raise error
+    return results
+
+
+_END = object()  # the hand-off after the last item
+
+
+def pipeline(items, front, back=None) -> list:
+    """``[back(front(item)) for item in items]``, in item order, or
+    ``[front(item) ...]`` without ``back``.
+
+    Without ``back`` the caller runs ``front`` on every item, and its
+    kernels share their work out to ``W`` workers. With it the items flow
+    through two stages: the caller runs ``front`` on item k + 1 while one
+    pool thread runs ``back`` on item k, and the two hand each item over
+    through a queue of depth 1. Each stage runs in its own context at half
+    the caller's ufunc buffer size, and every kernel call in it runs on one
+    worker (:func:`workers`), so each tile is the same one-thread GEMM that
+    a share-out runs and no output bit moves.
+
+    ``back`` is handed what ``front`` returned, and neither stage keeps a
+    reference to it: a mutable hand-off that ``back`` empties is freed as
+    ``back`` goes. An exception in either stage stops the other at its next
+    item. It is raised once the pool thread has stopped, so no pool thread
+    runs on when this returns or raises.
+    """
+    if back is None:
+        return [front(item) for item in items]
+    handoff: queue.Queue = queue.Queue(maxsize=1)
+    stop = threading.Event()
+    results, errors = [], []
+
+    def stage(loop) -> None:  # in a copy of the caller's context
+        _in_stage.set(True)
+        with _buffer_share(2):
+            loop()
+
+    def run_front() -> None:
+        for item in items:
+            if stop.is_set():
+                return
+            handoff.put(front(item))
+
+    def run_back() -> None:
+        while (item := handoff.get()) is not _END:
+            if not stop.is_set():  # else drained, so no put blocks for good
+                try:
+                    results.append(back(item))
+                except BaseException as exc:
+                    errors.append(exc)
+                    stop.set()
+            del item  # before waiting for the next
+
+    helper = _shared_pool().submit(contextvars.copy_context().run, stage, run_back)
+    try:
+        contextvars.copy_context().run(stage, run_front)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        handoff.put(_END)  # the back stage drains the queue up to it
+        helper.result()
+    if errors:
+        raise errors[0]
     return results

@@ -26,6 +26,7 @@ it is provided purely as the documented negative control.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -236,8 +237,30 @@ class _ConvStream:
     prologue: _Prologue | None = None
     state: CacheState = field(default_factory=CacheState)
 
-    def feed(self, frames: np.ndarray, final: bool = False) -> np.ndarray:
-        """Convolve one chunk against the cache; ``final`` ends the stream."""
+    # ``sliding_window_view`` reads its array's ``__array_interface__``, a
+    # dict whose keys the interpreter interns as it builds it and drops with
+    # it. Held here they stay interned, so a feed's window views leave the
+    # interned-string table as it was: a table that fills with dropped keys
+    # is rebuilt, and in a large process that makes a 1.8 MiB table mid-call.
+    _interface_keys = tuple(sys.intern(key) for key in np.empty(0).__array_interface__)
+
+    def feed(
+        self, frames: np.ndarray | list[np.ndarray], final: bool = False,
+        into: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Convolve one chunk against the cache; ``final`` ends the stream.
+
+        ``frames`` may come as a one-item list, which the feed empties once
+        the window holds every chunk frame it still reads: a caller that
+        keeps no other reference frees the chunk before the last frame's
+        GEMMs. With ``into``, an array of the output's shape, each tile's
+        GEMM and bias land in a per-worker tile buffer that is added into
+        ``into`` (the float ops of ``out += bias; into += out``), and
+        ``into`` is returned: no output array is made.
+        """
+        box = frames if isinstance(frames, list) else None
+        if box is not None:
+            frames = box[0]
         state, spec, prologue = self.state, self.spec, self.prologue
         if state.finalized:
             raise StateError("chunk fed after the stream was finalized")
@@ -300,7 +323,12 @@ class _ConvStream:
                     src = normed
                 _silu_into(src, dst, tmp)
 
-        out = np.empty((cout, to, ho, wo), dtype=np.float32)
+        if into is None:
+            out = np.empty((cout, to, ho, wo), dtype=np.float32)
+        elif into.shape != (cout, to, ho, wo):
+            raise ShapeError(f"output {(cout, to, ho, wo)} cannot add into {into.shape}")
+        else:
+            out = into
         last = state.cache if cached else None  # filled frames from frame 0 on
         self.state = state = replace(state, cache=_EMPTY)
         if to:
@@ -308,7 +336,7 @@ class _ConvStream:
             rows = _tile_rows(k, ho, wo)
             tiles = -(-ho // rows)
             wmat = self.weight.reshape(cout, k)
-            out_rows = out.reshape(cout, to, ho * wo)
+            out_rows = out.reshape(cout, to, ho * wo) if into is None else None
             qh, qw = -(-ph // fh), -(-pw // fw)
             # Time-major, so a shift copies whole frames, which do not overlap;
             # fill, columns and cache read it channel-major through ``slots``.
@@ -322,6 +350,10 @@ class _ConvStream:
                 workers = max(1, min(workers, tiles))
                 cols = [np.empty(max(k * rows * wo, scratch), dtype=np.float32)]
                 cols += [np.empty(k * rows * wo, dtype=np.float32) for _ in range(workers - 1)]
+                parts = []  # the tile buffers of a feed ``into``
+                if into is not None:
+                    parts = [np.empty((cout, rows * wo), dtype=np.float32) for _ in cols]
+                    bias = self.bias[:, None]
                 srcs = [slots] * workers
                 if upsampled:
                     srcs = [  # row bands
@@ -352,10 +384,13 @@ class _ConvStream:
                     col = cols[worker][: k * r * wo].reshape(c, kt, kh, kw, r, wo)
                     tile_view = taps[worker][:, :, base : base + sh * (r - 1) + 1 : sh, :: sw]
                     np.copyto(col, tile_view.transpose(0, 1, 4, 5, 2, 3))
-                    np.matmul(
-                        wmat, col.reshape(k, r * wo),
-                        out=out_rows[:, t, y0 * wo : (y0 + r) * wo],
-                    )
+                    col = col.reshape(k, r * wo)
+                    if into is None:
+                        np.matmul(wmat, col, out=out_rows[:, t, y0 * wo : (y0 + r) * wo])
+                    else:
+                        part = np.matmul(wmat, col, out=parts[worker][:, : r * wo])
+                        part += bias
+                        into[:, t, y0 : y0 + r] += part.reshape(cout, r, wo)
 
                 kept = 0  # window frames carried over from the previous output frame
                 for t in range(to):
@@ -365,19 +400,25 @@ class _ConvStream:
                         elif t or dt >= cached:
                             fill(inner[:, dt], t * st + dt, cols[0])
                     kept = max(kt - st, 0)
+                    if box and t == to - 1 and length <= t * st + kt:
+                        box.clear()  # the cache is rebuilt from the window
+                        frames = None
                     blas.share_out(tiles, workers, lambda i, tile: run_tile(i, tile, t))
-                del cols, srcs, taps  # before the bias add, which may make a buffer
-            out += self.bias[:, None, None, None]
+                del cols, srcs, taps, parts  # before the bias add, which may make a buffer
+            if into is None:
+                out += self.bias[:, None, None, None]
         keep_from = to * st
         cache = _EMPTY
         if not final and keep_from < length:
             cache = np.empty((c, length - keep_from, h, w), dtype=np.float32)
-            buf = np.empty(scratch, dtype=np.float32)
+            buf = None  # made for the first frame not filled already
             first = max(keep_from - st, 0)  # where ``last`` starts
             for p in range(keep_from, length):
                 if last is not None and p - first < last.shape[1]:
                     cache[:, p - keep_from] = last[:, p - first]  # filled already
                 else:
+                    if buf is None:
+                        buf = np.empty(scratch, dtype=np.float32)
                     fill(cache[:, p - keep_from], p, buf)
         self.state = CacheState(
             frames_seen=new_seen,

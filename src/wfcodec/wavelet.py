@@ -53,7 +53,7 @@ def _over_tiles(rows: int, blocks: int, split: bool, run) -> list:
     band rows 0:rows and blocks 0:blocks once each.
 
     Unless ``split``, one tile covers everything on the calling thread.
-    Otherwise the rows are cut into up to ``W`` (:func:`blas.worker_count`)
+    Otherwise the rows are cut into up to ``W`` (:func:`blas.workers`)
     contiguous ranges, one per worker, and the blocks into up to
     ``_SEGMENTS`` runs. Each worker takes the next tile when it finishes
     one (:func:`blas.share_out`), so a worker on a slower CPU delays the
@@ -61,7 +61,7 @@ def _over_tiles(rows: int, blocks: int, split: bool, run) -> list:
     and frees them before its worker takes the next, so the tiles running at
     once hold one serial call's work arrays, give or take a row each.
     """
-    workers = min(blas.worker_count(), rows) if split else 1
+    workers = min(blas.workers(), rows) if split else 1
     if workers <= 1:
         return [run(slice(0, rows), range(blocks))]
     bounds = [rows * i // workers for i in range(workers + 1)]

@@ -1,4 +1,5 @@
-"""The one sharing call, ``blas.share_out``, and the pool behind it."""
+"""The two sharing calls, ``blas.share_out`` and ``blas.pipeline``, and the
+pool behind them."""
 
 import os
 import threading
@@ -58,3 +59,31 @@ class TestShareOut:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+class TestPipeline:
+    @pytest.mark.parametrize("items", [0, 1, 2, 7])
+    def test_results_come_back_in_item_order(self, items):
+        """Two stages, whatever the item count: the caller runs ``front``
+        and one pool thread runs ``back``, each with one worker."""
+        caller = threading.get_ident()
+        seen = []
+
+        def front(i: int) -> int:
+            seen.append(("front", threading.get_ident() == caller, blas.workers()))
+            return i + 1
+
+        def back(i: int) -> int:
+            seen.append(("back", threading.get_ident() == caller, blas.workers()))
+            return i * i
+
+        assert blas.pipeline(range(items), front, back) == [(i + 1) ** 2 for i in range(items)]
+        assert sorted(set(seen)) == [("back", False, 1), ("front", True, 1)][: 2 * bool(items)]
+        assert blas.workers() == blas.worker_count()
+
+    def test_without_back_runs_on_the_caller(self, monkeypatch):
+        monkeypatch.setattr(blas, "_shared_pool", _pool_must_not_be_used)
+        caller = threading.get_ident()
+        assert blas.pipeline(range(3), lambda i: (i, threading.get_ident())) == [
+            (i, caller) for i in range(3)
+        ]

@@ -1028,6 +1028,41 @@ class TestConvMemory:
         assert out.nbytes + col + 4 * c * 3 * (2 * h + 2) * (2 * w + 2) > bound
         assert peak <= bound, (peak, bound)
 
+    def test_one_frame_prologue_feed_holds_no_scratch_after_its_gemm(self, monkeypatch):
+        """Fed one frame against a two-frame cache, as a block-body conv is,
+        a conv with a norm prologue rebuilds its cache from the window: after
+        its last GEMM the one array it makes is the new cache, and no
+        prologue scratch."""
+        c, h, w = 8, 16, 16
+        monkeypatch.setattr(blas, "worker_count", lambda: 1)
+        spec = ConvSpec(c, 8, (3, 3, 3), (1, 1, 1), (1, 1))
+        rng = Rng(78)
+        prologue = causal._Prologue(
+            1.0 + rng.normal((c,), std=0.1), rng.normal((c,), std=0.1)
+        )
+        conv = causal._ConvStream(
+            spec, rng.normal(spec.weight_shape(), std=0.1), np.zeros(8, np.float32),
+            prologue=prologue,
+        )
+        x = rng.normal((c, 4, h, w))
+        conv.feed(x[:, :3])
+        matmul, empty = np.matmul, np.empty
+        made = []  # bytes of each array np.empty made since the last GEMM
+
+        def gemm(*args, **kwargs):
+            made.clear()
+            return matmul(*args, **kwargs)
+
+        def counted_empty(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            made.append(out.nbytes)
+            return out
+
+        monkeypatch.setattr(np, "matmul", gemm)
+        monkeypatch.setattr(np, "empty", counted_empty)
+        conv.feed(x[:, 3:])
+        assert made == [conv.state.cache.nbytes] == [4 * c * 2 * h * w]
+
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize(
         "factors,rows", [((1, 1, 1), 4), ((1, 1, 1), 8), ((1, 2, 2), 4)],

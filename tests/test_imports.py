@@ -113,14 +113,15 @@ def test_kernel_views_are_bounds_checked():
     assert not found, f"as_strided in the package: {sorted(found)}"
 
 
-# What starts a thread or sets the BLAS's thread count.
-_THREAD_NAMES = ("ThreadPoolExecutor", "Thread")
+# What starts a thread, hands work to one, or sets the BLAS's thread count:
+# a submission to the shared pool runs on a pool thread.
+_THREAD_NAMES = ("ThreadPoolExecutor", "Thread", "_shared_pool", "submit")
 _BLAS_SETTER = "set_num_threads"
 
 
 def _thread_uses(source: str) -> list[int]:
-    """Lines of ``source`` that name a thread class, or an OpenBLAS thread
-    setter in a name or a string."""
+    """Lines of ``source`` that name a thread class, the shared pool or a
+    pool submission, or an OpenBLAS thread setter in a name or a string."""
     lines = []
     for n in ast.walk(ast.parse(source)):
         names = [a.name.split(".")[-1] for a in getattr(n, "names", [])
@@ -141,15 +142,20 @@ def _thread_uses(source: str) -> list[int]:
     "from threading import Thread",
     "getattr(lib, 'scipy_openblas_set_num_threads64_')",
     "lib.openblas_set_num_threads(1)",
+    "blas._shared_pool().submit(work)",
+    "from wfcodec.blas import _shared_pool",
+    "pool = blas._shared_pool()",
+    "executor.submit(run_back)",
 ])
 def test_thread_guard_sees(source):
     assert _thread_uses(source)
 
 
 def test_threads_live_in_one_module():
-    """Only ``wfcodec.blas`` makes threads or sets the BLAS thread count:
-    every other module takes ``W``, the shared pool and the BLAS pin from
-    it, so no kernel can start threads of its own or change the BLAS's."""
+    """Only ``wfcodec.blas`` makes threads, hands work to the pool or sets
+    the BLAS thread count: every other module takes ``W``, the sharing of
+    tiles, the chunk pipeline and the BLAS pin from it, so no kernel can
+    start threads of its own or change the BLAS's."""
     found = {
         f"{path.name}:{line}"
         for path in ROOT.glob("src/wfcodec/*.py") if path.name != "blas.py"

@@ -4,8 +4,11 @@ recombination linearity, and weight-store round trips."""
 import hashlib
 import json
 import os
+import queue
 import subprocess
 import sys
+import threading
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -591,6 +594,34 @@ class TestExecutorMemory:
         _, peak = traced_peak(lambda: decode(enc.latent.mean, config, weights, t))
         assert peak <= bound, f"decode peak {peak / 2**20:.2f} MiB > {bound / 2**20:.2f}"
 
+    @pytest.mark.skipif(blas.blas_threads() is None, reason="no BLAS thread control found")
+    def test_pipelined_peak_adds_one_back_half_node(self, monkeypatch):
+        """A pipelined streamed encode holds what the one-worker run holds,
+        plus what one back-half conv holds while the front half runs: its
+        window, its column tile, its input and output and the chunk handed
+        over at the boundary."""
+        config = self.CONFIG
+        weights = init_weights(config, Rng(65))
+        video = make_random(66, (3, 33, 64, 64))
+        plan = ChunkPlan.canonical(4)
+        peaks = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(blas, "worker_count", lambda: workers)
+            _, peaks[workers] = traced_peak(lambda: encode(video, config, weights, plan))
+        # The back half's largest conv, stage 2 block 0's conv1 at 16x16,
+        # on the one stage-2 frame a chunk of 4 frames makes.
+        cout, h = 2 * config.base_channels, 16
+        cin = cout + config.c_flow
+        k = 27 * cin
+        window = 4 * 3 * cin * (h + 2) ** 2
+        column = 4 * k * causal._tile_rows(k, h, h) * h
+        activations = 4 * (cin + cout) * h * h
+        handoff = 4 * (cout + 8 * config.input_channels) * h * h  # enc.down1's output and w2
+        bound = peaks[1] + window + column + activations + handoff
+        # One more column would break the bound.
+        assert peaks[1] + 2 * column > bound
+        assert peaks[2] <= bound, f"{peaks[2] / 2**20:.2f} MiB > {bound / 2**20:.2f}"
+
     def test_block_transient_flat_in_time(self):
         """A block's own buffers do not grow with the frames it is fed."""
         config = self.CONFIG
@@ -684,6 +715,168 @@ class TestThreadIndependence:
         assert runs["1"][0] == "1"
         assert runs["2"][0] == "2" or os.cpu_count() < 2
         assert runs["1"][1] == runs["2"][1]
+
+
+@pytest.mark.skipif(blas.blas_threads() is None, reason="no BLAS thread control found")
+class TestPipeline:
+    """A streamed encode of two chunks or more on W >= 2 is a two-stage
+    pipeline: the caller walks the encoder through enc.down1 and one pool
+    thread walks the rest. Decode, direct plans and W = 1 stay on the
+    caller."""
+
+    PLAN = ChunkPlan.canonical(1)  # 17 chunks of tiny_video
+
+    @staticmethod
+    def _halves(weights):
+        chain = model._Chain(model._graph(TINY)[0], TINY, weights)
+        return [{conv.name for node in half for conv in model._convs(node)}
+                for half in (chain.front, chain.back)]
+
+    @staticmethod
+    def _trace_feeds(monkeypatch, hook=None):
+        """Record (conv name, thread) of every conv feed, and call
+        ``hook(name, calls)`` before each feed when given."""
+        names, calls = {}, []
+        init, feed = model._Chain.__init__, causal._ConvStream.feed
+
+        def chain_init(self, *args):
+            init(self, *args)
+            names.update({id(conv): name for name, conv in self.convs.items()})
+
+        def traced_feed(self, *args, **kwargs):
+            name = names[id(self)]
+            calls.append((name, threading.get_ident()))
+            if hook is not None:
+                hook(name, [n for n, _ in calls])
+            return feed(self, *args, **kwargs)
+
+        monkeypatch.setattr(model._Chain, "__init__", chain_init)
+        monkeypatch.setattr(causal._ConvStream, "feed", traced_feed)
+        return calls
+
+    @staticmethod
+    def _record_pool(monkeypatch) -> list:
+        """The futures of every submission to the shared pool."""
+        futures, pool = [], blas._shared_pool()
+
+        class RecordingPool:
+            def submit(self, *args):
+                futures.append(pool.submit(*args))
+                return futures[-1]
+
+        monkeypatch.setattr(blas, "_shared_pool", RecordingPool)
+        return futures
+
+    def test_back_half_runs_on_a_pool_thread(self, monkeypatch, tiny_weights, tiny_video):
+        serial = encode(tiny_video, TINY, tiny_weights)
+        front, back = self._halves(tiny_weights)
+        assert "enc.down1" in front and "enc.inflow2" in back
+        monkeypatch.setattr(blas, "worker_count", lambda: 2)
+        calls = self._trace_feeds(monkeypatch)
+        enc = encode(tiny_video, TINY, tiny_weights, self.PLAN)
+        caller = threading.get_ident()
+        assert {t for name, t in calls if name in front} == {caller}
+        (helper,) = {t for name, t in calls if name in back}
+        assert helper != caller
+        assert_encodings_equal(enc, serial)
+
+    @pytest.mark.parametrize("case", ["direct", "one worker", "decode"])
+    def test_other_runs_stay_on_the_caller(self, monkeypatch, tiny_weights, tiny_video, case):
+        z = encode(tiny_video, TINY, tiny_weights).latent.mean
+        monkeypatch.setattr(blas, "worker_count", lambda: 1 if case == "one worker" else 2)
+        calls = self._trace_feeds(monkeypatch)
+        if case == "decode":
+            decode(z, TINY, tiny_weights, tiny_video.time, ChunkPlan.canonical(1))
+        else:
+            encode(tiny_video, TINY, tiny_weights, None if case == "direct" else self.PLAN)
+        assert calls and {t for _, t in calls} == {threading.get_ident()}
+
+    def test_back_error_stops_the_front(self, monkeypatch, tiny_weights, tiny_video):
+        """enc.head.conv raises on chunk 1: the encode fails with its error
+        once the pool thread has finished. The front half has then run at
+        most chunk 2, which the back half may not have taken yet, and chunk
+        3, which it was making; the next encode is bit-equal."""
+        expected = encode(tiny_video, TINY, tiny_weights, self.PLAN)
+        monkeypatch.setattr(blas, "worker_count", lambda: 2)
+        futures = self._record_pool(monkeypatch)
+        armed = [True]
+
+        def fail(name, names):
+            if armed[0] and name == "enc.head.conv" and names.count(name) == 2:
+                raise FloatingPointError("head failed")
+
+        calls = self._trace_feeds(monkeypatch, fail)
+        with pytest.raises(FloatingPointError, match="head failed"):
+            encode(tiny_video, TINY, tiny_weights, self.PLAN)
+        assert len(futures) == 1 and futures[0].done()
+        assert [n for n, _ in calls].count("enc.stem") <= 4
+        armed[0] = False
+        assert_encodings_equal(encode(tiny_video, TINY, tiny_weights, self.PLAN), expected)
+
+    def test_front_error_stops_the_back(self, monkeypatch, tiny_weights, tiny_video):
+        """enc.down1 raises on chunk 2 while the back half still runs chunk
+        0 and chunk 1 waits for it: the back half finishes chunk 0, drops
+        chunk 1, and the encode fails with the error once it has."""
+        expected = encode(tiny_video, TINY, tiny_weights, self.PLAN)
+        monkeypatch.setattr(blas, "worker_count", lambda: 2)
+        futures = self._record_pool(monkeypatch)
+        stopped = threading.Event()  # set as the caller ends the pipeline
+
+        class EndingQueue(queue.Queue):
+            def put(self, item, *args, **kwargs):
+                if item is blas._END:
+                    stopped.set()
+                super().put(item, *args, **kwargs)
+
+        monkeypatch.setattr(blas.queue, "Queue", EndingQueue)
+
+        def fail(name, names):
+            if name == "enc.inflow2" and names.count(name) == 1:
+                stopped.wait(timeout=10.0)
+            if name == "enc.down1" and names.count(name) == 3:
+                raise FloatingPointError("down1 failed")
+
+        calls = self._trace_feeds(monkeypatch, fail)
+        with pytest.raises(FloatingPointError, match="down1 failed"):
+            encode(tiny_video, TINY, tiny_weights, self.PLAN)
+        assert len(futures) == 1 and futures[0].done()
+        assert [n for n, _ in calls].count("enc.head.conv") == 1
+        assert_encodings_equal(encode(tiny_video, TINY, tiny_weights, self.PLAN), expected)
+
+
+class TestCountedWork:
+    """Every plan runs the same GEMMs: a streamed encode, pipelined or not,
+    recomputes nothing the direct encode does not."""
+
+    PLANS = [
+        None, ChunkPlan.canonical(4), ChunkPlan.canonical(1),
+        ChunkPlan.explicit([1, 2, 14]), ChunkPlan.explicit([5, 4, 3, 5]),
+    ]
+
+    def test_gemm_calls_and_flops_equal_direct(self, monkeypatch, tiny_weights, tiny_video):
+        matmul = np.matmul
+
+        def gemms(plan, workers) -> list[tuple[int, int, int]]:
+            shapes = []
+
+            def counted(a, b, *args, **kwargs):
+                shapes.append((a.shape[0], a.shape[1], b.shape[1]))
+                return matmul(a, b, *args, **kwargs)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(blas, "worker_count", lambda: workers)
+                mp.setattr(np, "matmul", counted)
+                encode(tiny_video, TINY, tiny_weights, plan)
+            return shapes
+
+        direct = gemms(None, 1)
+        flops = sum(2 * m * k * n for m, k, n in direct)
+        for workers in (1, 2):
+            for plan in self.PLANS:
+                shapes = gemms(plan, workers)
+                assert len(shapes) == len(direct), (plan, workers)
+                assert sum(2 * m * k * n for m, k, n in shapes) == flops, (plan, workers)
+                assert Counter(shapes) == Counter(direct), (plan, workers)
 
 
 class TestStreamingIdentity:
